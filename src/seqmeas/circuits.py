@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import embed, is_unitary
+from .measurement import _validate_phi
 from .observables import PauliString, basis_ket, entangling_gate, rotation_gate
 
 ROTATIONS = ("rx", "ry", "rz")
@@ -181,8 +182,7 @@ def synthesize_measurement_circuit(
     """
     if a.is_identity():
         raise ValueError("cannot synthesize a measurement of the identity")
-    if not 0.0 < phi <= math.pi / 2:
-        raise ValueError(f"phi must lie in (0, pi/2], got {phi}")
+    phi = _validate_phi(phi)
     if kind not in ("informative", "noninformative"):
         raise ValueError(f"unknown measurement kind {kind!r}")
     gateset = gateset.lower()

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CHECK_TOL, is_hermitian, tensor
-from .observables import PAULI_Z, PauliString
+from .observables import PauliString
 
 # A standard nonintegrable point of the mixed-field Ising chain; an
 # artifact default, overridable via configuration.
@@ -144,14 +144,11 @@ def time_reversed_evolution(h, t: float) -> ClockPropagator:
     """Extend H to H (x) Z on system plus one ancilla qubit.
 
     The returned pair of sector propagators equals exp(-+ i t H): ancilla
-    |1> runs time forward, ancilla |0> runs it backward.
+    |1> runs time forward, ancilla |0> runs it backward.  Since
+    Z = diag(-1, +1) is diagonal, exp(-i t H (x) Z) is block diagonal in
+    the ancilla and is assembled from the system propagator.
     """
-    m = _check_hermitian_matrix(h)
-    evals, evecs = np.linalg.eigh(m)
-    dim = m.shape[0]
-    n_system = int(round(np.log2(dim)))
-    # H (x) Z diagonalizes slot-wise: Z is already diagonal = diag(-1, +1).
-    v_ext = tensor(evecs, np.eye(2))
-    phases = np.exp(-1j * t * np.kron(evals, np.diag(PAULI_Z).real))
-    u_ext = (v_ext * phases) @ v_ext.conj().T
+    u = propagator(h, t).matrix
+    n_system = int(round(np.log2(u.shape[0])))
+    u_ext = tensor(u.conj().T, np.diag([1.0, 0.0])) + tensor(u, np.diag([0.0, 1.0]))
     return ClockPropagator(u_ext, float(t), n_system)

@@ -7,15 +7,18 @@ seed) pairs produce byte-identical files.
 
 Reported values are the correlator parts themselves: for the OTOC the raw
 protocol average v is converted (Re F = 2v - 1, Im F = 2v) and the
-statistical columns are scaled accordingly.  Sampled sub-runs derive
-their stream key from (seed, time index, part index), so every row/part
-pair has an independent, reproducible stream.
+statistical columns are scaled accordingly.  Sampled sub-runs hash
+(seed, time index, part index) through numpy's SeedSequence into their
+stream key, so every row/part pair has an independent, reproducible
+stream, also for seeds of 2^32 and beyond.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .config import ExperimentConfig
 from .dynamics import propagator, time_reversed_evolution
@@ -65,7 +68,9 @@ def rows_to_csv(rows) -> str:
 
 
 def _row_seed(base: int, time_index: int, part_index: int) -> int:
-    return (base * (2**32) + time_index * 2 + part_index) % (2**64)
+    """64-bit stream key hashed from the whole (base, time, part) triple."""
+    seq = np.random.SeedSequence([base, time_index, part_index])
+    return int(seq.generate_state(1, np.uint64)[0])
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:

@@ -1,15 +1,17 @@
-"""Sequential-measurement engine: exact enumeration and trajectory sampling.
+"""Sequential-measurement engine: one outcome-tree walk, exact or sampled.
 
-Exact mode walks the full outcome tree, applying analytic Kraus operators
-and interleaved unitaries, and contracts the generalized-eigenvalue
-weights against the exact sequence distribution.  It is the verification
-reference: its value is independent of every strength angle.
+The engine walks the full outcome tree, applying analytic Kraus operators
+and interleaved unitaries, and records each outcome string with its
+sequential-Born probability and generalized-eigenvalue weight.  Exact mode
+contracts the weights against those probabilities; it is the verification
+reference, and its value is independent of every strength angle.
 
-Sampled mode models the experiment: each trial draws one full outcome
-string from the sequential Born rule.  Randomness is counter-based
-(Philox keyed by the seed; trial k consumes row k of the uniform block),
-so results do not depend on execution order or batching, and aggregation
-uses exactly-rounded summation (math.fsum) for bit-stable results.
+Sampled mode models the experiment: each trial draws one outcome string
+from the same tree, measurement by measurement with the conditional Born
+probabilities.  Randomness is counter-based (Philox keyed by the seed;
+trial k consumes row k of the uniform block), so results do not depend on
+execution order, and aggregation uses exactly-rounded summation
+(math.fsum) for bit-stable results.
 """
 
 from __future__ import annotations
@@ -33,15 +35,13 @@ from .measurement import (
     INFORMATIVE,
     NONINFORMATIVE,
     MeasurementSpec,
+    _validate_phi,
     generalized_eigenvalue,
     kraus_pair,
 )
 from .observables import PAULI_X
 
 MAX_ENUMERATED_MEASUREMENTS = 16
-
-# Memory cap for the sampled-mode state batch, in complex128 entries.
-_BATCH_ENTRIES = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -117,8 +117,7 @@ def rms_bound(phis, trials) -> float:
     if any(n < 1 for n in counts):
         raise ValueError("trial counts must be >= 1")
     for p in phis:
-        if not 0.0 < p <= math.pi / 2:
-            raise ValueError(f"phi must lie in (0, pi/2], got {p}")
+        _validate_phi(p)
     denom = math.prod(counts) * math.prod(math.sin(p) ** 2 for p in phis)
     return 1.0 / math.sqrt(denom)
 
@@ -198,6 +197,15 @@ def sequence_distribution(initial: DensityMatrix, steps) -> list[OutcomeRecord]:
     return records
 
 
+def _measured_distribution(initial: DensityMatrix, steps):
+    """Sequence distribution and strength angles; needs a measurement."""
+    steps = list(steps)
+    records = sequence_distribution(initial, steps)
+    if not records[0].outcomes:
+        raise ValueError("sequence contains no measurements")
+    return records, tuple(s.spec.phi for s in steps if isinstance(s, MeasureStep))
+
+
 def nested_estimate(
     initial: DensityMatrix,
     steps,
@@ -214,16 +222,12 @@ def nested_estimate(
     does not depend on the strength angles.
     """
     if mode == "exact":
-        records = sequence_distribution(initial, steps)
-        m = len(records[0].outcomes)
-        if m == 0:
-            raise ValueError("sequence contains no measurements")
+        records, phis = _measured_distribution(initial, steps)
         value = fsum(r.weight * r.probability for r in records)
-        phis = tuple(s.spec.phi for s in steps if isinstance(s, MeasureStep))
         return CorrelatorEstimate(
             value=value,
             mode="exact",
-            trials=(0,) * m,
+            trials=(0,) * len(phis),
             phis=phis,
             rms_bound=0.0,
             empirical_stderr=0.0,
@@ -239,8 +243,7 @@ def trial_uniforms(seed: int, trials: int, draws: int) -> np.ndarray:
     """Uniform deviates for ``trials`` independent trials.
 
     Counter-based (Philox keyed by ``seed``): row k is a pure function of
-    (seed, k), so per-trial streams are independent of execution order
-    and batching.
+    (seed, k), so per-trial streams are independent of execution order.
     """
     gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     return gen.random((trials, draws))
@@ -251,48 +254,37 @@ def sample_protocol(
 ) -> CorrelatorEstimate:
     """Monte Carlo estimate: average alpha products over sampled strings.
 
-    Each trial samples one full outcome string from the sequential Born
-    rule.  Deterministic for a fixed seed; the reported
+    Trial k draws its outcome string from :func:`sequence_distribution`
+    with row k of :func:`trial_uniforms`: at measurement j it takes outcome
+    1 iff ``u[k, j] < P(prefix, 1) / P(prefix)``, where a prefix
+    probability sums the leaves below it (exact, as later steps preserve
+    the trace).  Sampled mode thus shares the invariant checks and the
+    limit of ``MAX_ENUMERATED_MEASUREMENTS`` measurements of exact mode.
     ``empirical_stderr`` is the sample standard error of the mean.
     """
     trials = int(trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    resolved, phis = _resolve_steps(initial, steps)
+    records, phis = _measured_distribution(initial, steps)
     m = len(phis)
-    if m == 0:
-        raise ValueError("sequence contains no measurements")
 
-    dim = initial.dim
+    # Leaves come in lexicographic order, so leaf i is the outcome string
+    # spelling i in binary; tree[j][i] is the probability of the j-outcome
+    # prefix i.
+    tree = [np.array([r.probability for r in records])]
+    for _ in range(m):
+        tree.insert(0, tree[0].reshape(-1, 2).sum(axis=1))
     uniforms = trial_uniforms(seed, trials, m)
-    weights = np.empty(trials, dtype=np.float64)
-    effect1 = [
-        payload[1].conj().T @ payload[1] if kind == "measure" else None
-        for kind, payload, _ in resolved
-    ]
-
-    batch = max(1, min(trials, _BATCH_ENTRIES // (dim * dim)))
-    for start in range(0, trials, batch):
-        stop = min(start + batch, trials)
-        states = np.broadcast_to(initial.matrix, (stop - start, dim, dim)).copy()
-        w = np.ones(stop - start, dtype=np.float64)
-        meas_index = 0
-        for i, (kind, payload, alphas) in enumerate(resolved):
-            if kind == "evolve":
-                states = payload @ states @ payload.conj().T
-                continue
-            p1 = np.real(np.einsum("bij,ji->b", states, effect1[i]))
-            drawn1 = uniforms[start:stop, meas_index] < p1
-            for a, mask in ((0, ~drawn1), (1, drawn1)):
-                if not np.any(mask):
-                    continue
-                k = payload[a]
-                prob = p1[mask] if a == 1 else 1.0 - p1[mask]
-                prob = np.maximum(prob, 1e-300)
-                states[mask] = (k @ states[mask] @ k.conj().T) / prob[:, None, None]
-                w[mask] *= alphas[a]
-            meas_index += 1
-        weights[start:stop] = w
+    leaf = np.zeros(trials, dtype=np.intp)
+    for j in range(m):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p1 = tree[j + 1][2 * leaf + 1] / tree[j][leaf]
+        if not np.all(np.isfinite(p1) & (p1 >= -1e-12) & (p1 <= 1 + 1e-12)):
+            raise NumericalInvariantError(
+                f"conditional outcome probability at measurement {j} outside [0, 1]"
+            )
+        leaf = 2 * leaf + (uniforms[:, j] < p1)
+    weights = np.array([r.weight for r in records])[leaf]
 
     mean = fsum(weights) / trials
     if trials > 1:
@@ -300,13 +292,12 @@ def sample_protocol(
         stderr = math.sqrt(var / trials)
     else:
         stderr = 0.0
-    bound = 1.0 / math.sqrt(trials * math.prod(math.sin(p) ** 2 for p in phis))
     return CorrelatorEstimate(
         value=mean,
         mode="sampled",
         trials=(trials,) * m,
         phis=phis,
-        rms_bound=bound,
+        rms_bound=rms_bound(phis, (trials,) + (1,) * (m - 1)),
         empirical_stderr=stderr,
     )
 

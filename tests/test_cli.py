@@ -167,6 +167,17 @@ class TestRunExperiment:
                     hits += 1
         assert hits / total >= 0.95
 
+    def test_seeds_apart_by_2_to_32_give_distinct_rows(self):
+        rows = {}
+        for seed in (0, 2**32, 2**64):
+            cfg = config_from_dict(
+                base_config(times=[0.4], mode="sampled", trials=300, seed=seed,
+                            initial_state="maximally-mixed", phis=1.0)
+            )
+            row = run_experiment(cfg)[0]
+            rows[seed] = (row.re_value, row.im_value)
+        assert len(set(rows.values())) == 3
+
     def test_sampled_stderr_and_bound_are_scaled(self):
         cfg = config_from_dict(
             base_config(times=[0.4], parts=["real"], mode="sampled", trials=500)

@@ -15,6 +15,8 @@ from seqmeas import (
     NumericalInvariantError,
     PauliString,
     build_mixed_field_ising,
+    generalized_eigenvalue,
+    kraus_pair,
     nested_estimate,
     oracle_otoc,
     oracle_toc,
@@ -102,6 +104,8 @@ class TestSequenceDistribution:
         steps = [meas(PauliString(("Z",)), 0.5, "noninformative")] * 17
         with pytest.raises(ValueError, match="enumeration limit"):
             sequence_distribution(rho, steps)
+        with pytest.raises(ValueError, match="enumeration limit"):
+            sample_protocol(rho, steps, 10, seed=1)
 
     def test_dimension_mismatch(self):
         rho = DensityMatrix.from_label("00")
@@ -347,15 +351,38 @@ class TestSampling:
         c = sample_protocol(rho, steps, 500, seed=8)
         assert c.value != a.value
 
-    def test_batch_size_does_not_change_results(self, monkeypatch):
+    def test_matches_sequential_born_sampler(self):
+        # an independent sampler carrying normalized conditional states,
+        # fed the same per-trial uniforms, draws the same outcome strings
         rng = np.random.default_rng(12)
         rho = random_density(rng, 2)
-        steps = [meas(random_pauli(rng, 2), 0.9), meas(random_pauli(rng, 2), 1.2)]
-        full = sample_protocol(rho, steps, 333, seed=5)
-        monkeypatch.setattr(protocols_mod, "_BATCH_ENTRIES", 16 * 7)
-        batched = sample_protocol(rho, steps, 333, seed=5)
-        assert batched.value == full.value
-        assert batched.empirical_stderr == full.empirical_stderr
+        specs = [
+            MeasurementSpec(random_pauli(rng, 2), 0.9, "noninformative"),
+            MeasurementSpec(random_pauli(rng, 2), 1.2, "informative"),
+            MeasurementSpec(random_pauli(rng, 2), 0.4, "informative"),
+        ]
+        u = propagator(build_mixed_field_ising(2), 0.7).matrix
+        steps = [MeasureStep(specs[0]), EvolveStep(u), MeasureStep(specs[1]),
+                 EvolveStep(u.conj().T), MeasureStep(specs[2])]
+        trials, seed = 333, 5
+        uniforms = protocols_mod.trial_uniforms(seed, trials, len(specs))
+        products = []
+        for row in uniforms:
+            state, weight, j = rho.matrix, 1.0, 0
+            for step in steps:
+                if isinstance(step, EvolveStep):
+                    state = step.unitary @ state @ step.unitary.conj().T
+                    continue
+                ks = kraus_pair(step.spec)
+                p1 = float(np.real(np.trace(ks[1] @ state @ ks[1].conj().T)))
+                a = int(row[j] < p1)
+                state = ks[a] @ state @ ks[a].conj().T
+                state = state / np.real(np.trace(state))
+                weight *= generalized_eigenvalue(step.spec.phi, a)
+                j += 1
+            products.append(weight)
+        est = sample_protocol(rho, steps, trials, seed)
+        assert abs(est.value - math.fsum(products) / trials) < 1e-12
 
     def test_estimator_mean_consistent_with_exact(self):
         rng = np.random.default_rng(13)
@@ -413,3 +440,12 @@ class TestSampling:
             sample_protocol(rho, steps, 0, seed=1)
         with pytest.raises(ValueError, match="trials and seed"):
             nested_estimate(rho, steps, mode="sampled")
+
+    @pytest.mark.parametrize("probs", [(-0.5, 1.5), (0.0, 0.0)])
+    def test_rejects_bad_conditional_probability(self, monkeypatch, probs):
+        rho = DensityMatrix.from_label("0")
+        steps = [meas(PauliString(("Z",)), 0.5)]
+        leaves = [protocols_mod.OutcomeRecord((a,), 1.0, p) for a, p in enumerate(probs)]
+        monkeypatch.setattr(protocols_mod, "sequence_distribution", lambda *_: leaves)
+        with pytest.raises(NumericalInvariantError, match="conditional"):
+            sample_protocol(rho, steps, 10, seed=1)
