@@ -43,6 +43,7 @@ from .measurement import (
     canonical_detector,
     generalized_eigenvalue,
     informative_kraus,
+    kraus_coefficients,
     kraus_from_detector,
     kraus_pair,
     modular_value,

@@ -75,6 +75,9 @@ def main(argv=None) -> int:
         if args.samples < 1:
             print("seqmeas: error: --samples must be >= 1", file=sys.stderr)
             return 1
+        if args.seed < 0:
+            print("seqmeas: error: --seed must be >= 0", file=sys.stderr)
+            return 1
         results = run_suites(samples=args.samples, seed=args.seed)
         sys.stdout.write(format_report(results, args.samples, args.seed))
         return 0 if all(r.passed for r in results) else 2

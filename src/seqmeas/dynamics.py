@@ -7,6 +7,7 @@ checks elsewhere.  hbar = 1 throughout.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,14 @@ class Hamiltonian:
         for coeff, p in self.terms:
             m += coeff * p.matrix()
         return m
+
+    @functools.cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """``eigh`` of the Hermiticity-checked matrix, computed once."""
+        evals, evecs = np.linalg.eigh(_check_hermitian_matrix(self))
+        evals.flags.writeable = False
+        evecs.flags.writeable = False
+        return evals, evecs
 
     def to_pairs(self) -> list[tuple[float, str]]:
         """Serialized form: (coefficient, pauli-string-text) pairs."""
@@ -95,9 +104,12 @@ def _check_hermitian_matrix(h) -> np.ndarray:
 
 
 def propagator(h, t: float) -> Propagator:
-    """exp(-i t H) via eigendecomposition; accepts a Hamiltonian or matrix."""
-    m = _check_hermitian_matrix(h)
-    evals, evecs = np.linalg.eigh(m)
+    """exp(-i t H) via eigendecomposition; accepts a Hamiltonian (whose
+    cached spectrum is reused across times) or a matrix."""
+    if isinstance(h, Hamiltonian):
+        evals, evecs = h.spectrum
+    else:
+        evals, evecs = np.linalg.eigh(_check_hermitian_matrix(h))
     u = (evecs * np.exp(-1j * t * evals)) @ evecs.conj().T
     return Propagator(u, float(t))
 

@@ -78,8 +78,10 @@ class MeasurementSpec:
         object.__setattr__(self, "phi", _validate_phi(self.phi))
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        # Validate early; matrix() recomputes cheaply on demand.
-        _observable_matrix(self.observable)
+        # Pauli strings are valid by construction; a raw matrix is checked
+        # early, and matrix() recomputes it on demand.
+        if not isinstance(self.observable, PauliString):
+            _observable_matrix(self.observable)
 
     def matrix(self) -> np.ndarray:
         return _observable_matrix(self.observable)
@@ -136,34 +138,38 @@ def generalized_eigenvalue(phi: float, outcome: int) -> float:
     return outcome_sign(outcome) / math.sin(phi)
 
 
-def informative_kraus(spec: MeasurementSpec) -> KrausPair:
-    """Partial projection onto the observable's eigenspaces (M pair)."""
-    if spec.kind != INFORMATIVE:
-        raise ValueError(f"spec kind is {spec.kind!r}, expected informative")
-    a = spec.matrix()
-    eye = np.eye(a.shape[0])
+def kraus_coefficients(spec: MeasurementSpec) -> tuple[tuple[complex, complex], ...]:
+    """Per-outcome ``(c0, c1)`` with K_a = c0 1 + c1 A, for either kind."""
     c, s = math.cos(spec.phi / 2), math.sin(spec.phi / 2)
-    ops = []
+    coeffs = []
     for out in (0, 1):
         sgn = outcome_sign(out)
-        ops.append(sgn / _SQRT2 * (c * eye + sgn * s * a))
-    return KrausPair(*ops)
+        if spec.kind == INFORMATIVE:
+            scale = sgn / _SQRT2
+            coeffs.append((complex(scale * c), complex(scale * (sgn * s))))
+        else:
+            scale = np.exp(sgn * 1j * math.pi / 4) / _SQRT2
+            coeffs.append((complex(scale * c), complex(scale * (-sgn * 1j * s))))
+    return tuple(coeffs)
+
+
+def _dense_pair(spec: MeasurementSpec, kind: str) -> KrausPair:
+    if spec.kind != kind:
+        raise ValueError(f"spec kind is {spec.kind!r}, expected {kind}")
+    a = spec.matrix()
+    eye = np.eye(a.shape[0])
+    return KrausPair(*(c0 * eye + c1 * a for c0, c1 in kraus_coefficients(spec)))
+
+
+def informative_kraus(spec: MeasurementSpec) -> KrausPair:
+    """Partial projection onto the observable's eigenspaces (M pair)."""
+    return _dense_pair(spec, INFORMATIVE)
 
 
 def noninformative_kraus(spec: MeasurementSpec) -> KrausPair:
     """Outcome-conditioned unitary rotation generated by the observable (N
     pair); each effect is 1/2, so outcomes carry no state information."""
-    if spec.kind != NONINFORMATIVE:
-        raise ValueError(f"spec kind is {spec.kind!r}, expected noninformative")
-    a = spec.matrix()
-    eye = np.eye(a.shape[0])
-    c, s = math.cos(spec.phi / 2), math.sin(spec.phi / 2)
-    ops = []
-    for out in (0, 1):
-        sgn = outcome_sign(out)
-        phase = np.exp(sgn * 1j * math.pi / 4)
-        ops.append(phase / _SQRT2 * (c * eye - sgn * 1j * s * a))
-    return KrausPair(*ops)
+    return _dense_pair(spec, NONINFORMATIVE)
 
 
 def kraus_pair(spec: MeasurementSpec) -> KrausPair:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import tensor
+from .core import _check_targets, tensor
 
 PAULI_I = np.eye(2, dtype=np.complex128)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -97,6 +97,34 @@ class PauliString:
         for f in self.factors[1:]:
             m = tensor(m, PAULIS[f])
         return self.sign * m
+
+    def action(self, n_qubits: int, targets=None) -> tuple[np.ndarray, np.ndarray]:
+        """Signed-permutation action on an ``n_qubits`` register.
+
+        Returns ``(perm, d)`` such that, with the string embedded on
+        ``targets`` (default: the whole register), ``(P X)[i] =
+        d[i] X[perm[i]]`` and, P being Hermitian, ``(X P)[:, j] =
+        conj(d[j]) X[:, perm[j]]``.  Built per factor in O(n 2^n) without
+        forming the matrix.
+        """
+        targets = _check_targets(n_qubits, range(n_qubits) if targets is None else targets)
+        if len(targets) != self.n_qubits:
+            raise ValueError(
+                f"{self.n_qubits}-qubit Pauli string got {len(targets)} target(s)"
+            )
+        index = np.arange(2**n_qubits)
+        flip = 0
+        d = np.full(index.shape, complex(self.sign))
+        for f, q in zip(self.factors, targets):
+            shift = n_qubits - 1 - q
+            bit = (index >> shift) & 1
+            if f in "XY":
+                flip |= 1 << shift
+            if f == "Y":  # Y[0, 1] = i, Y[1, 0] = -i
+                d *= 1j - 2j * bit
+            elif f == "Z":  # Z = diag(-1, +1)
+                d *= 2 * bit - 1
+        return index ^ flip, d
 
     def commutes_with(self, other: "PauliString") -> bool:
         """True iff the two strings commute (they otherwise anticommute)."""

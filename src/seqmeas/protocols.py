@@ -1,10 +1,14 @@
 """Sequential-measurement engine: one outcome-tree walk, exact or sampled.
 
-The engine walks the full outcome tree, applying analytic Kraus operators
-and interleaved unitaries, and records each outcome string with its
-sequential-Born probability and generalized-eigenvalue weight.  Exact mode
-contracts the weights against those probabilities; it is the verification
-reference, and its value is independent of every strength angle.
+The engine walks the full outcome tree, applying the measurements' Kraus
+operators and interleaved unitaries, and records each outcome string with
+its sequential-Born probability and generalized-eigenvalue weight.  For a
+Pauli-string observable P, K_a = c0 1 + c1 P acts through P's signed
+permutation of rows and columns (O(dim^2) per branch, no dense Kraus
+matrix); a raw observable matrix is embedded and applied densely, and
+evolutions stay dense products.  Exact mode contracts the weights against
+those probabilities; it is the verification reference, and its value is
+independent of every strength angle.
 
 Sampled mode models the experiment: each trial draws one outcome string
 from the same tree, measurement by measurement with the conditional Born
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from math import fsum
 
 import numpy as np
@@ -37,9 +42,10 @@ from .measurement import (
     MeasurementSpec,
     _validate_phi,
     generalized_eigenvalue,
+    kraus_coefficients,
     kraus_pair,
 )
-from .observables import PAULI_X
+from .observables import PauliString
 
 MAX_ENUMERATED_MEASUREMENTS = 16
 
@@ -122,34 +128,84 @@ def rms_bound(phis, trials) -> float:
     return 1.0 / math.sqrt(denom)
 
 
+def _pauli_weights(spec: MeasurementSpec):
+    """Per-outcome weights of X, X P, P X, P X P in K_a X K_a^dag.
+
+    K_a = c0 1 + c1 P gives K_a X K_a^dag = |c0|^2 X + c0 conj(c1) X P
+    + c1 conj(c0) P X + |c1|^2 P X P.  Completeness, sum_a K_a^dag K_a = 1,
+    is checked in its scalar form: sum_a |c0|^2 + |c1|^2 = 1 and
+    sum_a Re(conj(c0) c1) = 0.
+    """
+    weights = tuple(
+        (abs(c0) ** 2, c0 * c1.conjugate(), c1 * c0.conjugate(), abs(c1) ** 2)
+        for c0, c1 in kraus_coefficients(spec)
+    )
+    norm = fsum(w[0] + w[3] for w in weights)
+    cross = fsum(w[1].real for w in weights)
+    if abs(norm - 1.0) > 1e-12 or abs(cross) > 1e-12:
+        raise NumericalInvariantError(
+            f"Kraus coefficients violate completeness (norm {norm!r}, "
+            f"cross term {cross!r})"
+        )
+    return weights
+
+
+def _pauli_children(weights, perm, d, state):
+    """Children K_a X K_a^dag by row and column gathers, O(dim^2)."""
+    d_conj = d.conj()
+    px = d[:, None] * state[perm]
+    xp = state[:, perm] * d_conj
+    pxp = px[:, perm] * d_conj
+    for w in weights:
+        yield w[0] * state + w[1] * xp + w[2] * px + w[3] * pxp
+
+
+def _dense_children(ks, state):
+    for k, k_dag in ks:
+        yield k @ state @ k_dag
+
+
 def _resolve_steps(initial: DensityMatrix, steps):
-    """Embed every measurement on the register and validate dimensions."""
+    """Resolve every step to its action on the register state.
+
+    A measurement yields ``("measure", children, alphas)``, where
+    ``children(state)`` yields the unnormalized post-measurement states in
+    outcome order.  Pauli-string observables act as signed permutations;
+    a raw observable matrix is embedded densely.  An evolution yields
+    ``("evolve", (u, u_dag), None)``.
+    """
     n = initial.n_qubits
     dim = initial.dim
     resolved = []
     phis = []
     for step in steps:
         if isinstance(step, MeasureStep):
-            pair = kraus_pair(step.spec)
+            spec = step.spec
             targets = step.targets
             if targets is None:
                 targets = tuple(range(n))
-            if len(targets) != step.spec.n_qubits:
+            if len(targets) != spec.n_qubits:
                 raise ValueError(
-                    f"measurement of a {step.spec.n_qubits}-qubit observable "
+                    f"measurement of a {spec.n_qubits}-qubit observable "
                     f"got {len(targets)} target(s)"
                 )
-            ks = tuple(embed(pair[a], n, targets) for a in (0, 1))
-            alphas = tuple(generalized_eigenvalue(step.spec.phi, a) for a in (0, 1))
-            resolved.append(("measure", ks, alphas))
-            phis.append(step.spec.phi)
+            if isinstance(spec.observable, PauliString):
+                perm, d = spec.observable.action(n, targets)
+                children = partial(_pauli_children, _pauli_weights(spec), perm, d)
+            else:
+                pair = kraus_pair(spec)
+                ks = [embed(pair[a], n, targets) for a in (0, 1)]
+                children = partial(_dense_children, [(k, k.conj().T) for k in ks])
+            alphas = tuple(generalized_eigenvalue(spec.phi, a) for a in (0, 1))
+            resolved.append(("measure", children, alphas))
+            phis.append(spec.phi)
         elif isinstance(step, EvolveStep):
             if step.unitary.shape != (dim, dim):
                 raise ValueError(
                     f"evolution step {step.label!r} has shape "
                     f"{step.unitary.shape}, expected {(dim, dim)}"
                 )
-            resolved.append(("evolve", step.unitary, None))
+            resolved.append(("evolve", (step.unitary, step.unitary.conj().T), None))
         else:
             raise TypeError(f"unknown sequence step {step!r}")
     return resolved, tuple(phis)
@@ -182,11 +238,11 @@ def sequence_distribution(initial: DensityMatrix, steps) -> list[OutcomeRecord]:
             return
         kind, payload, alphas = resolved[i]
         if kind == "evolve":
-            walk(i + 1, payload @ state @ payload.conj().T, outcomes, weight)
+            u, u_dag = payload
+            walk(i + 1, u @ state @ u_dag, outcomes, weight)
         else:
-            for a in (0, 1):
-                k = payload[a]
-                walk(i + 1, k @ state @ k.conj().T, outcomes + (a,), weight * alphas[a])
+            for a, child in enumerate(payload(state)):
+                walk(i + 1, child, outcomes + (a,), weight * alphas[a])
 
     walk(0, initial.matrix, (), 1.0)
     total = fsum(r.probability for r in records)
@@ -244,7 +300,10 @@ def trial_uniforms(seed: int, trials: int, draws: int) -> np.ndarray:
 
     Counter-based (Philox keyed by ``seed``): row k is a pure function of
     (seed, k), so per-trial streams are independent of execution order.
+    ``seed`` must lie in [0, 2^64).
     """
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     return gen.random((trials, draws))
 
@@ -402,9 +461,10 @@ def otoc(
             n + 1, tensor(initial.matrix, np.diag([0.0, 1.0]))
         )
         targets = tuple(range(n))
-        flip = embed(PAULI_X, n + 1, (n,))
+        # X on the ancilla conjugates by permuting rows and columns.
+        flip, _ = PauliString(("X",)).action(n + 1, (n,))
         forward = EvolveStep(clock.matrix, "U_clock")
-        backward = EvolveStep(flip @ clock.matrix @ flip, "U_clock_reversed")
+        backward = EvolveStep(clock.matrix[flip][:, flip], "U_clock_reversed")
 
     steps = [
         MeasureStep(MeasurementSpec(a, phis[0], kind_first), targets),

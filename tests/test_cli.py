@@ -289,3 +289,8 @@ class TestVerifyCommand:
 
     def test_bad_samples_exits_1(self, capsys):
         assert main(["verify", "--samples", "0"]) == 1
+
+    def test_negative_seed_exits_1(self, capsys):
+        assert main(["verify", "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err == "seqmeas: error: --seed must be >= 0\n"

@@ -46,6 +46,19 @@ class TestMixedFieldIsing:
 
 
 class TestPropagator:
+    def test_hamiltonian_route_matches_matrix_route(self):
+        ham = build_mixed_field_ising(4)
+        for t in (0.0, 0.3, 1.7, -2.2):
+            np.testing.assert_array_equal(
+                propagator(ham, t).matrix, propagator(ham.matrix(), t).matrix
+            )
+
+    def test_spectrum_is_cached(self):
+        ham = build_mixed_field_ising(3)
+        assert ham.spectrum is ham.spectrum
+        assert not ham.spectrum[1].flags.writeable
+        assert ham == build_mixed_field_ising(3)
+
     def test_zero_time(self):
         ham = build_mixed_field_ising(2)
         np.testing.assert_allclose(propagator(ham, 0.0).matrix, np.eye(4), atol=1e-14)

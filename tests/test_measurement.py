@@ -18,6 +18,7 @@ from seqmeas import (
     canonical_detector,
     generalized_eigenvalue,
     informative_kraus,
+    kraus_coefficients,
     kraus_from_detector,
     kraus_pair,
     modular_value,
@@ -66,6 +67,35 @@ class TestInformativeKraus:
     def test_kind_mismatch(self):
         with pytest.raises(ValueError, match="informative"):
             informative_kraus(spec(PauliString(("Z",)), 0.5, "noninformative"))
+
+
+class TestKrausCoefficients:
+    def test_pairs_match_closed_forms(self):
+        # M_a = s_a/sqrt2 (cos 1 + s_a sin A), N_a = e^(s_a i pi/4)/sqrt2
+        # (cos 1 - s_a i sin A), with s_a = (-1)^(1+a) and half angles
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            p = random_pauli(rng, int(rng.integers(1, 4)))
+            phi = float(rng.uniform(1e-3, math.pi / 2))
+            a = p.matrix()
+            eye = np.eye(a.shape[0])
+            c, s = math.cos(phi / 2), math.sin(phi / 2)
+            m = informative_kraus(spec(p, phi, "informative"))
+            n = noninformative_kraus(spec(p, phi, "noninformative"))
+            for out, sgn in ((0, -1), (1, 1)):
+                closed_m = sgn / SQRT2 * (c * eye + sgn * s * a)
+                phase = np.exp(sgn * 1j * math.pi / 4)
+                closed_n = phase / SQRT2 * (c * eye - sgn * 1j * s * a)
+                assert max_abs(m[out] - closed_m) <= 1e-15
+                assert max_abs(n[out] - closed_n) <= 1e-15
+
+    def test_coefficients_are_complete(self):
+        for kind in ("informative", "noninformative"):
+            coeffs = kraus_coefficients(spec(PauliString(("Y",)), 0.8, kind))
+            assert math.fsum(abs(c0) ** 2 + abs(c1) ** 2 for c0, c1 in coeffs) == (
+                pytest.approx(1.0, abs=1e-15)
+            )
+            assert abs(sum((c0.conjugate() * c1).real for c0, c1 in coeffs)) < 1e-15
 
 
 class TestNoninformativeKraus:

@@ -7,7 +7,15 @@ import pytest
 from helpers import expm_taylor, max_abs, random_pauli
 from scipy.linalg import expm
 
-from seqmeas import PauliString, coupling_unitary, entangling_gate, pauli_matrix, rotation_gate, tensor
+from seqmeas import (
+    PauliString,
+    coupling_unitary,
+    embed,
+    entangling_gate,
+    pauli_matrix,
+    rotation_gate,
+    tensor,
+)
 from seqmeas.observables import PAULI_Y, basis_ket
 
 
@@ -62,6 +70,45 @@ class TestPauliString:
                 assert norm == pytest.approx(
                     2 * np.linalg.norm(p.matrix() @ q.matrix()), rel=1e-12
                 )
+
+    def test_action_sign_convention(self):
+        # Z = diag(-1, +1), Y = [[0, i], [-i, 0]], the string sign included
+        perm, d = PauliString(("Z",)).action(1)
+        np.testing.assert_array_equal(perm, [0, 1])
+        np.testing.assert_array_equal(d, [-1, 1])
+        perm, d = PauliString(("Y",), -1).action(1)
+        np.testing.assert_array_equal(perm, [1, 0])
+        np.testing.assert_array_equal(d, [-1j, 1j])
+
+    def test_action_matches_embedded_matrix(self):
+        rng = np.random.default_rng(2)
+        seen_y = seen_minus = 0
+        for trial in range(120):
+            k = int(rng.integers(1, 5))
+            p = random_pauli(rng, k, nontrivial=False)
+            if trial % 3 == 0:  # the clock-ancilla layout
+                n, targets = k + 1, tuple(range(k))
+            else:
+                n = int(rng.integers(k, 6))
+                targets = tuple(int(q) for q in rng.permutation(n)[:k])
+            dim = 2**n
+            x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            full = embed(p.matrix(), n, targets)
+            perm, d = p.action(n, targets)
+            assert max_abs(d[:, None] * x[perm] - full @ x) <= 1e-15
+            assert max_abs(x[:, perm] * d.conj() - x @ full) <= 1e-15
+            seen_y += "Y" in p.factors
+            seen_minus += p.sign < 0
+        assert seen_y and seen_minus
+
+    def test_action_target_validation(self):
+        p = PauliString(("X", "Z"))
+        with pytest.raises(ValueError, match="target"):
+            p.action(3, (0,))
+        with pytest.raises(ValueError):
+            p.action(3, (1, 1))
+        with pytest.raises(ValueError):
+            p.action(3, (0, 3))
 
 
 class TestRotations:

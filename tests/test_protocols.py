@@ -4,17 +4,20 @@ import math
 
 import numpy as np
 import pytest
-from helpers import random_density, random_pauli
+from helpers import random_density, random_pauli, random_unitary
 
 import seqmeas.protocols as protocols_mod
 from seqmeas import (
     DensityMatrix,
     EvolveStep,
+    Hamiltonian,
     MeasureStep,
     MeasurementSpec,
     NumericalInvariantError,
     PauliString,
     build_mixed_field_ising,
+    config_from_dict,
+    embed,
     generalized_eigenvalue,
     kraus_pair,
     nested_estimate,
@@ -24,6 +27,7 @@ from seqmeas import (
     otoc_value,
     propagator,
     rms_bound,
+    run_experiment,
     sample_protocol,
     sequence_distribution,
     time_reversed_evolution,
@@ -36,6 +40,31 @@ PI = math.pi
 
 def meas(p, phi, kind="informative", targets=None):
     return MeasureStep(MeasurementSpec(p, phi, kind), targets)
+
+
+def dense_reference_walk(rho, steps):
+    """Outcome tree from embedded dense Kraus matrices, one product each."""
+    n = rho.n_qubits
+    leaves = []
+
+    def walk(i, state, outcomes, weight):
+        if i == len(steps):
+            leaves.append((outcomes, weight, float(np.real(np.trace(state)))))
+            return
+        step = steps[i]
+        if isinstance(step, EvolveStep):
+            u = step.unitary
+            walk(i + 1, u @ state @ u.conj().T, outcomes, weight)
+            return
+        pair = kraus_pair(step.spec)
+        targets = range(n) if step.targets is None else step.targets
+        for a in (0, 1):
+            k = embed(pair[a], n, targets)
+            alpha = generalized_eigenvalue(step.spec.phi, a)
+            walk(i + 1, k @ state @ k.conj().T, outcomes + (a,), weight * alpha)
+
+    walk(0, rho.matrix, (), 1.0)
+    return leaves
 
 
 class TestSequenceDistribution:
@@ -106,6 +135,49 @@ class TestSequenceDistribution:
             sequence_distribution(rho, steps)
         with pytest.raises(ValueError, match="enumeration limit"):
             sample_protocol(rho, steps, 10, seed=1)
+
+    def test_matches_dense_reference_walk(self):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            n = int(rng.integers(1, 5))
+            rho = random_density(rng, n)
+            steps = []
+            for j in range(int(rng.integers(1, 5))):
+                if j and rng.integers(2):
+                    steps.append(EvolveStep(random_unitary(rng, 2**n)))
+                k = int(rng.integers(1, n + 1))
+                targets = tuple(int(q) for q in rng.permutation(n)[:k])
+                kind = ("informative", "noninformative")[int(rng.integers(2))]
+                phi = float(rng.uniform(0.15, PI / 2))
+                steps.append(meas(random_pauli(rng, k), phi, kind, targets))
+            records = sequence_distribution(rho, steps)
+            reference = dense_reference_walk(rho, steps)
+            assert len(records) == len(reference)
+            for r, (outcomes, weight, prob) in zip(records, reference):
+                assert r.outcomes == outcomes
+                assert abs(r.weight - weight) <= 1e-12
+                assert abs(r.probability - prob) <= 1e-12
+
+    def test_pauli_route_builds_no_dense_matrix(self, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("dense Pauli matrix built")
+
+        monkeypatch.setattr(PauliString, "matrix", forbidden)
+        rho = DensityMatrix.maximally_mixed(3)
+        z, x = PauliString(("Z", "I")), PauliString(("X",), -1)
+        steps = [meas(z, 0.6, "noninformative", (0, 2)), meas(x, 1.1, targets=(1,))]
+        records = sequence_distribution(rho, steps)
+        assert math.fsum(r.probability for r in records) == pytest.approx(1.0)
+
+    def test_rejects_incomplete_kraus_coefficients(self, monkeypatch):
+        coeffs = ((0.5, 0.5), (0.5, -0.5))  # sum |c0|^2 + |c1|^2 = 1, fine
+        monkeypatch.setattr(protocols_mod, "kraus_coefficients", lambda spec: coeffs)
+        rho = DensityMatrix.from_label("0")
+        sequence_distribution(rho, [meas(PauliString(("Z",)), 0.5)])
+        for bad in (((0.5, 0.5), (0.5, 0.6)), ((0.5, 0.5), (0.5, 0.5))):
+            monkeypatch.setattr(protocols_mod, "kraus_coefficients", lambda spec: bad)
+            with pytest.raises(NumericalInvariantError, match="completeness"):
+                sequence_distribution(rho, [meas(PauliString(("Z",)), 0.5)])
 
     def test_dimension_mismatch(self):
         rho = DensityMatrix.from_label("00")
@@ -316,6 +388,32 @@ class TestOtoc:
             )
 
 
+class TestExperimentHamiltonian:
+    @pytest.mark.parametrize("reversal", ["direct-dagger", "clock-ancilla"])
+    def test_one_matrix_build_per_experiment(self, monkeypatch, reversal):
+        calls = []
+        original = Hamiltonian.matrix
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Hamiltonian, "matrix", counting)
+        cfg = config_from_dict(
+            {
+                "system_size": 3,
+                "observable_a": "+ZII",
+                "observable_b": "+IIX",
+                "times": [0.0, 0.4, 0.8, 1.2],
+                "protocol": "otoc",
+                "reversal": reversal,
+            }
+        )
+        rows = run_experiment(cfg)
+        assert len(rows) == 4
+        assert len(calls) == 1
+
+
 class TestRmsBound:
     def test_known_values(self):
         assert rms_bound([PI / 2], [100]) == pytest.approx(0.1)
@@ -432,6 +530,15 @@ class TestSampling:
             rho, pa, pb, u, "real", (PI / 2, PI / 2), mode="sampled", trials=20000, seed=9
         )
         assert abs(est.value - exact) < 5 * max(est.empirical_stderr, est.rms_bound)
+
+    def test_seed_range(self):
+        rho = DensityMatrix.from_label("0")
+        steps = [meas(PauliString(("X",)), 0.5)]
+        for seed in (2**64, -1):
+            with pytest.raises(ValueError, match="seed"):
+                sample_protocol(rho, steps, 10, seed=seed)
+        est = sample_protocol(rho, steps, 10, seed=2**64 - 1)
+        assert est.trials == (10,)
 
     def test_trials_validation(self):
         rho = DensityMatrix.from_label("0")
