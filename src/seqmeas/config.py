@@ -24,18 +24,23 @@ Optional (defaults in parentheses):
   seed            int >= 0                           (0)
   parts           nonempty subset of ["real","imag"] (both)
   reversal        "direct-dagger" | "clock-ancilla"  ("direct-dagger")
+
+Every number (times, angles, amplitudes, Hamiltonian coefficients and
+J/g/h) must be a finite JSON number: NaN, Infinity, booleans and strings
+are rejected.  An amplitude is a number or an [re, im] pair of numbers.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import MAX_QUBITS, DensityMatrix, NumericalInvariantError, PureState
 from .dynamics import DEFAULT_ISING, Hamiltonian, build_mixed_field_ising
+from .measurement import _validate_phi
 from .observables import PauliString
 
 PROTOCOLS = ("toc", "otoc")
@@ -48,25 +53,19 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
 
 
-_KNOWN_FIELDS = {
-    "system_size",
-    "observable_a",
-    "observable_b",
-    "times",
-    "protocol",
-    "initial_state",
-    "hamiltonian",
-    "phis",
-    "mode",
-    "trials",
-    "seed",
-    "parts",
-    "reversal",
-}
-
-
 def _fail(field: str, message: str):
     raise ConfigError(f"field '{field}': {message}")
+
+
+def _number(field: str, value) -> float:
+    """``value`` as a float; booleans, non-numbers and non-finite values fail."""
+    try:
+        if not isinstance(value, bool) and isinstance(value, (int, float)):
+            if math.isfinite(value):
+                return float(value)
+    except OverflowError:  # an integer too large for a float
+        pass
+    _fail(field, f"{value!r} is not a finite number")
 
 
 def _require_int(field: str, value, minimum: int) -> int:
@@ -95,7 +94,7 @@ def _parse_pauli(field: str, text, n: int) -> PauliString:
     return p
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     system_size: int
     observable_a: str
@@ -111,10 +110,6 @@ class ExperimentConfig:
     parts: tuple[str, ...]
     reversal: str
 
-    @property
-    def n_measurements(self) -> int:
-        return 2 if self.protocol == "toc" else 4
-
     def pauli_a(self) -> PauliString:
         return PauliString.from_text(self.observable_a)
 
@@ -128,7 +123,8 @@ class ExperimentConfig:
             return DensityMatrix.maximally_mixed(n)
         if isinstance(state, str):
             return DensityMatrix.from_label(state)
-        amps = np.array([_amplitude(x) for x in state], dtype=np.complex128)
+        amps = [complex(*x) if isinstance(x, list) else complex(x) for x in state]
+        amps = np.array(amps, dtype=np.complex128)
         return PureState(n, amps).density()
 
     def hamiltonian_obj(self) -> Hamiltonian:
@@ -140,41 +136,21 @@ class ExperimentConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "system_size": self.system_size,
-            "observable_a": self.observable_a,
-            "observable_b": self.observable_b,
-            "times": list(self.times),
-            "protocol": self.protocol,
-            "initial_state": self.initial_state,
-            "hamiltonian": self.hamiltonian,
-            "phis": list(self.phis),
-            "mode": self.mode,
-            "trials": self.trials,
-            "seed": self.seed,
-            "parts": list(self.parts),
-            "reversal": self.reversal,
-        }
+        raw = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in raw.items()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _amplitude(x) -> complex:
-    if isinstance(x, (int, float)):
-        return complex(x)
-    if isinstance(x, (list, tuple)) and len(x) == 2:
-        return complex(float(x[0]), float(x[1]))
-    raise ConfigError(
-        f"field 'initial_state': amplitude must be a number or [re, im], got {x!r}"
-    )
+_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Validate a raw mapping and resolve all defaults."""
     if not isinstance(raw, dict):
         raise ConfigError(f"configuration must be a JSON object, got {type(raw).__name__}")
-    unknown = sorted(set(raw) - _KNOWN_FIELDS)
+    unknown = sorted(set(raw) - _FIELDS)
     if unknown:
         raise ConfigError(f"unknown field(s): {', '.join(unknown)}")
     for field in ("system_size", "observable_a", "observable_b", "times"):
@@ -194,29 +170,20 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     times_raw = raw["times"]
     if not isinstance(times_raw, (list, tuple)) or not times_raw:
         _fail("times", "must be a nonempty list of numbers")
-    times = []
-    for t in times_raw:
-        if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t):
-            _fail("times", f"entry {t!r} is not a finite number")
-        times.append(float(t))
+    times = [_number("times", t) for t in times_raw]
 
     n_meas = 2 if protocol == "toc" else 4
     phis_raw = raw.get("phis", math.pi / 2)
-    if isinstance(phis_raw, (int, float)) and not isinstance(phis_raw, bool):
-        phis_list = [float(phis_raw)] * n_meas
-    elif isinstance(phis_raw, (list, tuple)):
-        phis_list = []
-        for p in phis_raw:
-            if isinstance(p, bool) or not isinstance(p, (int, float)):
-                _fail("phis", f"entry {p!r} is not a number")
-            phis_list.append(float(p))
-        if len(phis_list) != n_meas:
-            _fail("phis", f"{protocol} takes {n_meas} angles, got {len(phis_list)}")
+    if isinstance(phis_raw, (list, tuple)):
+        phis = [_number("phis", p) for p in phis_raw]
+        if len(phis) != n_meas:
+            _fail("phis", f"{protocol} takes {n_meas} angles, got {len(phis)}")
     else:
-        _fail("phis", f"expected a number or list, got {phis_raw!r}")
-    for p in phis_list:
-        if not 0.0 < p <= math.pi / 2:
-            _fail("phis", f"angle {p} outside (0, pi/2]")
+        phis = [_number("phis", phis_raw)] * n_meas
+    try:
+        phis = tuple(_validate_phi(p) for p in phis)
+    except ValueError as exc:
+        _fail("phis", str(exc))
 
     mode = _require_enum("mode", raw.get("mode", "exact"), MODES)
     trials = _require_int("trials", raw.get("trials", 10000), 1)
@@ -225,11 +192,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     parts_raw = raw.get("parts", list(PARTS))
     if not isinstance(parts_raw, (list, tuple)) or not parts_raw:
         _fail("parts", "must be a nonempty list")
-    parts = []
     for part in parts_raw:
         _require_enum("parts", part, PARTS)
-        if part not in parts:
-            parts.append(part)
+    parts = tuple(dict.fromkeys(parts_raw))
 
     initial_state = raw.get("initial_state", "0" * n)
     if isinstance(initial_state, str):
@@ -244,12 +209,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             _fail("initial_state", f"amplitude list must have length {2**n}")
         cleaned = []
         for x in initial_state:
-            if isinstance(x, (int, float)) and not isinstance(x, bool):
-                cleaned.append(x)
-            elif isinstance(x, (list, tuple)) and len(x) == 2:
-                cleaned.append([float(x[0]), float(x[1])])
+            if isinstance(x, (list, tuple)) and len(x) == 2:
+                cleaned.append([_number("initial_state", v) for v in x])
             else:
-                _fail("initial_state", f"bad amplitude {x!r}")
+                _number("initial_state", x)
+                cleaned.append(x)
         initial_state = cleaned
     else:
         _fail("initial_state", f"unsupported value {initial_state!r}")
@@ -269,10 +233,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             if not isinstance(item, (list, tuple)) or len(item) != 2:
                 _fail("hamiltonian", f"term {item!r} is not a [coeff, pauli] pair")
             coeff, text = item
-            if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
-                _fail("hamiltonian", f"coefficient {coeff!r} is not a number")
             _parse_pauli("hamiltonian", text, n)
-            resolved_terms.append([float(coeff), str(text)])
+            resolved_terms.append([_number("hamiltonian", coeff), text])
         hamiltonian = {"terms": resolved_terms}
     else:
         model = hamiltonian.get("model")
@@ -281,13 +243,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         extra = set(hamiltonian) - {"model", "J", "g", "h"}
         if extra:
             _fail("hamiltonian", f"unknown keys: {sorted(extra)}")
-        resolved = {"model": "mixed-field-ising"}
-        for key in ("J", "g", "h"):
-            value = hamiltonian.get(key, DEFAULT_ISING[key])
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                _fail("hamiltonian", f"parameter {key} must be a number, got {value!r}")
-            resolved[key] = float(value)
-        hamiltonian = resolved
+        hamiltonian = {"model": "mixed-field-ising"} | {
+            key: _number("hamiltonian", hamiltonian.get(key, DEFAULT_ISING[key]))
+            for key in ("J", "g", "h")
+        }
         if n < 2:
             _fail("system_size", "mixed-field-ising needs at least 2 sites")
 
@@ -299,11 +258,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         protocol=protocol,
         initial_state=initial_state,
         hamiltonian=hamiltonian,
-        phis=tuple(phis_list),
+        phis=phis,
         mode=mode,
         trials=trials,
         seed=seed,
-        parts=tuple(parts),
+        parts=parts,
         reversal=reversal,
     )
     try:
@@ -325,6 +284,8 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # not UTF-8, or an integer past Python's digit limit
+        raise ConfigError(f"cannot parse config {path!r}: {exc}") from exc
     if overrides:
         if not isinstance(raw, dict):
             raise ConfigError("configuration must be a JSON object")

@@ -86,7 +86,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     for time_index, t in enumerate(cfg.times):
         values = {"real": None, "imag": None}
         errors = {"real": None, "imag": None}
-        bound = 0.0
         if cfg.protocol == "otoc" and cfg.reversal == "clock-ancilla":
             evolution = {"clock": time_reversed_evolution(ham, t)}
         else:
@@ -108,8 +107,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
             else:
                 est = otoc(rho, a, b, **evolution, **kwargs)
                 values[part] = otoc_value(part, est.value)
-            errors[part] = scale * est.empirical_stderr if sampled else 0.0
-            bound = scale * est.rms_bound if sampled else 0.0
+            errors[part] = scale * est.empirical_stderr
 
         rows.append(
             ResultRow(
@@ -118,9 +116,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
                 im_value=values["imag"],
                 re_stderr=errors["real"],
                 im_stderr=errors["imag"],
-                rms_bound=bound,
+                rms_bound=scale * est.rms_bound,
                 mode=cfg.mode,
-                trials=cfg.trials if sampled else 0,
+                trials=est.trials[0],
                 seed=cfg.seed,
             )
         )

@@ -81,6 +81,9 @@ class TestConfigValidation:
             config_from_dict(base_config(initial_state="0"))
         with pytest.raises(ConfigError, match="initial_state"):
             config_from_dict(base_config(initial_state=[1.0, 1.0, 0.0, 0.0]))
+        for bad in (float("nan"), ["a", 0], ["1", 0], [True, 0]):
+            with pytest.raises(ConfigError, match="initial_state"):
+                config_from_dict(base_config(initial_state=[bad, 0, 0, 0]))
 
     def test_hamiltonian_terms(self):
         cfg = config_from_dict(
@@ -92,12 +95,20 @@ class TestConfigValidation:
             config_from_dict(base_config(hamiltonian={"terms": [[0.5, "+Z"]]}))
         with pytest.raises(ConfigError, match="hamiltonian"):
             config_from_dict(base_config(hamiltonian={"model": "heisenberg"}))
+        with pytest.raises(ConfigError, match="hamiltonian"):
+            config_from_dict(base_config(hamiltonian={"terms": [[float("nan"), "+ZZ"]]}))
+        with pytest.raises(ConfigError, match="hamiltonian"):
+            config_from_dict(
+                base_config(hamiltonian={"model": "mixed-field-ising", "J": float("inf")})
+            )
 
     def test_times_validation(self):
         with pytest.raises(ConfigError, match="times"):
             config_from_dict(base_config(times=[]))
         with pytest.raises(ConfigError, match="times"):
             config_from_dict(base_config(times=[0.0, float("inf")]))
+        with pytest.raises(ConfigError, match="times"):
+            config_from_dict(base_config(times=[10**400]))
 
     def test_register_budget(self):
         cfg = base_config(
@@ -108,6 +119,24 @@ class TestConfigValidation:
         )
         with pytest.raises(ConfigError, match="system_size"):
             config_from_dict(cfg)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            dict(phis=0.5),
+            dict(phis=[0.3, 0.4, 1, math.pi / 2]),
+            dict(initial_state="10"),
+            dict(initial_state="maximally-mixed"),
+            dict(initial_state=[0.6, [0, 0.8], 0, [0.0, 0]]),
+            dict(hamiltonian={"model": "mixed-field-ising", "J": 2, "g": 0.5}),
+            dict(hamiltonian={"terms": [[1, "+ZZ"], [-0.5, "XI"]]}),
+            dict(parts=["imag", "real", "imag"]),
+        ],
+    )
+    def test_resolved_config_round_trips(self, extra):
+        cfg = config_from_dict(base_config(**extra))
+        assert config_from_dict(cfg.to_dict()) == cfg
+        assert json.loads(cfg.to_json()) == cfg.to_dict()
 
 
 class TestRunExperiment:
@@ -236,6 +265,14 @@ class TestCliProcess:
         assert main(["run", "--config", str(cfg_path)]) == 1
         assert "protocol" in capsys.readouterr().err
 
+    def test_non_finite_coefficient_is_one_line_config_error(self, tmp_path, capsys):
+        cfg = base_config(hamiltonian={"terms": [[float("nan"), "+ZZ"]]})
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("seqmeas: config error: field 'hamiltonian'")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_json_error_reports_line(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"system_size": 2,\n  "oops"\n}')
@@ -245,6 +282,17 @@ class TestCliProcess:
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
+
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe{", b'{"system_size": 1' + b"0" * 5000 + b"}"]
+    )
+    def test_unparsable_file_exits_1(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("seqmeas: config error: ")
+        assert err.count("\n") == 1
 
     def test_usage_error_exits_1(self):
         with pytest.raises(SystemExit) as exc:
