@@ -123,9 +123,7 @@ class ExperimentConfig:
             return DensityMatrix.maximally_mixed(n)
         if isinstance(state, str):
             return DensityMatrix.from_label(state)
-        amps = [complex(*x) if isinstance(x, list) else complex(x) for x in state]
-        amps = np.array(amps, dtype=np.complex128)
-        return PureState(n, amps).density()
+        return _pure_state(n, state).density()
 
     def hamiltonian_obj(self) -> Hamiltonian:
         spec = self.hamiltonian
@@ -144,6 +142,12 @@ class ExperimentConfig:
 
 
 _FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+def _pure_state(n: int, amplitudes) -> PureState:
+    """The state of an amplitude list (numbers or [re, im] pairs)."""
+    amps = [complex(*x) if isinstance(x, list) else complex(x) for x in amplitudes]
+    return PureState(n, np.array(amps, dtype=np.complex128))
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -265,10 +269,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         parts=parts,
         reversal=reversal,
     )
-    try:
-        cfg.initial_density()
-    except NumericalInvariantError as exc:
-        _fail("initial_state", str(exc))
+    # Labels and "maximally-mixed" are fully checked above; an amplitude
+    # list still needs its norm, which the state vector alone settles.
+    if isinstance(initial_state, list):
+        try:
+            _pure_state(n, initial_state)
+        except NumericalInvariantError as exc:
+            _fail("initial_state", str(exc))
     return cfg
 
 

@@ -49,17 +49,24 @@ def _validate_phi(phi: float) -> float:
     return phi
 
 
-def _observable_matrix(obs) -> np.ndarray:
-    if isinstance(obs, PauliString):
-        return obs.matrix()
+def _raw_observable(obs) -> tuple[np.ndarray, np.ndarray]:
+    """A raw observable matrix and its square, checked Hermitian with
+    A^2 = 1 to 1e-10."""
     m = np.asarray(obs, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("observable must be a square matrix or PauliString")
     if not is_hermitian(m):
         raise ValueError("observable is not Hermitian to 1e-10")
-    if np.max(np.abs(m @ m - np.eye(m.shape[0]))) > CHECK_TOL:
+    square = m @ m
+    if np.max(np.abs(square - np.eye(m.shape[0]))) > CHECK_TOL:
         raise ValueError("observable does not square to the identity to 1e-10")
-    return m
+    return m, square
+
+
+def _observable_matrix(obs) -> np.ndarray:
+    if isinstance(obs, PauliString):
+        return obs.matrix()
+    return _raw_observable(obs)[0]
 
 
 @dataclass(frozen=True)
@@ -79,19 +86,27 @@ class MeasurementSpec:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         # Pauli strings are valid by construction; a raw matrix is checked
-        # early, and matrix() recomputes it on demand.
+        # once and kept as a read-only copy, so later changes to the
+        # caller's array cannot reach the spec.  Its square, formed for the
+        # check, is kept for the exact engine's completeness check.
         if not isinstance(self.observable, PauliString):
-            _observable_matrix(self.observable)
+            m, square = _raw_observable(self.observable)
+            m = np.array(m)
+            m.flags.writeable = False
+            square.flags.writeable = False
+            object.__setattr__(self, "observable", m)
+            object.__setattr__(self, "_square", square)
 
     def matrix(self) -> np.ndarray:
-        return _observable_matrix(self.observable)
+        if isinstance(self.observable, PauliString):
+            return self.observable.matrix()
+        return self.observable
 
     @property
     def n_qubits(self) -> int:
         if isinstance(self.observable, PauliString):
             return self.observable.n_qubits
-        dim = np.asarray(self.observable).shape[0]
-        return int(round(math.log2(dim)))
+        return int(round(math.log2(self.observable.shape[0])))
 
 
 @dataclass(frozen=True)

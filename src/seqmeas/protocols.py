@@ -2,13 +2,22 @@
 
 The engine walks the full outcome tree, applying the measurements' Kraus
 operators and interleaved unitaries, and records each outcome string with
-its sequential-Born probability and generalized-eigenvalue weight.  For a
-Pauli-string observable P, K_a = c0 1 + c1 P acts through P's signed
-permutation of rows and columns (O(dim^2) per branch, no dense Kraus
-matrix); a raw observable matrix is embedded and applied densely, and
-evolutions stay dense products.  Exact mode contracts the weights against
-those probabilities; it is the verification reference, and its value is
+its sequential-Born probability and generalized-eigenvalue weight.  Every
+Kraus operator has the form K_a = c0 1 + c1 B.  For a Pauli-string
+observable P it acts through P's signed permutation of rows and columns
+(O(dim^2) per branch, no dense Kraus matrix); for a raw observable matrix
+B the child states are w0 X + w1 X B + w2 B X + w3 B X B, three products
+per state for both outcomes.  The last measurement builds no child: a leaf
+needs only Tr(K_a X K_a^dag) = Tr(E_a X) with the effect E_a = K_a^dag K_a,
+and evolutions after it cannot change that trace.  Other evolutions stay
+dense products.  Exact mode contracts the weights against those
+probabilities; it is the verification reference, and its value is
 independent of every strength angle.
+
+The TOC and OTOC protocols run in the Heisenberg frame: B(t) = U^dag B U
+is built once per call, and the interleaved sequence A, U, B, U^dag, A, U,
+B becomes A, B(t), A, B(t) with the same outcome distribution, so their
+outcome trees hold only measurements.
 
 Sampled mode models the experiment: each trial draws one outcome string
 from the same tree, measurement by measurement with the conditional Born
@@ -22,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from math import fsum
 
 import numpy as np
@@ -40,10 +48,11 @@ from .measurement import (
     INFORMATIVE,
     NONINFORMATIVE,
     MeasurementSpec,
+    _observable_matrix,
     _validate_phi,
     generalized_eigenvalue,
     kraus_coefficients,
-    kraus_pair,
+    kraus_pair,  # noqa: F401  unused here; perfbench/spans.py traces it by this name
 )
 from .observables import PauliString
 
@@ -128,51 +137,130 @@ def rms_bound(phis, trials) -> float:
     return 1.0 / math.sqrt(denom)
 
 
-def _pauli_weights(spec: MeasurementSpec):
-    """Per-outcome weights of X, X P, P X, P X P in K_a X K_a^dag.
+def _kraus_weights(spec: MeasurementSpec):
+    """Per-outcome weights of X, X B, B X, B X B in K_a X K_a^dag.
 
-    K_a = c0 1 + c1 P gives K_a X K_a^dag = |c0|^2 X + c0 conj(c1) X P
-    + c1 conj(c0) P X + |c1|^2 P X P.  Completeness, sum_a K_a^dag K_a = 1,
-    is checked in its scalar form: sum_a |c0|^2 + |c1|^2 = 1 and
-    sum_a Re(conj(c0) c1) = 0.
+    K_a = c0 1 + c1 B gives K_a X K_a^dag = |c0|^2 X + c0 conj(c1) X B
+    + c1 conj(c0) B X + |c1|^2 B X B.
     """
-    weights = tuple(
+    return tuple(
         (abs(c0) ** 2, c0 * c1.conjugate(), c1 * c0.conjugate(), abs(c1) ** 2)
         for c0, c1 in kraus_coefficients(spec)
     )
-    norm = fsum(w[0] + w[3] for w in weights)
-    cross = fsum(w[1].real for w in weights)
-    if abs(norm - 1.0) > 1e-12 or abs(cross) > 1e-12:
-        raise NumericalInvariantError(
-            f"Kraus coefficients violate completeness (norm {norm!r}, "
-            f"cross term {cross!r})"
+
+
+class _Measurement:
+    """The two Kraus operators K_a = c0 1 + c1 B of one measure step.
+
+    Subclasses supply B X (``left``), X B (``right``) and the four traces
+    Tr X, Tr XB, Tr BX, Tr BXB (``trace_terms``).
+    """
+
+    def __init__(self, spec: MeasurementSpec, alphas):
+        self.weights = _kraus_weights(spec)
+        self.alphas = alphas
+
+    def children(self, state):
+        """The unnormalized children K_a X K_a^dag in outcome order."""
+        xb = self.right(state)
+        bx = self.left(state)
+        bxb = self.right(bx)
+        for w in self.weights:
+            yield w[0] * state + w[1] * xb + w[2] * bx + w[3] * bxb
+
+    def traces(self, state):
+        """Tr(K_a X K_a^dag) in outcome order, without forming the children."""
+        t = self.trace_terms(state)
+        return [
+            (w[0] * t[0] + w[1] * t[1] + w[2] * t[2] + w[3] * t[3]).real
+            for w in self.weights
+        ]
+
+
+class _PauliMeasurement(_Measurement):
+    """B = P acts through its signed permutation ``(perm, d)``: O(dim^2)
+    per child, O(dim) per trace.
+
+    Completeness, sum_a K_a^dag K_a = 1, is checked in its scalar form:
+    sum_a |c0|^2 + |c1|^2 = 1 and sum_a Re(conj(c0) c1) = 0.
+    """
+
+    def __init__(self, spec: MeasurementSpec, perm, d, alphas):
+        super().__init__(spec, alphas)
+        norm = fsum(w[0] + w[3] for w in self.weights)
+        cross = fsum(w[1].real for w in self.weights)
+        if abs(norm - 1.0) > 1e-12 or abs(cross) > 1e-12:
+            raise NumericalInvariantError(
+                f"Kraus coefficients violate completeness (norm {norm!r}, "
+                f"cross term {cross!r})"
+            )
+        self.perm, self.d, self.d_conj = perm, d, d.conj()
+        self.index = np.arange(len(perm))
+
+    def left(self, x):
+        return self.d[:, None] * x[self.perm]
+
+    def right(self, x):
+        return x[:, self.perm] * self.d_conj
+
+    def trace_terms(self, x):
+        i, perm = self.index, self.perm
+        diag = x[i, i]
+        return (
+            diag.sum(),
+            np.dot(x[i, perm], self.d_conj),
+            np.dot(self.d, x[perm, i]),
+            diag[perm].sum(),  # |d| = 1
         )
-    return weights
 
 
-def _pauli_children(weights, perm, d, state):
-    """Children K_a X K_a^dag by row and column gathers, O(dim^2)."""
-    d_conj = d.conj()
-    px = d[:, None] * state[perm]
-    xp = state[:, perm] * d_conj
-    pxp = px[:, perm] * d_conj
-    for w in weights:
-        yield w[0] * state + w[1] * xp + w[2] * px + w[3] * pxp
+class _DenseMeasurement(_Measurement):
+    """B is a raw observable matrix on the register: three products per
+    state for both children, O(dim^2) per trace.
 
+    Completeness, sum_a K_a^dag K_a = sum_a w0 1 + (w1 + w2) B + w3 B^2
+    = 1, is checked to 1e-12 from the square ``b_sq`` = B B, without
+    assuming B^2 = 1.
+    """
 
-def _dense_children(ks, state):
-    for k, k_dag in ks:
-        yield k @ state @ k_dag
+    def __init__(self, spec: MeasurementSpec, b, b_sq, alphas):
+        super().__init__(spec, alphas)
+        eye = np.eye(len(b))
+        w0, w1, w2, w3 = (sum(w[k] for w in self.weights) for k in range(4))
+        dev = float(np.max(np.abs(w0 * eye + (w1 + w2) * b + w3 * b_sq - eye)))
+        if dev > 1e-12:
+            raise NumericalInvariantError(
+                f"Kraus operators violate completeness by {dev:.3e}"
+            )
+        self.b = b
+        # Tr(M X) = sum_ij M[i, j] X[j, i], summed over M^T * X by numpy's
+        # pairwise summation, which rounds less than a BLAS dot product.
+        self.b_t = b.T.ravel()
+        self.b_sq_t = b_sq.T.ravel()
+
+    def left(self, x):
+        return self.b @ x
+
+    def right(self, x):
+        return x @ self.b
+
+    def trace_terms(self, x):
+        flat = x.ravel()
+        tr_bx = np.sum(self.b_t * flat)  # Tr XB = Tr BX
+        tr_bbx = np.sum(self.b_sq_t * flat)  # Tr BXB = Tr B^2 X
+        return np.trace(x), tr_bx, tr_bx, tr_bbx
 
 
 def _resolve_steps(initial: DensityMatrix, steps):
     """Resolve every step to its action on the register state.
 
-    A measurement yields ``("measure", children, alphas)``, where
-    ``children(state)`` yields the unnormalized post-measurement states in
-    outcome order.  Pauli-string observables act as signed permutations;
-    a raw observable matrix is embedded densely.  An evolution yields
-    ``("evolve", (u, u_dag), None)``.
+    A measurement becomes a :class:`_PauliMeasurement` or, for a raw
+    observable matrix, a :class:`_DenseMeasurement` (the matrix and the
+    square its spec formed when it was checked, embedded on the targets).
+    Both yield the unnormalized children K_a X K_a^dag in outcome order
+    and, for the last measurement, only their traces.  An evolution
+    becomes ``(u, u_dag)``.  Evolutions after the last measurement are
+    checked and dropped, as they preserve the trace of every leaf.
     """
     n = initial.n_qubits
     dim = initial.dim
@@ -189,15 +277,15 @@ def _resolve_steps(initial: DensityMatrix, steps):
                     f"measurement of a {spec.n_qubits}-qubit observable "
                     f"got {len(targets)} target(s)"
                 )
+            alphas = tuple(generalized_eigenvalue(spec.phi, a) for a in (0, 1))
             if isinstance(spec.observable, PauliString):
                 perm, d = spec.observable.action(n, targets)
-                children = partial(_pauli_children, _pauli_weights(spec), perm, d)
+                resolved.append(_PauliMeasurement(spec, perm, d, alphas))
             else:
-                pair = kraus_pair(spec)
-                ks = [embed(pair[a], n, targets) for a in (0, 1)]
-                children = partial(_dense_children, [(k, k.conj().T) for k in ks])
-            alphas = tuple(generalized_eigenvalue(spec.phi, a) for a in (0, 1))
-            resolved.append(("measure", children, alphas))
+                b, b_sq = spec.matrix(), spec._square
+                if step.targets is not None:
+                    b, b_sq = embed(b, n, targets), embed(b_sq, n, targets)
+                resolved.append(_DenseMeasurement(spec, b, b_sq, alphas))
             phis.append(spec.phi)
         elif isinstance(step, EvolveStep):
             if step.unitary.shape != (dim, dim):
@@ -205,10 +293,32 @@ def _resolve_steps(initial: DensityMatrix, steps):
                     f"evolution step {step.label!r} has shape "
                     f"{step.unitary.shape}, expected {(dim, dim)}"
                 )
-            resolved.append(("evolve", (step.unitary, step.unitary.conj().T), None))
+            resolved.append((step.unitary, step.unitary.conj().T))
         else:
             raise TypeError(f"unknown sequence step {step!r}")
+    while resolved and isinstance(resolved[-1], tuple):
+        resolved.pop()
     return resolved, tuple(phis)
+
+
+def _leaves(resolved, i, state, outcomes, weight):
+    """Yield ``(outcomes, weight, trace)`` for every leaf below ``state``,
+    depth first in outcome order; step ``i`` acts on ``state`` next."""
+    if i == len(resolved):  # a sequence without measurements
+        yield outcomes, weight, np.trace(state).real
+        return
+    step = resolved[i]
+    if isinstance(step, tuple):
+        u, u_dag = step
+        yield from _leaves(resolved, i + 1, u @ state @ u_dag, outcomes, weight)
+    elif i == len(resolved) - 1:
+        for a, prob in enumerate(step.traces(state)):
+            yield outcomes + (a,), weight * step.alphas[a], prob
+    else:
+        for a, child in enumerate(step.children(state)):
+            yield from _leaves(
+                resolved, i + 1, child, outcomes + (a,), weight * step.alphas[a]
+            )
 
 
 def sequence_distribution(initial: DensityMatrix, steps) -> list[OutcomeRecord]:
@@ -226,25 +336,11 @@ def sequence_distribution(initial: DensityMatrix, steps) -> list[OutcomeRecord]:
             f"{MAX_ENUMERATED_MEASUREMENTS}"
         )
     records: list[OutcomeRecord] = []
-
-    def walk(i, state, outcomes, weight):
-        if i == len(resolved):
-            prob = float(np.real(np.trace(state)))
-            if prob < -1e-12 or prob > 1 + 1e-12:
-                raise NumericalInvariantError(
-                    f"branch probability {prob} outside [0, 1]"
-                )
-            records.append(OutcomeRecord(outcomes, weight, prob))
-            return
-        kind, payload, alphas = resolved[i]
-        if kind == "evolve":
-            u, u_dag = payload
-            walk(i + 1, u @ state @ u_dag, outcomes, weight)
-        else:
-            for a, child in enumerate(payload(state)):
-                walk(i + 1, child, outcomes + (a,), weight * alphas[a])
-
-    walk(0, initial.matrix, (), 1.0)
+    for outcomes, weight, prob in _leaves(resolved, 0, initial.matrix, (), 1.0):
+        prob = float(prob)
+        if prob < -1e-12 or prob > 1 + 1e-12:
+            raise NumericalInvariantError(f"branch probability {prob} outside [0, 1]")
+        records.append(OutcomeRecord(outcomes, weight, prob))
     total = fsum(r.probability for r in records)
     if abs(total - 1.0) > 1e-10:
         raise NumericalInvariantError(
@@ -365,10 +461,34 @@ def sample_protocol(
 # Two-point and four-point correlator protocols.
 
 
-def _evolution_matrix(evolution) -> np.ndarray:
-    if isinstance(evolution, Propagator):
-        return evolution.matrix
-    return np.asarray(evolution, dtype=np.complex128)
+def _evolution_matrix(evolution, dim: int, label: str) -> np.ndarray:
+    """The evolution's matrix, checked once for shape and unitarity."""
+    if isinstance(evolution, (Propagator, ClockPropagator)):
+        u = evolution.matrix
+    else:
+        u = np.asarray(evolution, dtype=np.complex128)
+    if u.shape != (dim, dim):
+        raise ValueError(
+            f"evolution {label!r} has shape {u.shape}, expected {(dim, dim)}"
+        )
+    if not is_unitary(u, CHECK_TOL):
+        raise ValueError(f"evolution {label!r} is not unitary to 1e-10")
+    return u
+
+
+def _heisenberg_observable(b, u: np.ndarray, n: int, targets) -> np.ndarray:
+    """B(t) = U^dag (B U) with B on ``targets`` of the n-qubit register.
+
+    A Pauli string forms B U by its signed row permutation, so B(t) costs
+    one product; a raw observable matrix is checked and embedded first.
+    """
+    if isinstance(b, PauliString):
+        perm, d = b.action(n, targets)
+        bu = d[:, None] * u[perm]
+    else:
+        targets = range(n) if targets is None else targets
+        bu = embed(_observable_matrix(b), n, targets) @ u
+    return u.conj().T @ bu
 
 
 def _first_kind(part: str) -> str:
@@ -401,15 +521,19 @@ def toc(
 
     The weighted average equals Re <B(t) A> when the first measurement is
     informative (part='real') and Im <B(t) A> when it is noninformative
-    (part='imag'), for every strength choice.  The trailing inverse
-    evolution is omitted: it cannot change the statistics.
+    (part='imag'), for every strength choice.
+
+    The sequence runs in the Heisenberg frame: A, then B(t) = U^dag B U,
+    built once from the evolution U (checked unitary once).  Measuring
+    K(B) after U gives the probabilities of measuring K(B(t)) =
+    U^dag K(B) U before it, and the trailing U^dag cannot change them.
     """
     phis = _check_phis(phis, 2)
-    u = _evolution_matrix(evolution)
+    u = _evolution_matrix(evolution, initial.dim, "U_t")
+    bt = _heisenberg_observable(b, u, initial.n_qubits, None)
     steps = [
         MeasureStep(MeasurementSpec(a, phis[0], _first_kind(part))),
-        EvolveStep(u, "U_t"),
-        MeasureStep(MeasurementSpec(b, phis[1], INFORMATIVE)),
+        MeasureStep(MeasurementSpec(bt, phis[1], INFORMATIVE)),
     ]
     return nested_estimate(initial, steps, mode, trials, seed)
 
@@ -437,7 +561,15 @@ def otoc(
     The single backward evolution is realized either directly
     (``evolution`` given: conjugate-transpose propagator) or with a
     time-reversal ancilla (``clock`` given: the register is extended by
-    one qubit whose computational state selects the time direction).
+    one qubit whose computational state selects the time direction, and
+    the backward step flips the ancilla around the clock propagator U_c,
+    which equals U_c^dag for exp(-i t H (x) Z)).
+
+    In both cases the backward step is U^dag, so the sequence runs in the
+    Heisenberg frame as A, B(t), A, B(t), with the same outcome
+    distribution: B(t) = U^dag B U is built once per call (U_c^dag B U_c
+    with B on the system qubits for the clock route) and the evolution is
+    checked unitary once.
     """
     if (evolution is None) == (clock is None):
         raise ValueError("provide exactly one of evolution or clock")
@@ -445,11 +577,9 @@ def otoc(
     kind_first = _first_kind(part)
 
     if clock is None:
-        u = _evolution_matrix(evolution)
         reg = initial
         targets = None
-        forward = EvolveStep(u, "U_t")
-        backward = EvolveStep(u.conj().T, "U_t_dagger")
+        u = _evolution_matrix(evolution, reg.dim, "U_t")
     else:
         n = initial.n_qubits
         if clock.n_system != n:
@@ -461,19 +591,14 @@ def otoc(
             n + 1, tensor(initial.matrix, np.diag([0.0, 1.0]))
         )
         targets = tuple(range(n))
-        # X on the ancilla conjugates by permuting rows and columns.
-        flip, _ = PauliString(("X",)).action(n + 1, (n,))
-        forward = EvolveStep(clock.matrix, "U_clock")
-        backward = EvolveStep(clock.matrix[flip][:, flip], "U_clock_reversed")
+        u = _evolution_matrix(clock, reg.dim, "U_clock")
+    bt = _heisenberg_observable(b, u, reg.n_qubits, targets)
 
     steps = [
         MeasureStep(MeasurementSpec(a, phis[0], kind_first), targets),
-        forward,
-        MeasureStep(MeasurementSpec(b, phis[1], INFORMATIVE), targets),
-        backward,
+        MeasureStep(MeasurementSpec(bt, phis[1], INFORMATIVE)),
         MeasureStep(MeasurementSpec(a, phis[2], INFORMATIVE), targets),
-        forward,
-        MeasureStep(MeasurementSpec(b, phis[3], INFORMATIVE), targets),
+        MeasureStep(MeasurementSpec(bt, phis[3], INFORMATIVE)),
     ]
     return nested_estimate(reg, steps, mode, trials, seed)
 

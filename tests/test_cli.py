@@ -9,6 +9,7 @@ import pytest
 import seqmeas.cli as cli_mod
 from seqmeas import (
     ConfigError,
+    DensityMatrix,
     NumericalInvariantError,
     config_from_dict,
     load_config,
@@ -84,6 +85,17 @@ class TestConfigValidation:
         for bad in (float("nan"), ["a", 0], ["1", 0], [True, 0]):
             with pytest.raises(ConfigError, match="initial_state"):
                 config_from_dict(base_config(initial_state=[bad, 0, 0, 0]))
+
+    def test_initial_state_check_builds_no_density(self, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("density matrix built")
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", forbidden)
+        amp = [[1 / math.sqrt(2), 0], [0, 0], [0, 0], [1 / math.sqrt(2), 0]]
+        for state in ("10", "maximally-mixed", amp):
+            config_from_dict(base_config(initial_state=state))
+        with pytest.raises(ConfigError, match="initial_state': state vector norm"):
+            config_from_dict(base_config(initial_state=[1.0, 1.0, 0.0, 0.0]))
 
     def test_hamiltonian_terms(self):
         cfg = config_from_dict(

@@ -407,6 +407,16 @@ class TestKrausPairType:
         e0, e1 = pair.effects()
         assert max_abs(e0 + e1 - np.eye(4)) < 1e-12
 
+    def test_raw_observable_is_a_read_only_copy(self):
+        z = np.diag([-1.0, 1.0])
+        spec = MeasurementSpec(z, 0.5, "informative")
+        z[0, 0] = 5.0  # the caller's array changes after the check
+        np.testing.assert_array_equal(spec.matrix(), np.diag([-1.0, 1.0]))
+        assert spec.matrix().dtype == np.complex128
+        assert not spec.matrix().flags.writeable
+        e0, e1 = kraus_pair(spec).effects()
+        assert max_abs(e0 + e1 - np.eye(2)) < 1e-12
+
     def test_rejects_non_involutory_observable(self):
         with pytest.raises(ValueError, match="identity"):
             MeasurementSpec(np.diag([2.0, 1.0]), 0.5, "informative")

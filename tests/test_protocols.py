@@ -8,6 +8,7 @@ from helpers import random_density, random_pauli, random_unitary
 
 import seqmeas.protocols as protocols_mod
 from seqmeas import (
+    ClockPropagator,
     DensityMatrix,
     EvolveStep,
     Hamiltonian,
@@ -40,6 +41,12 @@ PI = math.pi
 
 def meas(p, phi, kind="informative", targets=None):
     return MeasureStep(MeasurementSpec(p, phi, kind), targets)
+
+
+def random_involution(rng, k):
+    """V^dag P V: a dense Hermitian matrix on k qubits that squares to 1."""
+    v = random_unitary(rng, 2**k)
+    return v.conj().T @ random_pauli(rng, k).matrix() @ v
 
 
 def dense_reference_walk(rho, steps):
@@ -157,6 +164,52 @@ class TestSequenceDistribution:
                 assert r.outcomes == outcomes
                 assert abs(r.weight - weight) <= 1e-12
                 assert abs(r.probability - prob) <= 1e-12
+
+    @pytest.mark.parametrize("last", ["pauli", "raw"])
+    def test_raw_observables_match_dense_reference_walk(self, last):
+        rng = np.random.default_rng(18 if last == "pauli" else 19)
+        for _ in range(40):
+            n = int(rng.integers(1, 5))
+            rho = random_density(rng, n)
+            steps = []
+            count = int(rng.integers(2, 5))
+            for j in range(count):
+                if j and rng.integers(2):
+                    steps.append(EvolveStep(random_unitary(rng, 2**n)))
+                k = int(rng.integers(1, n + 1))
+                targets = tuple(int(q) for q in rng.permutation(n)[:k])
+                if k == n and rng.integers(2):
+                    targets = None
+                if j == count - 1:
+                    raw = last == "raw"
+                else:
+                    raw = j == 0 or bool(rng.integers(2))
+                obs = random_involution(rng, k) if raw else random_pauli(rng, k)
+                kind = ("informative", "noninformative")[int(rng.integers(2))]
+                phi = float(rng.uniform(0.15, PI / 2))
+                steps.append(meas(obs, phi, kind, targets))
+            if rng.integers(2):
+                steps.append(EvolveStep(random_unitary(rng, 2**n)))
+            records = sequence_distribution(rho, steps)
+            reference = dense_reference_walk(rho, steps)
+            assert len(records) == len(reference) == 2**count
+            for r, (outcomes, weight, prob) in zip(records, reference):
+                assert r.outcomes == outcomes
+                assert abs(r.weight - weight) <= 1e-12
+                assert abs(r.probability - prob) <= 1e-12
+
+    @pytest.mark.parametrize("last", [False, True])
+    def test_raw_square_error_fails_completeness(self, last):
+        # B^2 = 1 + 5e-11 passes the 1e-10 observable check, but the
+        # Kraus pair then misses completeness by 2.5e-11 > 1e-12
+        b = (1 + 2.5e-11) * np.diag([-1.0, 1.0])
+        spec = MeasurementSpec(b, PI / 2, "informative")
+        steps = [MeasureStep(spec)]
+        if not last:
+            steps.append(meas(PauliString(("X",)), 0.5))
+        rho = DensityMatrix.from_label("0")
+        with pytest.raises(NumericalInvariantError, match="completeness"):
+            sequence_distribution(rho, steps)
 
     def test_pauli_route_builds_no_dense_matrix(self, monkeypatch):
         def forbidden(self):
@@ -307,6 +360,14 @@ class TestToc:
         without = toc(rho, pa, pb, u, "real", (0.5, 0.9)).value
         assert without == pytest.approx(with_final, abs=1e-12)
 
+    def test_rejects_non_unitary_evolution(self):
+        rho = DensityMatrix.from_label("0")
+        z = PauliString(("Z",))
+        with pytest.raises(ValueError, match="not unitary"):
+            toc(rho, z, z, 1.01 * np.eye(2))
+        with pytest.raises(ValueError, match="shape"):
+            toc(rho, z, z, np.eye(4))
+
     def test_phi_validation(self):
         rho = DensityMatrix.from_label("0")
         z = PauliString(("Z",))
@@ -371,6 +432,33 @@ class TestOtoc:
                 "real", otoc(rho, a, b, propagator(ham, t), part="real").value
             )
             assert ft == pytest.approx(f0, abs=1e-8)
+
+    def test_rejects_non_unitary_evolution(self):
+        rho = DensityMatrix.from_label("0")
+        z = PauliString(("Z",))
+        with pytest.raises(ValueError, match="not unitary"):
+            otoc(rho, z, z, 1.01 * np.eye(2))
+        with pytest.raises(ValueError, match="not unitary"):
+            otoc(rho, z, z, clock=ClockPropagator(1.01 * np.eye(4), 0.0, 1))
+
+    @pytest.mark.parametrize("route", ["direct", "clock"])
+    def test_checks_evolution_once(self, monkeypatch, route):
+        calls = []
+        original = protocols_mod.is_unitary
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(protocols_mod, "is_unitary", counting)
+        ham = build_mixed_field_ising(2)
+        rho = DensityMatrix.maximally_mixed(2)
+        a, b = PauliString(("Z", "I")), PauliString(("I", "X"))
+        if route == "direct":
+            otoc(rho, a, b, propagator(ham, 0.7))
+        else:
+            otoc(rho, a, b, clock=time_reversed_evolution(ham, 0.7))
+        assert len(calls) == 1
 
     def test_requires_exactly_one_evolution_source(self):
         rho = DensityMatrix.from_label("0")
