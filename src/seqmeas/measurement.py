@@ -15,6 +15,7 @@ is a hard error (alpha diverges), and the range is not extended past pi/2.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -96,6 +97,14 @@ class MeasurementSpec:
             square.flags.writeable = False
             object.__setattr__(self, "observable", m)
             object.__setattr__(self, "_square", square)
+
+    def with_phi(self, phi: float) -> "MeasurementSpec":
+        """The same measurement at strength ``phi``.  The copy shares the
+        checked observable (and a raw matrix's square) instead of forming
+        and checking them again."""
+        spec = copy.copy(self)
+        object.__setattr__(spec, "phi", _validate_phi(phi))
+        return spec
 
     def matrix(self) -> np.ndarray:
         if isinstance(self.observable, PauliString):

@@ -1,30 +1,36 @@
-"""Sequential-measurement engine: one outcome-tree walk, exact or sampled.
+"""Sequential-measurement engine: exact transfer maps, sampled outcome trees.
 
-The engine walks the full outcome tree, applying the measurements' Kraus
-operators and interleaved unitaries, and records each outcome string with
-its sequential-Born probability and generalized-eigenvalue weight.  Every
-Kraus operator has the form K_a = c0 1 + c1 B.  For a Pauli-string
-observable P it acts through P's signed permutation of rows and columns
-(O(dim^2) per branch, no dense Kraus matrix); for a raw observable matrix
-B the child states are w0 X + w1 X B + w2 B X + w3 B X B, three products
-per state for both outcomes.  The last measurement builds no child: a leaf
-needs only Tr(K_a X K_a^dag) = Tr(E_a X) with the effect E_a = K_a^dag K_a,
-and evolutions after it cannot change that trace.  Other evolutions stay
-dense products.  Exact mode contracts the weights against those
-probabilities; it is the verification reference, and its value is
-independent of every strength angle.
+Every Kraus operator has the form K_a = c0 1 + c1 B, so K_a X K_a^dag is
+w0 X + w1 X B + w2 B X + w3 B X B with per-outcome weights w.  For a
+Pauli-string observable P the terms come from P's signed permutation of
+rows and columns (O(dim^2), no dense Kraus matrix); for a raw observable
+matrix B they cost a product each.  A term whose weight is exactly zero
+is not formed.
+
+Exact mode is the verification reference.  By linearity, the weighted
+average over outcome strings is Tr(E_m ... E_1(rho)) with the transfer
+map E_k(X) = sum_a alpha_a K_a X K_a^dag, whose weights are
+W = sum_a alpha_a w_a.  The engine carries one matrix through the
+sequence, one four-term update per measurement and X -> u X u^dag per
+evolution, and the last measurement contributes one weighted trace.  The
++-1/sin(phi) outcome weights cancel in the four scalars W, so the value
+keeps full precision at every strength and does not depend on the
+strength angles.
+
+Sampled mode models the experiment.  It walks the full outcome tree,
+recording each outcome string with its sequential-Born probability and
+alpha-product weight (the last measurement builds no child: a leaf needs
+only Tr(K_a X K_a^dag)); each trial then draws one string, measurement by
+measurement with the conditional Born probabilities.  Randomness is
+counter-based (Philox keyed by the seed; trial k consumes row k of the
+uniform block), so results do not depend on execution order, and
+aggregation uses exactly-rounded summation (math.fsum) for bit-stable
+results.
 
 The TOC and OTOC protocols run in the Heisenberg frame: B(t) = U^dag B U
 is built once per call, and the interleaved sequence A, U, B, U^dag, A, U,
 B becomes A, B(t), A, B(t) with the same outcome distribution, so their
-outcome trees hold only measurements.
-
-Sampled mode models the experiment: each trial draws one outcome string
-from the same tree, measurement by measurement with the conditional Born
-probabilities.  Randomness is counter-based (Philox keyed by the seed;
-trial k consumes row k of the uniform block), so results do not depend on
-execution order, and aggregation uses exactly-rounded summation
-(math.fsum) for bit-stable results.
+sequences hold only measurements.
 """
 
 from __future__ import annotations
@@ -152,29 +158,64 @@ def _kraus_weights(spec: MeasurementSpec):
 class _Measurement:
     """The two Kraus operators K_a = c0 1 + c1 B of one measure step.
 
-    Subclasses supply B X (``left``), X B (``right``) and the four traces
-    Tr X, Tr XB, Tr BX, Tr BXB (``trace_terms``).
+    ``weights`` holds the per-outcome weights of X, XB, BX, BXB and
+    ``transfer_weights`` their alpha-weighted sum W = sum_a alpha_a w_a,
+    the weights of the transfer map.  Subclasses supply B X (``left``),
+    X B (``right``) and the four traces Tr X, Tr XB, Tr BX, Tr BXB
+    (``trace_terms``).
     """
 
     def __init__(self, spec: MeasurementSpec, alphas):
         self.weights = _kraus_weights(spec)
         self.alphas = alphas
+        self.transfer_weights = tuple(
+            sum(a * w[j] for a, w in zip(alphas, self.weights)) for j in range(4)
+        )
+
+    @staticmethod
+    def _combine(terms, w):
+        """w0 X + w1 XB + w2 BX + w3 BXB from ``terms`` = (X, XB, BX, BXB),
+        matrices or their traces; a term whose weight is exactly 0.0 is
+        skipped."""
+        total = None
+        for wj, term in zip(w, terms):
+            if wj != 0.0:
+                if total is None:
+                    total = wj * term
+                else:
+                    total += wj * term
+        return 0.0 * terms[0] if total is None else total
+
+    def _terms(self, state, weights):
+        """(X, XB, BX, BXB), forming only the terms some weight needs."""
+        need = [any(w[j] != 0.0 for w in weights) for j in range(4)]
+        bx = self.left(state) if need[2] or need[3] else None
+        return (
+            state,
+            self.right(state) if need[1] else None,
+            bx,
+            self.right(bx) if need[3] else None,
+        )
 
     def children(self, state):
         """The unnormalized children K_a X K_a^dag in outcome order."""
-        xb = self.right(state)
-        bx = self.left(state)
-        bxb = self.right(bx)
+        terms = self._terms(state, self.weights)
         for w in self.weights:
-            yield w[0] * state + w[1] * xb + w[2] * bx + w[3] * bxb
+            yield self._combine(terms, w)
 
     def traces(self, state):
         """Tr(K_a X K_a^dag) in outcome order, without forming the children."""
         t = self.trace_terms(state)
-        return [
-            (w[0] * t[0] + w[1] * t[1] + w[2] * t[2] + w[3] * t[3]).real
-            for w in self.weights
-        ]
+        return [self._combine(t, w).real for w in self.weights]
+
+    def transfer(self, state):
+        """E(X) = sum_a alpha_a K_a X K_a^dag."""
+        w = self.transfer_weights
+        return self._combine(self._terms(state, (w,)), w)
+
+    def transfer_trace(self, state):
+        """Tr E(X), without forming E(X)."""
+        return self._combine(self.trace_terms(state), self.transfer_weights)
 
 
 class _PauliMeasurement(_Measurement):
@@ -257,10 +298,11 @@ def _resolve_steps(initial: DensityMatrix, steps):
     A measurement becomes a :class:`_PauliMeasurement` or, for a raw
     observable matrix, a :class:`_DenseMeasurement` (the matrix and the
     square its spec formed when it was checked, embedded on the targets).
-    Both yield the unnormalized children K_a X K_a^dag in outcome order
-    and, for the last measurement, only their traces.  An evolution
-    becomes ``(u, u_dag)``.  Evolutions after the last measurement are
-    checked and dropped, as they preserve the trace of every leaf.
+    Both yield the unnormalized children K_a X K_a^dag in outcome order or
+    the transfer map, and, for the last measurement, only traces.  An
+    evolution becomes ``(u, u_dag)``.  Evolutions after the last
+    measurement are checked and dropped, as they preserve every trace.
+    A sequence without measurements is rejected.
     """
     n = initial.n_qubits
     dim = initial.dim
@@ -296,7 +338,9 @@ def _resolve_steps(initial: DensityMatrix, steps):
             resolved.append((step.unitary, step.unitary.conj().T))
         else:
             raise TypeError(f"unknown sequence step {step!r}")
-    while resolved and isinstance(resolved[-1], tuple):
+    if not phis:
+        raise ValueError("sequence contains no measurements")
+    while isinstance(resolved[-1], tuple):
         resolved.pop()
     return resolved, tuple(phis)
 
@@ -304,9 +348,6 @@ def _resolve_steps(initial: DensityMatrix, steps):
 def _leaves(resolved, i, state, outcomes, weight):
     """Yield ``(outcomes, weight, trace)`` for every leaf below ``state``,
     depth first in outcome order; step ``i`` acts on ``state`` next."""
-    if i == len(resolved):  # a sequence without measurements
-        yield outcomes, weight, np.trace(state).real
-        return
     step = resolved[i]
     if isinstance(step, tuple):
         u, u_dag = step
@@ -349,13 +390,37 @@ def sequence_distribution(initial: DensityMatrix, steps) -> list[OutcomeRecord]:
     return records
 
 
-def _measured_distribution(initial: DensityMatrix, steps):
-    """Sequence distribution and strength angles; needs a measurement."""
-    steps = list(steps)
-    records = sequence_distribution(initial, steps)
-    if not records[0].outcomes:
-        raise ValueError("sequence contains no measurements")
-    return records, tuple(s.spec.phi for s in steps if isinstance(s, MeasureStep))
+def _transfer_value(initial: DensityMatrix, steps):
+    """The exact weighted average Tr(E_m ... E_1(rho)), and the strength
+    angles.
+
+    One matrix is carried through the sequence: each measurement but the
+    last applies its transfer map E(X) = sum_a alpha_a K_a X K_a^dag, each
+    evolution maps X to u X u^dag, and the last measurement gives Tr E(X).
+    Every E preserves Hermiticity and the value is a nested bracket of
+    involutions, so it must be finite and real to 1e-10 with magnitude at
+    most 1 + 1e-10; otherwise :class:`NumericalInvariantError` is raised.
+    """
+    resolved, phis = _resolve_steps(initial, steps)
+    *inner, last = resolved
+    state = initial.matrix
+    for step in inner:
+        if isinstance(step, tuple):
+            u, u_dag = step
+            state = u @ state @ u_dag
+        else:
+            state = step.transfer(state)
+    value = complex(last.transfer_trace(state))
+    if not (
+        math.isfinite(value.real)
+        and math.isfinite(value.imag)
+        and abs(value.imag) <= 1e-10
+        and abs(value.real) <= 1 + 1e-10
+    ):
+        raise NumericalInvariantError(
+            f"exact value {value!r} is not real with magnitude at most 1"
+        )
+    return value.real, phis
 
 
 def nested_estimate(
@@ -372,10 +437,14 @@ def nested_estimate(
     2^(m-1); a noninformative first measurement turns the outermost
     bracket into a commutator with normalization 2^(m-2) (2i).  The value
     does not depend on the strength angles.
+
+    Exact mode computes it by transfer maps (:func:`_transfer_value`), in
+    O(m) matrix updates and without a limit on the number of
+    measurements; sampled mode draws outcome strings from the enumerated
+    outcome tree (:func:`sample_protocol`).
     """
     if mode == "exact":
-        records, phis = _measured_distribution(initial, steps)
-        value = fsum(r.weight * r.probability for r in records)
+        value, phis = _transfer_value(initial, steps)
         return CorrelatorEstimate(
             value=value,
             mode="exact",
@@ -413,14 +482,16 @@ def sample_protocol(
     with row k of :func:`trial_uniforms`: at measurement j it takes outcome
     1 iff ``u[k, j] < P(prefix, 1) / P(prefix)``, where a prefix
     probability sums the leaves below it (exact, as later steps preserve
-    the trace).  Sampled mode thus shares the invariant checks and the
-    limit of ``MAX_ENUMERATED_MEASUREMENTS`` measurements of exact mode.
+    the trace).  Sampled mode thus gets the distribution's invariant
+    checks and its limit of ``MAX_ENUMERATED_MEASUREMENTS`` measurements.
     ``empirical_stderr`` is the sample standard error of the mean.
     """
     trials = int(trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    records, phis = _measured_distribution(initial, steps)
+    steps = list(steps)
+    records = sequence_distribution(initial, steps)
+    phis = tuple(s.spec.phi for s in steps if isinstance(s, MeasureStep))
     m = len(phis)
 
     # Leaves come in lexicographic order, so leaf i is the outcome string
@@ -569,7 +640,8 @@ def otoc(
     Heisenberg frame as A, B(t), A, B(t), with the same outcome
     distribution: B(t) = U^dag B U is built once per call (U_c^dag B U_c
     with B on the system qubits for the clock route) and the evolution is
-    checked unitary once.
+    checked unitary once.  Both B(t) steps share one checked spec, so
+    B(t)^2 is formed once.
     """
     if (evolution is None) == (clock is None):
         raise ValueError("provide exactly one of evolution or clock")
@@ -592,13 +664,15 @@ def otoc(
         )
         targets = tuple(range(n))
         u = _evolution_matrix(clock, reg.dim, "U_clock")
-    bt = _heisenberg_observable(b, u, reg.n_qubits, targets)
+    bt = MeasurementSpec(
+        _heisenberg_observable(b, u, reg.n_qubits, targets), phis[1], INFORMATIVE
+    )
 
     steps = [
         MeasureStep(MeasurementSpec(a, phis[0], kind_first), targets),
-        MeasureStep(MeasurementSpec(bt, phis[1], INFORMATIVE)),
+        MeasureStep(bt),
         MeasureStep(MeasurementSpec(a, phis[2], INFORMATIVE), targets),
-        MeasureStep(MeasurementSpec(bt, phis[3], INFORMATIVE)),
+        MeasureStep(bt.with_phi(phis[3])),
     ]
     return nested_estimate(reg, steps, mode, trials, seed)
 

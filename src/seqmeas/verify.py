@@ -29,10 +29,6 @@ from .observables import PauliString
 from .oracle import oracle_otoc, oracle_toc
 from .protocols import otoc, otoc_value, toc
 
-# Exact-mode alpha products amplify roundoff by prod(1/sin phi_k), so the
-# strength draws for 1e-10-level identity suites stay away from phi ~ 0.
-PHI_FLOOR = 0.15
-
 _LETTERS = ("I", "X", "Y", "Z")
 
 
@@ -62,8 +58,9 @@ def _random_density(rng, n: int) -> DensityMatrix:
     return DensityMatrix(n, m / np.real(np.trace(m)))
 
 
-def _random_phi(rng, floor: float = 0.0) -> float:
-    return float(rng.uniform(floor, math.pi / 2))
+def _random_phi(rng) -> float:
+    """A strength angle drawn uniformly from (0, pi/2]: never 0."""
+    return math.pi / 2 - float(rng.uniform(0.0, math.pi / 2))
 
 
 def povm_identity_suite(samples: int, rng, alpha_fn=generalized_eigenvalue) -> SuiteResult:
@@ -121,8 +118,8 @@ def phi_independence_suite(samples: int, rng) -> SuiteResult:
         ref_toc = oracle_toc(rho.matrix, a.matrix(), b.matrix(), u.matrix)
         ref_otoc = oracle_otoc(rho.matrix, a.matrix(), b.matrix(), u.matrix)
         for _ in range(10):
-            phis2 = [_random_phi(rng, PHI_FLOOR) for _ in range(2)]
-            phis4 = [_random_phi(rng, PHI_FLOOR) for _ in range(4)]
+            phis2 = [_random_phi(rng) for _ in range(2)]
+            phis4 = [_random_phi(rng) for _ in range(4)]
             worst = max(
                 worst,
                 abs(toc(rho, a, b, u, "real", phis2).value - ref_toc.real),
@@ -168,7 +165,7 @@ def hermitian_square_suite(samples: int, rng) -> SuiteResult:
         a = _random_pauli(rng, 3)
         b = _random_pauli(rng, 3)
         u = propagator(ham, float(rng.uniform(0.0, 2.0)))
-        phis4 = [_random_phi(rng, PHI_FLOOR) for _ in range(4)]
+        phis4 = [_random_phi(rng) for _ in range(4)]
         avg = otoc(rho, a, b, u, part="real", phis=phis4).value
         re_f = otoc_value("real", avg)
         bt = u.matrix.conj().T @ b.matrix() @ u.matrix
@@ -206,7 +203,7 @@ def time_reversal_suite(samples: int, rng) -> SuiteResult:
         rho = _random_density(rng, n)
         a = _random_pauli(rng, n)
         b = _random_pauli(rng, n)
-        phis4 = [_random_phi(rng, PHI_FLOOR) for _ in range(4)]
+        phis4 = [_random_phi(rng) for _ in range(4)]
         direct = otoc(rho, a, b, propagator(h, t), part="real", phis=phis4).value
         clocked = otoc(rho, a, b, clock=clk, part="real", phis=phis4).value
         worst = max(worst, abs(direct - clocked))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from helpers import random_density, random_pauli, random_unitary
 
+import seqmeas.measurement as measurement_mod
 import seqmeas.protocols as protocols_mod
 from seqmeas import (
     ClockPropagator,
@@ -72,6 +73,49 @@ def dense_reference_walk(rho, steps):
 
     walk(0, rho.matrix, (), 1.0)
     return leaves
+
+
+def random_sequence(rng, last, count):
+    """Random mixed Pauli/raw-observable sequence with EvolveSteps, random
+    kinds and sub-register targets; ``last`` picks the last observable."""
+    n = int(rng.integers(1, 5))
+    rho = random_density(rng, n)
+    steps = []
+    for j in range(count):
+        if j and rng.integers(2):
+            steps.append(EvolveStep(random_unitary(rng, 2**n)))
+        k = int(rng.integers(1, n + 1))
+        targets = tuple(int(q) for q in rng.permutation(n)[:k])
+        if k == n and rng.integers(2):
+            targets = None
+        raw = last == "raw" if j == count - 1 else bool(rng.integers(2))
+        obs = random_involution(rng, k) if raw else random_pauli(rng, k)
+        kind = ("informative", "noninformative")[int(rng.integers(2))]
+        phi = float(rng.uniform(0.15, PI / 2))
+        steps.append(meas(obs, phi, kind, targets))
+    if rng.integers(2):
+        steps.append(EvolveStep(random_unitary(rng, 2**n)))
+    return rho, steps
+
+
+def dense_reference_transfer(rho, steps):
+    """Tr(E_m ... E_1(rho)) with E(X) = sum_a alpha_a K_a X K_a^dag from
+    embedded dense Kraus matrices."""
+    n = rho.n_qubits
+    state = rho.matrix
+    for step in steps:
+        if isinstance(step, EvolveStep):
+            state = step.unitary @ state @ step.unitary.conj().T
+            continue
+        pair = kraus_pair(step.spec)
+        targets = range(n) if step.targets is None else step.targets
+        mapped = 0
+        for a in (0, 1):
+            k = embed(pair[a], n, targets)
+            alpha = generalized_eigenvalue(step.spec.phi, a)
+            mapped = mapped + alpha * (k @ state @ k.conj().T)
+        state = mapped
+    return complex(np.trace(state))
 
 
 class TestSequenceDistribution:
@@ -288,6 +332,75 @@ class TestNestedEstimate:
             nested_estimate(rho, [EvolveStep(np.eye(2))])
 
 
+class TestTransferMap:
+    @pytest.mark.parametrize("last", ["pauli", "raw"])
+    def test_matches_tree_contraction(self, last):
+        rng = np.random.default_rng(20 if last == "pauli" else 21)
+        for _ in range(40):
+            rho, steps = random_sequence(rng, last, int(rng.integers(1, 5)))
+            tree = math.fsum(
+                r.weight * r.probability for r in sequence_distribution(rho, steps)
+            )
+            assert abs(nested_estimate(rho, steps).value - tree) <= 1e-12
+
+    def test_small_phi_otoc_matches_oracle(self):
+        # the +-1/sin(phi) weights cancel in the transfer weights, not
+        # across 16 branch probabilities, so phi = 1e-3 loses no precision
+        rng = np.random.default_rng(22)
+        ham = build_mixed_field_ising(3)
+        rho = random_density(rng, 3)
+        pa, pb = random_pauli(rng, 3), random_pauli(rng, 3)
+        u = propagator(ham, 1.3)
+        ref = oracle_otoc(rho.matrix, pa.matrix(), pb.matrix(), u.matrix)
+        phis = (1e-3,) * 4
+        re = otoc_value("real", otoc(rho, pa, pb, u, part="real", phis=phis).value)
+        im = otoc_value("imag", otoc(rho, pa, pb, u, part="imag", phis=phis).value)
+        assert abs(re - ref.real) <= 1e-12
+        assert abs(im - ref.imag) <= 1e-12
+
+    def test_runs_past_the_enumeration_limit(self):
+        # commuting diagonal observables, informative: the nested
+        # anticommutator is the product of the observables
+        rng = np.random.default_rng(23)
+        n = 3
+        rho = random_density(rng, n)
+        steps, product = [], np.eye(2**n)
+        for j in range(20):
+            if j % 5 == 4:
+                steps.append(EvolveStep(np.diag(np.exp(1j * rng.normal(size=2**n)))))
+            k = int(rng.integers(1, n + 1))
+            targets = tuple(int(q) for q in rng.permutation(n)[:k])
+            if j % 2:
+                obs = np.diag(rng.choice([-1.0, 1.0], size=2**k))
+            else:
+                obs = PauliString(tuple(rng.choice(["I", "Z"], size=k - 1)) + ("Z",))
+            steps.append(meas(obs, float(rng.uniform(0.15, PI / 2)), targets=targets))
+            matrix = obs.matrix() if isinstance(obs, PauliString) else obs
+            product = product @ embed(matrix, n, targets)
+        with pytest.raises(ValueError, match="enumeration limit"):
+            sequence_distribution(rho, steps)
+        value = nested_estimate(rho, steps).value
+        expected = np.real(np.trace(rho.matrix @ product))
+        assert abs(expected) > 0.01
+        assert abs(value - expected) <= 1e-12
+        assert abs(value - dense_reference_transfer(rho, steps).real) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [2.0, 1j, float("nan")])
+    def test_rejects_value_out_of_bounds(self, monkeypatch, alpha):
+        rho = DensityMatrix.from_label("1")  # Z = +1
+        steps = [meas(PauliString(("Z",)), phi) for phi in (0.5, 0.7, 1.1)]
+        assert nested_estimate(rho, steps).value == pytest.approx(1.0, abs=1e-12)
+        scaled = lambda phi, a: alpha * generalized_eigenvalue(phi, a)  # noqa: E731
+        monkeypatch.setattr(protocols_mod, "generalized_eigenvalue", scaled)
+        with pytest.raises(NumericalInvariantError, match="exact value"):
+            nested_estimate(rho, steps)
+
+    def test_needs_a_measurement(self):
+        rho = DensityMatrix.from_label("0")
+        with pytest.raises(ValueError, match="no measurements"):
+            sequence_distribution(rho, [EvolveStep(np.eye(2))])
+
+
 class TestToc:
     def test_trivial_z_pair(self):
         rho = DensityMatrix.from_label("0")
@@ -451,6 +564,25 @@ class TestOtoc:
             return original(*args)
 
         monkeypatch.setattr(protocols_mod, "is_unitary", counting)
+        ham = build_mixed_field_ising(2)
+        rho = DensityMatrix.maximally_mixed(2)
+        a, b = PauliString(("Z", "I")), PauliString(("I", "X"))
+        if route == "direct":
+            otoc(rho, a, b, propagator(ham, 0.7))
+        else:
+            otoc(rho, a, b, clock=time_reversed_evolution(ham, 0.7))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("route", ["direct", "clock"])
+    def test_forms_b_squared_once(self, monkeypatch, route):
+        calls = []
+        original = measurement_mod._raw_observable
+
+        def counting(obs):
+            calls.append(obs)
+            return original(obs)
+
+        monkeypatch.setattr(measurement_mod, "_raw_observable", counting)
         ham = build_mixed_field_ising(2)
         rho = DensityMatrix.maximally_mixed(2)
         a, b = PauliString(("Z", "I")), PauliString(("I", "X"))
