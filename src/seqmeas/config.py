@@ -116,14 +116,20 @@ class ExperimentConfig:
     def pauli_b(self) -> PauliString:
         return PauliString.from_text(self.observable_b)
 
-    def initial_density(self) -> DensityMatrix:
+    def initial_state_obj(self) -> PureState | DensityMatrix:
+        """A PureState for a label or an amplitude list, a DensityMatrix
+        for "maximally-mixed"."""
         n = self.system_size
         state = self.initial_state
         if state == "maximally-mixed":
             return DensityMatrix.maximally_mixed(n)
         if isinstance(state, str):
-            return DensityMatrix.from_label(state)
-        return _pure_state(n, state).density()
+            return PureState.from_label(state)
+        return _pure_state(n, state)
+
+    def initial_density(self) -> DensityMatrix:
+        state = self.initial_state_obj()
+        return state.density() if isinstance(state, PureState) else state
 
     def hamiltonian_obj(self) -> Hamiltonian:
         spec = self.hamiltonian

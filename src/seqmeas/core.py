@@ -21,6 +21,7 @@ states are re-symmetrized on construction so their invariants hold to
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,6 +119,13 @@ class PureState:
         return cls(n, amps)
 
     def density(self) -> "DensityMatrix":
+        """|psi><psi|, built on the first call and then shared: both are
+        read-only, and the routes that need a density matrix ask for it
+        once per correlator value."""
+        return self._density
+
+    @functools.cached_property
+    def _density(self) -> "DensityMatrix":
         return DensityMatrix(self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 

@@ -2,7 +2,9 @@
 
 Propagators are built by Hermitian eigendecomposition (no Trotterization),
 so evolution is exact to roundoff and does not pollute the 1e-10 identity
-checks elsewhere.  hbar = 1 throughout.
+checks elsewhere.  A propagator keeps the spectrum it came from: it acts
+on state vectors through it, and forms its dim x dim matrix only when the
+matrix is asked for.  hbar = 1 throughout.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CHECK_TOL, is_hermitian, tensor
+from .core import CHECK_TOL, NumericalInvariantError, is_hermitian, is_unitary, tensor
 from .observables import PauliString
 
 # A standard nonintegrable point of the mixed-field Ising chain; an
@@ -37,16 +39,21 @@ class Hamiltonian:
         object.__setattr__(self, "terms", terms)
 
     def matrix(self) -> np.ndarray:
+        """Sum of the terms, each scattered from its signed permutation
+        (row i holds d[i] in column perm[i]); no Kronecker products."""
         dim = 2**self.n_qubits
         m = np.zeros((dim, dim), dtype=np.complex128)
+        rows = np.arange(dim)
         for coeff, p in self.terms:
-            m += coeff * p.matrix()
+            perm, d = p.action(self.n_qubits)
+            m[rows, perm] += coeff * d
         return m
 
     @functools.cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """``eigh`` of the Hermiticity-checked matrix, computed once."""
-        evals, evecs = np.linalg.eigh(_check_hermitian_matrix(self))
+        """``eigh`` of the Hermiticity-checked matrix with its eigenbasis
+        checked unitary, computed once."""
+        evals, evecs = _checked_spectrum(_check_hermitian_matrix(self))
         evals.flags.writeable = False
         evecs.flags.writeable = False
         return evals, evecs
@@ -87,13 +94,40 @@ def build_mixed_field_ising(
 
 @dataclass(frozen=True)
 class Propagator:
-    """exp(-i t H) together with the duration it realizes."""
+    """exp(-i t H) = V exp(-i t E) V^dag from the spectrum (E, V) of H,
+    together with the duration t it realizes.
 
-    matrix: np.ndarray
+    ``matrix`` is formed on first use and then kept; :meth:`apply` acts on
+    vectors through the spectrum and never forms it.
+    """
+
+    evals: np.ndarray
+    evecs: np.ndarray
     duration: float
 
+    @functools.cached_property
+    def phases(self) -> np.ndarray:
+        """exp(-i t E), the propagator in the eigenbasis of H."""
+        return np.exp(-1j * self.duration * self.evals)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        return (self.evecs * self.phases) @ self.evecs.conj().T
+
+    def apply(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """U x, or U^dag x, for a dim x k block ``x``: two O(dim^2 k)
+        products, with V^dag x taken as conj(V^T conj(x)) so that V^dag is
+        not formed either."""
+        phases = self.phases.conj() if adjoint else self.phases
+        y = np.conj(self.evecs.T @ np.conj(x))
+        return self.evecs @ (phases[:, None] * y)
+
     def dagger(self) -> "Propagator":
-        return Propagator(self.matrix.conj().T.copy(), -self.duration)
+        """exp(+i t H).  Its matrix is this one's conjugate transpose, formed
+        now, so the two are exact adjoints of each other."""
+        inverse = Propagator(self.evals, self.evecs, -self.duration)
+        inverse.__dict__["matrix"] = self.matrix.conj().T.copy()
+        return inverse
 
 
 def _check_hermitian_matrix(h) -> np.ndarray:
@@ -103,15 +137,23 @@ def _check_hermitian_matrix(h) -> np.ndarray:
     return m
 
 
+def _checked_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of a Hermitian matrix; the eigenbasis must be unitary to
+    1e-10, since every propagator built from it inherits its error."""
+    evals, evecs = np.linalg.eigh(m)
+    if not is_unitary(evecs, CHECK_TOL):
+        raise NumericalInvariantError("eigenbasis of H is not unitary to 1e-10")
+    return evals, evecs
+
+
 def propagator(h, t: float) -> Propagator:
     """exp(-i t H) via eigendecomposition; accepts a Hamiltonian (whose
     cached spectrum is reused across times) or a matrix."""
     if isinstance(h, Hamiltonian):
         evals, evecs = h.spectrum
     else:
-        evals, evecs = np.linalg.eigh(_check_hermitian_matrix(h))
-    u = (evecs * np.exp(-1j * t * evals)) @ evecs.conj().T
-    return Propagator(u, float(t))
+        evals, evecs = _checked_spectrum(_check_hermitian_matrix(h))
+    return Propagator(evals, evecs, float(t))
 
 
 def heisenberg(obs, u) -> np.ndarray:

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig
+from .core import DensityMatrix
 from .dynamics import propagator, time_reversed_evolution
 from .protocols import otoc, otoc_value, toc
 
@@ -74,8 +75,11 @@ def _row_seed(base: int, time_index: int, part_index: int) -> int:
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
-    rho = cfg.initial_density()
-    rho.check_positive()
+    # A label or amplitude list stays a pure state (positive by
+    # construction), which exact runs carry as a vector.
+    initial = cfg.initial_state_obj()
+    if isinstance(initial, DensityMatrix):
+        initial.check_positive()
     a = cfg.pauli_a()
     b = cfg.pauli_b()
     ham = cfg.hamiltonian_obj()
@@ -102,10 +106,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
                 seed=_row_seed(cfg.seed, time_index, part_index) if sampled else None,
             )
             if cfg.protocol == "toc":
-                est = toc(rho, a, b, evolution["evolution"], **kwargs)
+                est = toc(initial, a, b, evolution["evolution"], **kwargs)
                 values[part] = est.value
             else:
-                est = otoc(rho, a, b, **evolution, **kwargs)
+                est = otoc(initial, a, b, **evolution, **kwargs)
                 values[part] = otoc_value(part, est.value)
             errors[part] = scale * est.empirical_stderr
 

@@ -15,7 +15,11 @@ sequence, one four-term update per measurement and X -> u X u^dag per
 evolution, and the last measurement contributes one weighted trace.  The
 +-1/sin(phi) outcome weights cancel in the four scalars W, so the value
 keeps full precision at every strength and does not depend on the
-strength angles.
+strength angles.  A pure initial state psi travels as a factor pair
+X = L R^dag of dim x k blocks, starting from (psi, psi): B is Hermitian,
+so each term is again a factor pair (X B = L (B R)^dag), a measurement
+concatenates the pairs of its nonzero-weight terms, and the value is a
+sum of W-weighted vdot traces.  No dim x dim state is formed.
 
 Sampled mode models the experiment.  It walks the full outcome tree,
 recording each outcome string with its sequential-Born probability and
@@ -27,15 +31,22 @@ uniform block), so results do not depend on execution order, and
 aggregation uses exactly-rounded summation (math.fsum) for bit-stable
 results.
 
-The TOC and OTOC protocols run in the Heisenberg frame: B(t) = U^dag B U
-is built once per call, and the interleaved sequence A, U, B, U^dag, A, U,
-B becomes A, B(t), A, B(t) with the same outcome distribution, so their
-sequences hold only measurements.
+The TOC and OTOC protocols run in the Heisenberg frame: the interleaved
+sequence A, U, B, U^dag, A, U, B becomes A, B(t), A, B(t) with B(t) =
+U^dag B U and the same outcome distribution, so their sequences hold only
+measurements.  The input picks the route.  A pure state evolved by a
+Propagator in exact mode travels as vector factors, and B(t) acts on them
+through the spectrum (E, V) of H as V e^{iEt} V^dag B V e^{-iEt} V^dag,
+so neither U nor B(t) is formed.  Every other input (mixed states,
+sampled mode, the clock ancilla, raw evolution matrices) builds the
+matrix B(t) once per call and carries a density matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import fsum
 
@@ -45,6 +56,7 @@ from .core import (
     CHECK_TOL,
     DensityMatrix,
     NumericalInvariantError,
+    PureState,
     embed,
     is_unitary,
     tensor,
@@ -217,24 +229,57 @@ class _Measurement:
         """Tr E(X), without forming E(X)."""
         return self._combine(self.trace_terms(state), self.transfer_weights)
 
+    # A pure initial state travels as a factor pair (L, R), dim x k blocks
+    # with X = L R^dag.  B is Hermitian, so the four terms are factor pairs
+    # too: X = (L, R), XB = (L, B R), BX = (B L, R) and BXB = (B L, B R);
+    # only ``left`` is needed, and Tr(L R^dag) = vdot(R, L).
+
+    def transfer_factors(self, pair):
+        """E(X) for X = L R^dag as a factor pair: the column blocks of the
+        terms whose weight is not exactly 0.0, each weight folded into L."""
+        l, r = pair
+        w = self.transfer_weights
+        bl = self.left(l) if w[2] != 0.0 or w[3] != 0.0 else None
+        br = self.left(r) if w[1] != 0.0 or w[3] != 0.0 else None
+        terms = [
+            (wj * tl, tr)
+            for wj, (tl, tr) in zip(w, ((l, r), (l, br), (bl, r), (bl, br)))
+            if wj != 0.0
+        ]
+        return np.hstack([tl for tl, _ in terms]), np.hstack([tr for _, tr in terms])
+
+    def factor_trace(self, pair):
+        """Tr E(X) for X = L R^dag.  Tr XB = Tr BX, so B acts on L only,
+        and on R only for a BXB term."""
+        l, r = pair
+        w = self.transfer_weights
+        bl = self.left(l) if any(wj != 0.0 for wj in w[1:]) else None
+        tr_bx = None if bl is None else np.vdot(r, bl)
+        tr_bxb = np.vdot(self.left(r), bl) if w[3] != 0.0 else None
+        return self._combine((np.vdot(r, l), tr_bx, tr_bx, tr_bxb), w)
+
+
+def _check_scalar_completeness(weights) -> None:
+    """sum_a K_a^dag K_a = 1 for an observable with B^2 = 1, in scalar
+    form: sum_a |c0|^2 + |c1|^2 = 1 and sum_a Re(conj(c0) c1) = 0."""
+    norm = fsum(w[0] + w[3] for w in weights)
+    cross = fsum(w[1].real for w in weights)
+    if abs(norm - 1.0) > 1e-12 or abs(cross) > 1e-12:
+        raise NumericalInvariantError(
+            f"Kraus coefficients violate completeness (norm {norm!r}, "
+            f"cross term {cross!r})"
+        )
+
 
 class _PauliMeasurement(_Measurement):
     """B = P acts through its signed permutation ``(perm, d)``: O(dim^2)
-    per child, O(dim) per trace.
-
-    Completeness, sum_a K_a^dag K_a = 1, is checked in its scalar form:
-    sum_a |c0|^2 + |c1|^2 = 1 and sum_a Re(conj(c0) c1) = 0.
+    per child, O(dim) per trace.  P^2 = 1, so completeness is checked in
+    scalar form (:func:`_check_scalar_completeness`).
     """
 
     def __init__(self, spec: MeasurementSpec, perm, d, alphas):
         super().__init__(spec, alphas)
-        norm = fsum(w[0] + w[3] for w in self.weights)
-        cross = fsum(w[1].real for w in self.weights)
-        if abs(norm - 1.0) > 1e-12 or abs(cross) > 1e-12:
-            raise NumericalInvariantError(
-                f"Kraus coefficients violate completeness (norm {norm!r}, "
-                f"cross term {cross!r})"
-            )
+        _check_scalar_completeness(self.weights)
         self.perm, self.d, self.d_conj = perm, d, d.conj()
         self.index = np.arange(len(perm))
 
@@ -266,18 +311,25 @@ class _DenseMeasurement(_Measurement):
 
     def __init__(self, spec: MeasurementSpec, b, b_sq, alphas):
         super().__init__(spec, alphas)
-        eye = np.eye(len(b))
         w0, w1, w2, w3 = (sum(w[k] for w in self.weights) for k in range(4))
-        dev = float(np.max(np.abs(w0 * eye + (w1 + w2) * b + w3 * b_sq - eye)))
+        residual = (w1 + w2) * b
+        residual += w3 * b_sq
+        residual.flat[:: len(b) + 1] += w0 - 1.0
+        dev = float(np.max(np.abs(residual)))
         if dev > 1e-12:
             raise NumericalInvariantError(
                 f"Kraus operators violate completeness by {dev:.3e}"
             )
         self.b = b
-        # Tr(M X) = sum_ij M[i, j] X[j, i], summed over M^T * X by numpy's
-        # pairwise summation, which rounds less than a BLAS dot product.
-        self.b_t = b.T.ravel()
-        self.b_sq_t = b_sq.T.ravel()
+        self.b_sq = b_sq
+
+    @functools.cached_property
+    def _transposes(self):
+        """B^T and (B^2)^T, flattened; copied only by a measurement that
+        takes traces.  Tr(M X) = sum_ij M[i, j] X[j, i] is summed over
+        M^T * X by numpy's pairwise summation, which rounds less than a
+        BLAS dot product."""
+        return self.b.T.ravel(), self.b_sq.T.ravel()
 
     def left(self, x):
         return self.b @ x
@@ -286,26 +338,53 @@ class _DenseMeasurement(_Measurement):
         return x @ self.b
 
     def trace_terms(self, x):
+        b_t, b_sq_t = self._transposes
         flat = x.ravel()
-        tr_bx = np.sum(self.b_t * flat)  # Tr XB = Tr BX
-        tr_bbx = np.sum(self.b_sq_t * flat)  # Tr BXB = Tr B^2 X
+        tr_bx = np.sum(b_t * flat)  # Tr XB = Tr BX
+        tr_bbx = np.sum(b_sq_t * flat)  # Tr BXB = Tr B^2 X
         return np.trace(x), tr_bx, tr_bx, tr_bbx
 
 
-def _resolve_steps(initial: DensityMatrix, steps):
+@dataclass(frozen=True)
+class _HeisenbergStep:
+    """Measure B(t) = U^dag B U, where ``spec`` gives B, the strength and
+    the kind, and ``apply`` maps a dim x k block x to B(t) x (see
+    :func:`_heisenberg_action`).  Built by :func:`toc` and :func:`otoc` for
+    a pure initial state only."""
+
+    spec: MeasurementSpec
+    apply: Callable[[np.ndarray], np.ndarray]
+
+
+class _HeisenbergMeasurement(_Measurement):
+    """B(t) applied to state factors by U's spectrum, O(dim^2 k) per
+    dim x k block; neither U nor B(t) is formed.  It acts on factor pairs
+    only, so it has ``left`` and no ``right`` or ``trace_terms``.  B(t)^2
+    = 1 is checked where ``apply`` is built, so completeness takes the
+    scalar form."""
+
+    def __init__(self, spec: MeasurementSpec, apply, alphas):
+        super().__init__(spec, alphas)
+        _check_scalar_completeness(self.weights)
+        self.left = apply
+
+
+def _resolve_steps(initial: DensityMatrix | PureState, steps):
     """Resolve every step to its action on the register state.
 
     A measurement becomes a :class:`_PauliMeasurement` or, for a raw
     observable matrix, a :class:`_DenseMeasurement` (the matrix and the
     square its spec formed when it was checked, embedded on the targets).
     Both yield the unnormalized children K_a X K_a^dag in outcome order or
-    the transfer map, and, for the last measurement, only traces.  An
-    evolution becomes ``(u, u_dag)``.  Evolutions after the last
-    measurement are checked and dropped, as they preserve every trace.
-    A sequence without measurements is rejected.
+    the transfer map, and, for the last measurement, only traces.  A
+    :class:`_HeisenbergStep` becomes a :class:`_HeisenbergMeasurement`,
+    which acts on the factors of a pure state only.  An evolution becomes
+    ``(u, u_dag)``.  Evolutions after the last measurement are checked and
+    dropped, as they preserve every trace.  A sequence without
+    measurements is rejected.
     """
     n = initial.n_qubits
-    dim = initial.dim
+    dim = 2**n
     resolved = []
     phis = []
     for step in steps:
@@ -329,6 +408,10 @@ def _resolve_steps(initial: DensityMatrix, steps):
                     b, b_sq = embed(b, n, targets), embed(b_sq, n, targets)
                 resolved.append(_DenseMeasurement(spec, b, b_sq, alphas))
             phis.append(spec.phi)
+        elif isinstance(step, _HeisenbergStep):
+            alphas = tuple(generalized_eigenvalue(step.spec.phi, a) for a in (0, 1))
+            resolved.append(_HeisenbergMeasurement(step.spec, step.apply, alphas))
+            phis.append(step.spec.phi)
         elif isinstance(step, EvolveStep):
             if step.unitary.shape != (dim, dim):
                 raise ValueError(
@@ -390,27 +473,42 @@ def sequence_distribution(initial: DensityMatrix, steps) -> list[OutcomeRecord]:
     return records
 
 
-def _transfer_value(initial: DensityMatrix, steps):
+def _transfer_value(initial: DensityMatrix | PureState, steps):
     """The exact weighted average Tr(E_m ... E_1(rho)), and the strength
     angles.
 
-    One matrix is carried through the sequence: each measurement but the
+    One state is carried through the sequence: each measurement but the
     last applies its transfer map E(X) = sum_a alpha_a K_a X K_a^dag, each
     evolution maps X to u X u^dag, and the last measurement gives Tr E(X).
+    A density matrix travels as the matrix X.  A pure state psi travels as
+    the factor pair X = L R^dag, starting from (psi, psi): a measurement
+    concatenates the factors of its nonzero-weight terms and an evolution
+    maps (L, R) to (u L, u R), so no dim x dim state is formed.
     Every E preserves Hermiticity and the value is a nested bracket of
     involutions, so it must be finite and real to 1e-10 with magnitude at
     most 1 + 1e-10; otherwise :class:`NumericalInvariantError` is raised.
     """
     resolved, phis = _resolve_steps(initial, steps)
     *inner, last = resolved
-    state = initial.matrix
-    for step in inner:
-        if isinstance(step, tuple):
-            u, u_dag = step
-            state = u @ state @ u_dag
-        else:
-            state = step.transfer(state)
-    value = complex(last.transfer_trace(state))
+    if isinstance(initial, PureState):
+        psi = initial.amplitudes[:, None]
+        pair = (psi, psi)
+        for step in inner:
+            if isinstance(step, tuple):
+                u = step[0]
+                pair = (u @ pair[0], u @ pair[1])
+            else:
+                pair = step.transfer_factors(pair)
+        value = complex(last.factor_trace(pair))
+    else:
+        state = initial.matrix
+        for step in inner:
+            if isinstance(step, tuple):
+                u, u_dag = step
+                state = u @ state @ u_dag
+            else:
+                state = step.transfer(state)
+        value = complex(last.transfer_trace(state))
     if not (
         math.isfinite(value.real)
         and math.isfinite(value.imag)
@@ -424,7 +522,7 @@ def _transfer_value(initial: DensityMatrix, steps):
 
 
 def nested_estimate(
-    initial: DensityMatrix,
+    initial: DensityMatrix | PureState,
     steps,
     mode: str = "exact",
     trials: int | None = None,
@@ -439,9 +537,11 @@ def nested_estimate(
     does not depend on the strength angles.
 
     Exact mode computes it by transfer maps (:func:`_transfer_value`), in
-    O(m) matrix updates and without a limit on the number of
-    measurements; sampled mode draws outcome strings from the enumerated
-    outcome tree (:func:`sample_protocol`).
+    O(m) state updates and without a limit on the number of measurements;
+    a pure state travels there as vector factors.  Sampled mode draws
+    outcome strings from the enumerated outcome tree
+    (:func:`sample_protocol`), with a pure state converted to its density
+    matrix.
     """
     if mode == "exact":
         value, phis = _transfer_value(initial, steps)
@@ -456,6 +556,8 @@ def nested_estimate(
     if mode == "sampled":
         if trials is None or seed is None:
             raise ValueError("sampled mode needs trials and seed")
+        if isinstance(initial, PureState):
+            initial = initial.density()
         return sample_protocol(initial, steps, trials, seed)
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -562,6 +664,59 @@ def _heisenberg_observable(b, u: np.ndarray, n: int, targets) -> np.ndarray:
     return u.conj().T @ bu
 
 
+def _vector_route(initial, evolution, mode: str) -> bool:
+    """The input picks the route: a pure state evolved by a
+    :class:`Propagator` in exact mode travels as vector factors, with B(t)
+    applied through the propagator's spectrum.  Every other input takes
+    the density route."""
+    return (
+        isinstance(initial, PureState)
+        and isinstance(evolution, Propagator)
+        and mode == "exact"
+    )
+
+
+def _heisenberg_action(spec: MeasurementSpec, u: Propagator, initial: PureState):
+    """x -> B(t) x = U^dag (B (U x)) for dim x k blocks x, with B the
+    observable of ``spec`` on the whole register and U applied by its
+    spectrum: V e^{iEt} V^dag B V e^{-iEt} V^dag x.
+
+    B(t)^2 = 1 is checked on the initial vector, ||B(t) (B(t) psi) -
+    psi||_inf <= 1e-10, once per call of the protocol; a corrupted
+    propagator fails here with :class:`NumericalInvariantError`.
+    """
+    n, dim = initial.n_qubits, 2**initial.n_qubits
+    if u.evecs.shape != (dim, dim):
+        raise ValueError(
+            f"evolution 'U_t' has shape {u.evecs.shape}, expected {(dim, dim)}"
+        )
+    if spec.n_qubits != n:
+        raise ValueError(
+            f"measurement of a {spec.n_qubits}-qubit observable on {n} qubits"
+        )
+    if isinstance(spec.observable, PauliString):
+        perm, d = spec.observable.action(n)
+        d = d[:, None]
+
+        def apply_b(y):
+            return d * y[perm]
+
+    else:
+        apply_b = spec.observable.__matmul__
+
+    def apply(x):
+        return u.apply(apply_b(u.apply(x)), adjoint=True)
+
+    psi = initial.amplitudes[:, None]
+    dev = float(np.max(np.abs(apply(apply(psi)) - psi)))
+    if not dev <= CHECK_TOL:
+        raise NumericalInvariantError(
+            f"B(t) does not square to the identity on the initial state "
+            f"(deviation {dev:.3e})"
+        )
+    return apply
+
+
 def _first_kind(part: str) -> str:
     if part == "real":
         return INFORMATIVE
@@ -578,7 +733,7 @@ def _check_phis(phis, count: int) -> tuple[float, ...]:
 
 
 def toc(
-    initial: DensityMatrix,
+    initial: DensityMatrix | PureState,
     a,
     b,
     evolution,
@@ -594,23 +749,37 @@ def toc(
     informative (part='real') and Im <B(t) A> when it is noninformative
     (part='imag'), for every strength choice.
 
-    The sequence runs in the Heisenberg frame: A, then B(t) = U^dag B U,
-    built once from the evolution U (checked unitary once).  Measuring
-    K(B) after U gives the probabilities of measuring K(B(t)) =
+    The sequence runs in the Heisenberg frame: A, then B(t) = U^dag B U.
+    Measuring K(B) after U gives the probabilities of measuring K(B(t)) =
     U^dag K(B) U before it, and the trailing U^dag cannot change them.
+    A pure ``initial`` with a :class:`Propagator` in exact mode travels as
+    vector factors and applies B(t) through the propagator's spectrum
+    (:func:`_heisenberg_action`); otherwise B(t) is built once from the
+    evolution U (checked unitary once) and a pure state is converted to
+    its density matrix.
     """
     phis = _check_phis(phis, 2)
+    kind_first = _first_kind(part)
+    if _vector_route(initial, evolution, mode):
+        spec_b = MeasurementSpec(b, phis[1], INFORMATIVE)
+        steps = [
+            MeasureStep(MeasurementSpec(a, phis[0], kind_first)),
+            _HeisenbergStep(spec_b, _heisenberg_action(spec_b, evolution, initial)),
+        ]
+        return nested_estimate(initial, steps, mode)
+    if isinstance(initial, PureState):
+        initial = initial.density()
     u = _evolution_matrix(evolution, initial.dim, "U_t")
     bt = _heisenberg_observable(b, u, initial.n_qubits, None)
     steps = [
-        MeasureStep(MeasurementSpec(a, phis[0], _first_kind(part))),
+        MeasureStep(MeasurementSpec(a, phis[0], kind_first)),
         MeasureStep(MeasurementSpec(bt, phis[1], INFORMATIVE)),
     ]
     return nested_estimate(initial, steps, mode, trials, seed)
 
 
 def otoc(
-    initial: DensityMatrix,
+    initial: DensityMatrix | PureState,
     a,
     b,
     evolution=None,
@@ -638,16 +807,31 @@ def otoc(
 
     In both cases the backward step is U^dag, so the sequence runs in the
     Heisenberg frame as A, B(t), A, B(t), with the same outcome
-    distribution: B(t) = U^dag B U is built once per call (U_c^dag B U_c
-    with B on the system qubits for the clock route) and the evolution is
-    checked unitary once.  Both B(t) steps share one checked spec, so
-    B(t)^2 is formed once.
+    distribution.  A pure ``initial`` with a :class:`Propagator` in exact
+    mode travels as vector factors, and both B(t) steps apply one checked
+    :func:`_heisenberg_action`.  Otherwise a pure state is converted to its
+    density matrix and B(t) = U^dag B U is built once per call (U_c^dag B
+    U_c with B on the system qubits for the clock route), with the
+    evolution checked unitary once; both B(t) steps share one checked
+    spec, so B(t)^2 is formed once.
     """
     if (evolution is None) == (clock is None):
         raise ValueError("provide exactly one of evolution or clock")
     phis = _check_phis(phis, 4)
     kind_first = _first_kind(part)
 
+    if _vector_route(initial, evolution, mode):
+        spec_b = MeasurementSpec(b, phis[1], INFORMATIVE)
+        bt = _heisenberg_action(spec_b, evolution, initial)
+        steps = [
+            MeasureStep(MeasurementSpec(a, phis[0], kind_first)),
+            _HeisenbergStep(spec_b, bt),
+            MeasureStep(MeasurementSpec(a, phis[2], INFORMATIVE)),
+            _HeisenbergStep(spec_b.with_phi(phis[3]), bt),
+        ]
+        return nested_estimate(initial, steps, mode)
+    if isinstance(initial, PureState):
+        initial = initial.density()
     if clock is None:
         reg = initial
         targets = None

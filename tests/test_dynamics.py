@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import max_abs, random_density, random_hermitian, random_pauli
+from helpers import max_abs, random_density, random_hermitian, random_pauli, random_unitary
 from scipy.linalg import expm
 
 from seqmeas import (
@@ -14,6 +14,25 @@ from seqmeas import (
     time_reversed_evolution,
 )
 from seqmeas.observables import PAULI_Z
+
+KRON_FACTORS = {
+    "I": np.eye(2, dtype=np.complex128),
+    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    "Y": np.array([[0, 1j], [-1j, 0]], dtype=np.complex128),
+    "Z": np.diag([-1.0, 1.0]).astype(np.complex128),
+}
+
+
+def kron_hamiltonian(ham):
+    """sum_k c_k P_k with each P_k a Kronecker chain of its factors."""
+    dim = 2**ham.n_qubits
+    m = np.zeros((dim, dim), dtype=np.complex128)
+    for coeff, p in ham.terms:
+        term = KRON_FACTORS[p.factors[0]]
+        for f in p.factors[1:]:
+            term = np.kron(term, KRON_FACTORS[f])
+        m += coeff * (p.sign * term)
+    return m
 
 
 class TestMixedFieldIsing:
@@ -40,6 +59,19 @@ class TestMixedFieldIsing:
         rebuilt = Hamiltonian.from_pairs(3, ham.to_pairs())
         np.testing.assert_allclose(rebuilt.matrix(), ham.matrix(), atol=0)
 
+    def test_matrix_equals_kron_build_bitwise(self):
+        rng = np.random.default_rng(11)
+        hams = [build_mixed_field_ising(n) for n in (2, 3, 7, 8)]
+        for _ in range(40):
+            n = int(rng.integers(1, 6))
+            terms = tuple(
+                (float(rng.normal()), random_pauli(rng, n, nontrivial=False))
+                for _ in range(int(rng.integers(1, 8)))
+            )
+            hams.append(Hamiltonian(n, terms))
+        for ham in hams:
+            assert np.array_equal(ham.matrix(), kron_hamiltonian(ham))
+
     def test_term_width_validation(self):
         with pytest.raises(ValueError):
             Hamiltonian(2, ((1.0, PauliString(("Z",))),))
@@ -58,6 +90,21 @@ class TestPropagator:
         assert ham.spectrum is ham.spectrum
         assert not ham.spectrum[1].flags.writeable
         assert ham == build_mixed_field_ising(3)
+
+    def test_matrix_is_formed_lazily(self):
+        ham = build_mixed_field_ising(3)
+        u = propagator(ham, 0.9)
+        assert "matrix" not in vars(u)
+        assert u.evecs is ham.spectrum[1]
+        assert u.matrix is u.matrix
+
+    def test_apply_matches_matrix(self):
+        rng = np.random.default_rng(12)
+        u = propagator(random_hermitian(rng, 8), 1.3)
+        x = random_unitary(rng, 8)[:, :3]
+        assert max_abs(u.apply(x) - u.matrix @ x) < 1e-13
+        assert max_abs(u.apply(x, adjoint=True) - u.matrix.conj().T @ x) < 1e-13
+        assert max_abs(u.apply(u.apply(x), adjoint=True) - x) < 1e-13
 
     def test_zero_time(self):
         ham = build_mixed_field_ising(2)
