@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CHECK_TOL, NumericalInvariantError, is_hermitian, is_unitary, tensor
+from .core import CHECK_TOL, NumericalInvariantError, embed, is_hermitian, is_unitary, tensor
 from .observables import PauliString
 
 # A standard nonintegrable point of the mixed-field Ising chain; an
@@ -156,12 +156,25 @@ def propagator(h, t: float) -> Propagator:
     return Propagator(evals, evecs, float(t))
 
 
-def heisenberg(obs, u) -> np.ndarray:
-    """Heisenberg-evolved operator U^dag B U; preserves B^2 = 1."""
-    b = obs.matrix() if isinstance(obs, PauliString) else np.asarray(obs, dtype=np.complex128)
+def heisenberg(obs, u, targets=None) -> np.ndarray:
+    """Heisenberg-evolved operator U^dag B U, with B on ``targets`` of U's
+    register (default: all of it); preserves B^2 = 1.
+
+    A Pauli string forms B U by its signed row gather and B(t) as
+    (B U)^dag U, one product that equals the triple product bit for bit;
+    a raw observable matrix is embedded on ``targets`` first.
+    """
     um = u.matrix if isinstance(u, Propagator) else np.asarray(u, dtype=np.complex128)
-    if b.shape != um.shape:
-        raise ValueError(f"operator shape {b.shape} does not match evolution {um.shape}")
+    dim = um.shape[0]
+    n = dim.bit_length() - 1
+    if um.shape != (dim, dim) or dim != 2**n:
+        raise ValueError(f"evolution shape {um.shape} is not 2^n x 2^n")
+    if targets is None:
+        targets = range(n)
+    if isinstance(obs, PauliString):
+        perm, d = obs.action(n, targets)
+        return (d[:, None] * um[perm]).conj().T @ um
+    b = embed(np.asarray(obs, dtype=np.complex128), n, targets)
     return um.conj().T @ b @ um
 
 

@@ -51,11 +51,14 @@ def _validate_phi(phi: float) -> float:
 
 
 def _raw_observable(obs) -> tuple[np.ndarray, np.ndarray]:
-    """A raw observable matrix and its square, checked Hermitian with
-    A^2 = 1 to 1e-10."""
+    """A raw observable matrix and its square, checked 2^n x 2^n with
+    n >= 1, Hermitian and with A^2 = 1 to 1e-10."""
     m = np.asarray(obs, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("observable must be a square matrix or PauliString")
+    dim = m.shape[0]
+    if dim < 2 or dim & (dim - 1):
+        raise ValueError(f"observable shape {m.shape} is not 2^n x 2^n for n >= 1")
     if not is_hermitian(m):
         raise ValueError("observable is not Hermitian to 1e-10")
     square = m @ m

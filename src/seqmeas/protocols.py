@@ -34,19 +34,14 @@ results.
 The TOC and OTOC protocols run in the Heisenberg frame: the interleaved
 sequence A, U, B, U^dag, A, U, B becomes A, B(t), A, B(t) with B(t) =
 U^dag B U and the same outcome distribution, so their sequences hold only
-measurements.  The input picks the route.  A pure state evolved by a
-Propagator in exact mode travels as vector factors, and B(t) acts on them
-through the spectrum (E, V) of H as V e^{iEt} V^dag B V e^{-iEt} V^dag,
-so neither U nor B(t) is formed.  Every other input (mixed states,
-sampled mode, the clock ancilla, raw evolution matrices) builds the
-matrix B(t) once per call and carries a density matrix.
+measurements.  Both are built by :func:`_heisenberg_protocol`, which
+picks the route from the input.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from math import fsum
 
@@ -61,12 +56,11 @@ from .core import (
     is_unitary,
     tensor,
 )
-from .dynamics import ClockPropagator, Propagator
+from .dynamics import ClockPropagator, Propagator, heisenberg
 from .measurement import (
     INFORMATIVE,
     NONINFORMATIVE,
     MeasurementSpec,
-    _observable_matrix,
     _validate_phi,
     generalized_eigenvalue,
     kraus_coefficients,
@@ -170,18 +164,20 @@ def _kraus_weights(spec: MeasurementSpec):
 class _Measurement:
     """The two Kraus operators K_a = c0 1 + c1 B of one measure step.
 
-    ``weights`` holds the per-outcome weights of X, XB, BX, BXB and
+    ``alphas`` holds the generalized eigenvalues of the two outcomes,
+    ``weights`` the per-outcome weights of X, XB, BX, BXB and
     ``transfer_weights`` their alpha-weighted sum W = sum_a alpha_a w_a,
     the weights of the transfer map.  Subclasses supply B X (``left``),
     X B (``right``) and the four traces Tr X, Tr XB, Tr BX, Tr BXB
     (``trace_terms``).
     """
 
-    def __init__(self, spec: MeasurementSpec, alphas):
+    def __init__(self, spec: MeasurementSpec):
+        self.phi = spec.phi
         self.weights = _kraus_weights(spec)
-        self.alphas = alphas
+        self.alphas = tuple(generalized_eigenvalue(spec.phi, a) for a in (0, 1))
         self.transfer_weights = tuple(
-            sum(a * w[j] for a, w in zip(alphas, self.weights)) for j in range(4)
+            sum(a * w[j] for a, w in zip(self.alphas, self.weights)) for j in range(4)
         )
 
     @staticmethod
@@ -277,8 +273,8 @@ class _PauliMeasurement(_Measurement):
     scalar form (:func:`_check_scalar_completeness`).
     """
 
-    def __init__(self, spec: MeasurementSpec, perm, d, alphas):
-        super().__init__(spec, alphas)
+    def __init__(self, spec: MeasurementSpec, perm, d):
+        super().__init__(spec)
         _check_scalar_completeness(self.weights)
         self.perm, self.d, self.d_conj = perm, d, d.conj()
         self.index = np.arange(len(perm))
@@ -309,8 +305,8 @@ class _DenseMeasurement(_Measurement):
     assuming B^2 = 1.
     """
 
-    def __init__(self, spec: MeasurementSpec, b, b_sq, alphas):
-        super().__init__(spec, alphas)
+    def __init__(self, spec: MeasurementSpec, b, b_sq):
+        super().__init__(spec)
         w0, w1, w2, w3 = (sum(w[k] for w in self.weights) for k in range(4))
         residual = (w1 + w2) * b
         residual += w3 * b_sq
@@ -345,26 +341,17 @@ class _DenseMeasurement(_Measurement):
         return np.trace(x), tr_bx, tr_bx, tr_bbx
 
 
-@dataclass(frozen=True)
-class _HeisenbergStep:
-    """Measure B(t) = U^dag B U, where ``spec`` gives B, the strength and
-    the kind, and ``apply`` maps a dim x k block x to B(t) x (see
-    :func:`_heisenberg_action`).  Built by :func:`toc` and :func:`otoc` for
-    a pure initial state only."""
-
-    spec: MeasurementSpec
-    apply: Callable[[np.ndarray], np.ndarray]
-
-
 class _HeisenbergMeasurement(_Measurement):
-    """B(t) applied to state factors by U's spectrum, O(dim^2 k) per
-    dim x k block; neither U nor B(t) is formed.  It acts on factor pairs
-    only, so it has ``left`` and no ``right`` or ``trace_terms``.  B(t)^2
-    = 1 is checked where ``apply`` is built, so completeness takes the
-    scalar form."""
+    """Measure B(t) = U^dag B U, where ``spec`` gives B, the strength and
+    the kind, and ``apply`` maps a dim x k block x to B(t) x by U's
+    spectrum (see :func:`_heisenberg_action`), O(dim^2 k) per block;
+    neither U nor B(t) is formed.  It acts on factor pairs only, so it has
+    ``left`` and no ``right`` or ``trace_terms``.  B(t)^2 = 1 is checked
+    where ``apply`` is built, so completeness takes the scalar form.
+    Built by :func:`_heisenberg_protocol` for a pure initial state only."""
 
-    def __init__(self, spec: MeasurementSpec, apply, alphas):
-        super().__init__(spec, alphas)
+    def __init__(self, spec: MeasurementSpec, apply):
+        super().__init__(spec)
         _check_scalar_completeness(self.weights)
         self.left = apply
 
@@ -377,8 +364,8 @@ def _resolve_steps(initial: DensityMatrix | PureState, steps):
     square its spec formed when it was checked, embedded on the targets).
     Both yield the unnormalized children K_a X K_a^dag in outcome order or
     the transfer map, and, for the last measurement, only traces.  A
-    :class:`_HeisenbergStep` becomes a :class:`_HeisenbergMeasurement`,
-    which acts on the factors of a pure state only.  An evolution becomes
+    prebuilt :class:`_HeisenbergMeasurement` is taken as it is; it acts on
+    the factors of a pure state only.  An evolution becomes
     ``(u, u_dag)``.  Evolutions after the last measurement are checked and
     dropped, as they preserve every trace.  A sequence without
     measurements is rejected.
@@ -386,7 +373,6 @@ def _resolve_steps(initial: DensityMatrix | PureState, steps):
     n = initial.n_qubits
     dim = 2**n
     resolved = []
-    phis = []
     for step in steps:
         if isinstance(step, MeasureStep):
             spec = step.spec
@@ -398,20 +384,16 @@ def _resolve_steps(initial: DensityMatrix | PureState, steps):
                     f"measurement of a {spec.n_qubits}-qubit observable "
                     f"got {len(targets)} target(s)"
                 )
-            alphas = tuple(generalized_eigenvalue(spec.phi, a) for a in (0, 1))
             if isinstance(spec.observable, PauliString):
                 perm, d = spec.observable.action(n, targets)
-                resolved.append(_PauliMeasurement(spec, perm, d, alphas))
+                resolved.append(_PauliMeasurement(spec, perm, d))
             else:
                 b, b_sq = spec.matrix(), spec._square
                 if step.targets is not None:
                     b, b_sq = embed(b, n, targets), embed(b_sq, n, targets)
-                resolved.append(_DenseMeasurement(spec, b, b_sq, alphas))
-            phis.append(spec.phi)
-        elif isinstance(step, _HeisenbergStep):
-            alphas = tuple(generalized_eigenvalue(step.spec.phi, a) for a in (0, 1))
-            resolved.append(_HeisenbergMeasurement(step.spec, step.apply, alphas))
-            phis.append(step.spec.phi)
+                resolved.append(_DenseMeasurement(spec, b, b_sq))
+        elif isinstance(step, _HeisenbergMeasurement):
+            resolved.append(step)
         elif isinstance(step, EvolveStep):
             if step.unitary.shape != (dim, dim):
                 raise ValueError(
@@ -421,11 +403,12 @@ def _resolve_steps(initial: DensityMatrix | PureState, steps):
             resolved.append((step.unitary, step.unitary.conj().T))
         else:
             raise TypeError(f"unknown sequence step {step!r}")
+    phis = tuple(s.phi for s in resolved if isinstance(s, _Measurement))
     if not phis:
         raise ValueError("sequence contains no measurements")
     while isinstance(resolved[-1], tuple):
         resolved.pop()
-    return resolved, tuple(phis)
+    return resolved, phis
 
 
 def _leaves(resolved, i, state, outcomes, weight):
@@ -445,13 +428,18 @@ def _leaves(resolved, i, state, outcomes, weight):
             )
 
 
-def sequence_distribution(initial: DensityMatrix, steps) -> list[OutcomeRecord]:
+def sequence_distribution(
+    initial: DensityMatrix | PureState, steps
+) -> list[OutcomeRecord]:
     """Enumerate all outcome strings with exact probabilities and weights.
 
     Probabilities follow the sequential Born rule
     P(a_1..a_m) = Tr(K_m ... K_1 rho K_1^dag ... K_m^dag) with unitary
-    steps interleaved; they are checked to sum to 1 within 1e-10.
+    steps interleaved; they are checked to sum to 1 within 1e-10.  A pure
+    state is converted to its density matrix.
     """
+    if isinstance(initial, PureState):
+        initial = initial.density()
     resolved, phis = _resolve_steps(initial, steps)
     m = len(phis)
     if m > MAX_ENUMERATED_MEASUREMENTS:
@@ -540,7 +528,7 @@ def nested_estimate(
     O(m) state updates and without a limit on the number of measurements;
     a pure state travels there as vector factors.  Sampled mode draws
     outcome strings from the enumerated outcome tree
-    (:func:`sample_protocol`), with a pure state converted to its density
+    (:func:`sample_protocol`), which holds a pure state as its density
     matrix.
     """
     if mode == "exact":
@@ -556,8 +544,6 @@ def nested_estimate(
     if mode == "sampled":
         if trials is None or seed is None:
             raise ValueError("sampled mode needs trials and seed")
-        if isinstance(initial, PureState):
-            initial = initial.density()
         return sample_protocol(initial, steps, trials, seed)
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -576,7 +562,7 @@ def trial_uniforms(seed: int, trials: int, draws: int) -> np.ndarray:
 
 
 def sample_protocol(
-    initial: DensityMatrix, steps, trials: int, seed: int
+    initial: DensityMatrix | PureState, steps, trials: int, seed: int
 ) -> CorrelatorEstimate:
     """Monte Carlo estimate: average alpha products over sampled strings.
 
@@ -649,33 +635,6 @@ def _evolution_matrix(evolution, dim: int, label: str) -> np.ndarray:
     return u
 
 
-def _heisenberg_observable(b, u: np.ndarray, n: int, targets) -> np.ndarray:
-    """B(t) = U^dag (B U) with B on ``targets`` of the n-qubit register.
-
-    A Pauli string forms B U by its signed row permutation, so B(t) costs
-    one product; a raw observable matrix is checked and embedded first.
-    """
-    if isinstance(b, PauliString):
-        perm, d = b.action(n, targets)
-        bu = d[:, None] * u[perm]
-    else:
-        targets = range(n) if targets is None else targets
-        bu = embed(_observable_matrix(b), n, targets) @ u
-    return u.conj().T @ bu
-
-
-def _vector_route(initial, evolution, mode: str) -> bool:
-    """The input picks the route: a pure state evolved by a
-    :class:`Propagator` in exact mode travels as vector factors, with B(t)
-    applied through the propagator's spectrum.  Every other input takes
-    the density route."""
-    return (
-        isinstance(initial, PureState)
-        and isinstance(evolution, Propagator)
-        and mode == "exact"
-    )
-
-
 def _heisenberg_action(spec: MeasurementSpec, u: Propagator, initial: PureState):
     """x -> B(t) x = U^dag (B (U x)) for dim x k blocks x, with B the
     observable of ``spec`` on the whole register and U applied by its
@@ -717,19 +676,72 @@ def _heisenberg_action(spec: MeasurementSpec, u: Propagator, initial: PureState)
     return apply
 
 
-def _first_kind(part: str) -> str:
-    if part == "real":
-        return INFORMATIVE
-    if part == "imag":
-        return NONINFORMATIVE
-    raise ValueError(f"part must be 'real' or 'imag', got {part!r}")
+def _heisenberg_protocol(
+    initial, a, b, count, evolution, clock, part, phis, mode, trials, seed
+) -> CorrelatorEstimate:
+    """Measure A, B(t), A, B(t), ... for ``count`` steps (2 for the TOC, 4
+    for the OTOC) in the Heisenberg frame, with B(t) = U^dag B U.  The first
+    A is informative for part='real' and noninformative for part='imag';
+    every later step is informative.
 
-
-def _check_phis(phis, count: int) -> tuple[float, ...]:
+    The input picks the route once.  A pure ``initial`` with a
+    :class:`Propagator` ``evolution`` in exact mode travels as vector
+    factors: every B(t) step applies one checked :func:`_heisenberg_action`
+    through the propagator's spectrum, so neither U nor B(t) is formed.
+    Every other input takes the density route: a pure state is converted to
+    its density matrix, U is checked unitary once (the clock propagator
+    U_c, on the register extended by the time-direction ancilla in |1>,
+    with A and B on the system qubits), and B(t) is built once by
+    :func:`heisenberg` into one checked spec, shared by every B(t) step, so
+    B(t)^2 is formed once.
+    """
     phis = tuple(float(p) for p in phis)
     if len(phis) != count:
         raise ValueError(f"this protocol takes {count} strength angles, got {len(phis)}")
-    return phis
+    if part == "real":
+        kind_first = INFORMATIVE
+    elif part == "imag":
+        kind_first = NONINFORMATIVE
+    else:
+        raise ValueError(f"part must be 'real' or 'imag', got {part!r}")
+
+    if (
+        isinstance(initial, PureState)
+        and isinstance(evolution, Propagator)
+        and mode == "exact"
+    ):
+        register, targets = initial, None
+        spec_b = MeasurementSpec(b, phis[1], INFORMATIVE)
+        apply = _heisenberg_action(spec_b, evolution, initial)
+
+        def b_step(spec):
+            return _HeisenbergMeasurement(spec, apply)
+
+    else:
+        if isinstance(initial, PureState):
+            initial = initial.density()
+        if clock is None:
+            register, targets = initial, None
+            u = _evolution_matrix(evolution, register.dim, "U_t")
+        else:
+            n = initial.n_qubits
+            if clock.n_system != n:
+                raise ValueError(
+                    f"clock propagator is for {clock.n_system} system qubits, "
+                    f"state has {n}"
+                )
+            register = DensityMatrix(n + 1, tensor(initial.matrix, np.diag([0.0, 1.0])))
+            targets = tuple(range(n))
+            u = _evolution_matrix(clock, register.dim, "U_clock")
+        spec_b = MeasurementSpec(heisenberg(b, u, targets), phis[1], INFORMATIVE)
+        b_step = MeasureStep
+
+    b_specs = [spec_b] + [spec_b.with_phi(p) for p in phis[3::2]]
+    steps = []
+    for k, (phi_a, spec) in enumerate(zip(phis[::2], b_specs)):
+        kind = kind_first if k == 0 else INFORMATIVE
+        steps += [MeasureStep(MeasurementSpec(a, phi_a, kind), targets), b_step(spec)]
+    return nested_estimate(register, steps, mode, trials, seed)
 
 
 def toc(
@@ -752,30 +764,11 @@ def toc(
     The sequence runs in the Heisenberg frame: A, then B(t) = U^dag B U.
     Measuring K(B) after U gives the probabilities of measuring K(B(t)) =
     U^dag K(B) U before it, and the trailing U^dag cannot change them.
-    A pure ``initial`` with a :class:`Propagator` in exact mode travels as
-    vector factors and applies B(t) through the propagator's spectrum
-    (:func:`_heisenberg_action`); otherwise B(t) is built once from the
-    evolution U (checked unitary once) and a pure state is converted to
-    its density matrix.
+    :func:`_heisenberg_protocol` builds it and picks the route.
     """
-    phis = _check_phis(phis, 2)
-    kind_first = _first_kind(part)
-    if _vector_route(initial, evolution, mode):
-        spec_b = MeasurementSpec(b, phis[1], INFORMATIVE)
-        steps = [
-            MeasureStep(MeasurementSpec(a, phis[0], kind_first)),
-            _HeisenbergStep(spec_b, _heisenberg_action(spec_b, evolution, initial)),
-        ]
-        return nested_estimate(initial, steps, mode)
-    if isinstance(initial, PureState):
-        initial = initial.density()
-    u = _evolution_matrix(evolution, initial.dim, "U_t")
-    bt = _heisenberg_observable(b, u, initial.n_qubits, None)
-    steps = [
-        MeasureStep(MeasurementSpec(a, phis[0], kind_first)),
-        MeasureStep(MeasurementSpec(bt, phis[1], INFORMATIVE)),
-    ]
-    return nested_estimate(initial, steps, mode, trials, seed)
+    return _heisenberg_protocol(
+        initial, a, b, 2, evolution, None, part, phis, mode, trials, seed
+    )
 
 
 def otoc(
@@ -807,59 +800,14 @@ def otoc(
 
     In both cases the backward step is U^dag, so the sequence runs in the
     Heisenberg frame as A, B(t), A, B(t), with the same outcome
-    distribution.  A pure ``initial`` with a :class:`Propagator` in exact
-    mode travels as vector factors, and both B(t) steps apply one checked
-    :func:`_heisenberg_action`.  Otherwise a pure state is converted to its
-    density matrix and B(t) = U^dag B U is built once per call (U_c^dag B
-    U_c with B on the system qubits for the clock route), with the
-    evolution checked unitary once; both B(t) steps share one checked
-    spec, so B(t)^2 is formed once.
+    distribution.  :func:`_heisenberg_protocol` builds it and picks the
+    route.
     """
     if (evolution is None) == (clock is None):
         raise ValueError("provide exactly one of evolution or clock")
-    phis = _check_phis(phis, 4)
-    kind_first = _first_kind(part)
-
-    if _vector_route(initial, evolution, mode):
-        spec_b = MeasurementSpec(b, phis[1], INFORMATIVE)
-        bt = _heisenberg_action(spec_b, evolution, initial)
-        steps = [
-            MeasureStep(MeasurementSpec(a, phis[0], kind_first)),
-            _HeisenbergStep(spec_b, bt),
-            MeasureStep(MeasurementSpec(a, phis[2], INFORMATIVE)),
-            _HeisenbergStep(spec_b.with_phi(phis[3]), bt),
-        ]
-        return nested_estimate(initial, steps, mode)
-    if isinstance(initial, PureState):
-        initial = initial.density()
-    if clock is None:
-        reg = initial
-        targets = None
-        u = _evolution_matrix(evolution, reg.dim, "U_t")
-    else:
-        n = initial.n_qubits
-        if clock.n_system != n:
-            raise ValueError(
-                f"clock propagator is for {clock.n_system} system qubits, "
-                f"state has {n}"
-            )
-        reg = DensityMatrix(
-            n + 1, tensor(initial.matrix, np.diag([0.0, 1.0]))
-        )
-        targets = tuple(range(n))
-        u = _evolution_matrix(clock, reg.dim, "U_clock")
-    bt = MeasurementSpec(
-        _heisenberg_observable(b, u, reg.n_qubits, targets), phis[1], INFORMATIVE
+    return _heisenberg_protocol(
+        initial, a, b, 4, evolution, clock, part, phis, mode, trials, seed
     )
-
-    steps = [
-        MeasureStep(MeasurementSpec(a, phis[0], kind_first), targets),
-        MeasureStep(bt),
-        MeasureStep(MeasurementSpec(a, phis[2], INFORMATIVE), targets),
-        MeasureStep(bt.with_phi(phis[3])),
-    ]
-    return nested_estimate(reg, steps, mode, trials, seed)
-
 
 def otoc_value(part: str, average: float) -> float:
     """Convert the OTOC protocol average to the correlator part:

@@ -9,6 +9,7 @@ from seqmeas import (
     Hamiltonian,
     PauliString,
     build_mixed_field_ising,
+    embed,
     heisenberg,
     propagator,
     time_reversed_evolution,
@@ -197,6 +198,38 @@ class TestHeisenberg:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             heisenberg(PauliString(("Z",)), np.eye(4))
+
+    def test_sub_register_targets(self):
+        rng = np.random.default_rng(6)
+        u = propagator(build_mixed_field_ising(4), 0.9).matrix
+        for targets in ((2,), (3, 0), (1, 2, 3)):
+            p = random_pauli(rng, len(targets))
+            full = embed(p.matrix(), 4, targets)
+            np.testing.assert_allclose(
+                heisenberg(p, u, targets), u.conj().T @ full @ u, atol=0
+            )
+
+    def test_clock_layout(self):
+        # B on the system qubits of the clock register, ancilla last
+        rng = np.random.default_rng(7)
+        clock = time_reversed_evolution(build_mixed_field_ising(3), 0.6).matrix
+        p = random_pauli(rng, 3)
+        full = embed(p.matrix(), 4, range(3))
+        np.testing.assert_allclose(
+            heisenberg(p, clock, range(3)), clock.conj().T @ full @ clock, atol=0
+        )
+
+    def test_raw_observable(self):
+        rng = np.random.default_rng(8)
+        u = propagator(build_mixed_field_ising(3), 1.2).matrix
+        for targets in (None, (2, 0)):
+            k = 3 if targets is None else len(targets)
+            v = random_unitary(rng, 2**k)
+            b = v.conj().T @ random_pauli(rng, k).matrix() @ v
+            full = embed(b, 3, range(3) if targets is None else targets)
+            np.testing.assert_allclose(
+                heisenberg(b, u, targets), u.conj().T @ full @ u, atol=0
+            )
 
 
 class TestTimeReversal:

@@ -420,3 +420,9 @@ class TestKrausPairType:
     def test_rejects_non_involutory_observable(self):
         with pytest.raises(ValueError, match="identity"):
             MeasurementSpec(np.diag([2.0, 1.0]), 0.5, "informative")
+
+    def test_rejects_dimension_not_a_power_of_two(self):
+        # diag(1, -1, 1) is Hermitian and squares to 1, but is no register
+        for m in (np.diag([1.0, -1.0, 1.0]), np.array([[1.0]])):
+            with pytest.raises(ValueError, match=rf"shape \({len(m)}, {len(m)}\)"):
+                MeasurementSpec(m, 0.5, "informative")

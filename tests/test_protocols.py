@@ -608,6 +608,29 @@ class TestOtoc:
             )
 
 
+class TestHeisenbergOncePerCall:
+    @pytest.mark.parametrize("route", ["toc", "direct", "clock"])
+    def test_builds_b_of_t_once(self, monkeypatch, route):
+        calls = []
+        original = protocols_mod.heisenberg
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(protocols_mod, "heisenberg", counting)
+        ham = build_mixed_field_ising(2)
+        rho = DensityMatrix.maximally_mixed(2)
+        a, b = PauliString(("Z", "I")), PauliString(("I", "X"))
+        if route == "toc":
+            toc(rho, a, b, propagator(ham, 0.7))
+        elif route == "direct":
+            otoc(rho, a, b, propagator(ham, 0.7))
+        else:
+            otoc(rho, a, b, clock=time_reversed_evolution(ham, 0.7))
+        assert len(calls) == 1
+
+
 class TestExperimentHamiltonian:
     @pytest.mark.parametrize("reversal", ["direct-dagger", "clock-ancilla"])
     def test_one_matrix_build_per_experiment(self, monkeypatch, reversal):

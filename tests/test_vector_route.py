@@ -24,6 +24,8 @@ from seqmeas import (
     otoc_value,
     propagator,
     run_experiment,
+    sample_protocol,
+    sequence_distribution,
     time_reversed_evolution,
     toc,
 )
@@ -173,6 +175,28 @@ class TestOtherRoutesUnchanged:
             assert toc(psi, a, b, raw, part, phis[:2]) == toc(
                 psi.density(), a, b, raw, part, phis[:2]
             )
+
+    def test_distribution_and_sampling_take_a_pure_state(self):
+        rng = np.random.default_rng(65)
+        psi = random_pure(rng, 3)
+        v = random_unitary(rng, 4)
+        raw = v.conj().T @ random_pauli(rng, 2).matrix() @ v
+        steps = [
+            MeasureStep(MeasurementSpec(random_pauli(rng, 3), 0.7, "noninformative")),
+            EvolveStep(propagator(build_mixed_field_ising(3), 0.4).matrix),
+            MeasureStep(MeasurementSpec(raw, 1.1, "informative"), (2, 0)),
+            MeasureStep(MeasurementSpec(random_pauli(rng, 1), 0.9, "informative"), (1,)),
+        ]
+        assert sequence_distribution(psi, steps) == sequence_distribution(
+            psi.density(), steps
+        )
+        assert sample_protocol(psi, steps, 400, 3) == sample_protocol(
+            psi.density(), steps, 400, 3
+        )
+        kw = dict(mode="sampled", trials=400, seed=3)
+        assert nested_estimate(psi, steps, **kw) == nested_estimate(
+            psi.density(), steps, **kw
+        )
 
 
 class TestChecks:
