@@ -158,13 +158,18 @@ def propagator(h, t: float) -> Propagator:
 
 def heisenberg(obs, u, targets=None) -> np.ndarray:
     """Heisenberg-evolved operator U^dag B U, with B on ``targets`` of U's
-    register (default: all of it); preserves B^2 = 1.
+    register (default: all of it); preserves B^2 = 1.  ``u`` is a matrix,
+    a :class:`Propagator` or a :class:`ClockPropagator` (whose register
+    holds the ancilla too).
 
     A Pauli string forms B U by its signed row gather and B(t) as
     (B U)^dag U, one product that equals the triple product bit for bit;
     a raw observable matrix is embedded on ``targets`` first.
     """
-    um = u.matrix if isinstance(u, Propagator) else np.asarray(u, dtype=np.complex128)
+    if isinstance(u, (Propagator, ClockPropagator)):
+        um = u.matrix
+    else:
+        um = np.asarray(u, dtype=np.complex128)
     dim = um.shape[0]
     n = dim.bit_length() - 1
     if um.shape != (dim, dim) or dim != 2**n:
@@ -184,11 +189,40 @@ class ClockPropagator:
 
     With the ancilla in |1> the system evolves forward (Z|1> = +|1>), with
     the ancilla in |0> it evolves backward.
+
+    The matrix must be 2^(n_system+1) x 2^(n_system+1), block diagonal in
+    the ancilla, with its |0> sector the adjoint of its |1> sector, each
+    to 1e-10; otherwise ``ValueError`` is raised.  That structure makes
+    X_anc U_c X_anc = U_c^dag, so a sequence that starts with the ancilla
+    in |1> and reverses time by flipping the ancilla around U_c stays in
+    the |1> sector and sees only ``forward`` and its adjoint.
     """
 
     matrix: np.ndarray
     duration: float
     n_system: int
+
+    def __post_init__(self):
+        m = np.asarray(self.matrix)
+        dim = 2**self.n_system
+        if m.shape != (2 * dim, 2 * dim):
+            raise ValueError(
+                f"clock propagator for {self.n_system} system qubits has shape "
+                f"{m.shape}, expected {(2 * dim, 2 * dim)}"
+            )
+        view = m.reshape(dim, 2, dim, 2)
+        off = max(np.max(np.abs(view[:, 0, :, 1])), np.max(np.abs(view[:, 1, :, 0])))
+        if not off <= CHECK_TOL:
+            raise ValueError(
+                f"clock propagator is not block diagonal in the ancilla "
+                f"(off-diagonal block {off:.3e})"
+            )
+        dev = np.max(np.abs(view[:, 0, :, 0] - view[:, 1, :, 1].conj().T))
+        if not dev <= CHECK_TOL:
+            raise ValueError(
+                f"clock propagator's backward sector is not the adjoint of its "
+                f"forward sector (deviation {dev:.3e})"
+            )
 
     def sector(self, ancilla_bit: int) -> np.ndarray:
         """System propagator conditioned on the ancilla computational state."""
@@ -213,7 +247,9 @@ def time_reversed_evolution(h, t: float) -> ClockPropagator:
     The returned pair of sector propagators equals exp(-+ i t H): ancilla
     |1> runs time forward, ancilla |0> runs it backward.  Since
     Z = diag(-1, +1) is diagonal, exp(-i t H (x) Z) is block diagonal in
-    the ancilla and is assembled from the system propagator.
+    the ancilla and is assembled from the system propagator U and its
+    conjugate transpose, so the backward sector is the adjoint of the
+    forward one exactly and the forward sector is U bit for bit.
     """
     u = propagator(h, t).matrix
     n_system = int(round(np.log2(u.shape[0])))

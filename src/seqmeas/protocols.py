@@ -7,15 +7,20 @@ rows and columns (O(dim^2), no dense Kraus matrix); for a raw observable
 matrix B they cost a product each.  A term whose weight is exactly zero
 is not formed.
 
+The engine sees measurements only.  An evolution is a change of the
+measured operator: a measurement of B after the evolutions V = u_k ... u_1
+has the outcome distribution and the later effect of measuring V^dag B V
+before them, so each evolution folds into every later measurement through
+:func:`heisenberg` and trailing evolutions are dropped.
+
 Exact mode is the verification reference.  By linearity, the weighted
 average over outcome strings is Tr(E_m ... E_1(rho)) with the transfer
 map E_k(X) = sum_a alpha_a K_a X K_a^dag, whose weights are
 W = sum_a alpha_a w_a.  The engine carries one matrix through the
-sequence, one four-term update per measurement and X -> u X u^dag per
-evolution, and the last measurement contributes one weighted trace.  The
-+-1/sin(phi) outcome weights cancel in the four scalars W, so the value
-keeps full precision at every strength and does not depend on the
-strength angles.  A pure initial state psi travels as a factor pair
+sequence, one four-term update per measurement, and the last measurement
+contributes one weighted trace.  The +-1/sin(phi) outcome weights cancel
+in the four scalars W, so the value keeps full precision at every
+strength and does not depend on the strength angles.  A pure initial state psi travels as a factor pair
 X = L R^dag of dim x k blocks, starting from (psi, psi): B is Hermitian,
 so each term is again a factor pair (X B = L (B R)^dag), a measurement
 concatenates the pairs of its nonzero-weight terms, and the value is a
@@ -35,7 +40,8 @@ The TOC and OTOC protocols run in the Heisenberg frame: the interleaved
 sequence A, U, B, U^dag, A, U, B becomes A, B(t), A, B(t) with B(t) =
 U^dag B U and the same outcome distribution, so their sequences hold only
 measurements.  Both are built by :func:`_heisenberg_protocol`, which
-picks the route from the input.
+picks the route from the input.  The clock-ancilla OTOC runs there too,
+on the system register with the ancilla's forward sector as U.
 """
 
 from __future__ import annotations
@@ -54,7 +60,6 @@ from .core import (
     PureState,
     embed,
     is_unitary,
-    tensor,
 )
 from .dynamics import ClockPropagator, Propagator, heisenberg
 from .measurement import (
@@ -357,22 +362,25 @@ class _HeisenbergMeasurement(_Measurement):
 
 
 def _resolve_steps(initial: DensityMatrix | PureState, steps):
-    """Resolve every step to its action on the register state.
+    """Resolve the sequence to the measurements that act on the register.
 
     A measurement becomes a :class:`_PauliMeasurement` or, for a raw
     observable matrix, a :class:`_DenseMeasurement` (the matrix and the
     square its spec formed when it was checked, embedded on the targets).
-    Both yield the unnormalized children K_a X K_a^dag in outcome order or
-    the transfer map, and, for the last measurement, only traces.  A
-    prebuilt :class:`_HeisenbergMeasurement` is taken as it is; it acts on
-    the factors of a pure state only.  An evolution becomes
-    ``(u, u_dag)``.  Evolutions after the last measurement are checked and
-    dropped, as they preserve every trace.  A sequence without
-    measurements is rejected.
+    After an evolution it measures B(t) = V^dag B V instead, with V the
+    product of the evolutions so far: :func:`heisenberg` builds B(t) into a
+    new spec, which checks it, for a :class:`_DenseMeasurement`.  Both
+    yield the unnormalized children K_a X K_a^dag in outcome order or the
+    transfer map, and, for the last measurement, only traces.  A prebuilt
+    :class:`_HeisenbergMeasurement` is taken as it is; it acts on the
+    factors of a pure state only.  Evolutions after the last measurement
+    are shape-checked and dropped, as they preserve every trace.  A
+    sequence without measurements is rejected.
     """
     n = initial.n_qubits
     dim = 2**n
     resolved = []
+    v = None
     for step in steps:
         if isinstance(step, MeasureStep):
             spec = step.spec
@@ -384,7 +392,12 @@ def _resolve_steps(initial: DensityMatrix | PureState, steps):
                     f"measurement of a {spec.n_qubits}-qubit observable "
                     f"got {len(targets)} target(s)"
                 )
-            if isinstance(spec.observable, PauliString):
+            if v is not None:
+                spec = MeasurementSpec(
+                    heisenberg(spec.observable, v, targets), spec.phi, spec.kind
+                )
+                resolved.append(_DenseMeasurement(spec, spec.observable, spec._square))
+            elif isinstance(spec.observable, PauliString):
                 perm, d = spec.observable.action(n, targets)
                 resolved.append(_PauliMeasurement(spec, perm, d))
             else:
@@ -400,25 +413,19 @@ def _resolve_steps(initial: DensityMatrix | PureState, steps):
                     f"evolution step {step.label!r} has shape "
                     f"{step.unitary.shape}, expected {(dim, dim)}"
                 )
-            resolved.append((step.unitary, step.unitary.conj().T))
+            v = step.unitary if v is None else step.unitary @ v
         else:
             raise TypeError(f"unknown sequence step {step!r}")
-    phis = tuple(s.phi for s in resolved if isinstance(s, _Measurement))
-    if not phis:
+    if not resolved:
         raise ValueError("sequence contains no measurements")
-    while isinstance(resolved[-1], tuple):
-        resolved.pop()
-    return resolved, phis
+    return resolved, tuple(s.phi for s in resolved)
 
 
 def _leaves(resolved, i, state, outcomes, weight):
     """Yield ``(outcomes, weight, trace)`` for every leaf below ``state``,
     depth first in outcome order; step ``i`` acts on ``state`` next."""
     step = resolved[i]
-    if isinstance(step, tuple):
-        u, u_dag = step
-        yield from _leaves(resolved, i + 1, u @ state @ u_dag, outcomes, weight)
-    elif i == len(resolved) - 1:
+    if i == len(resolved) - 1:
         for a, prob in enumerate(step.traces(state)):
             yield outcomes + (a,), weight * step.alphas[a], prob
     else:
@@ -435,8 +442,9 @@ def sequence_distribution(
 
     Probabilities follow the sequential Born rule
     P(a_1..a_m) = Tr(K_m ... K_1 rho K_1^dag ... K_m^dag) with unitary
-    steps interleaved; they are checked to sum to 1 within 1e-10.  A pure
-    state is converted to its density matrix.
+    steps interleaved (folded into the measurements by
+    :func:`_resolve_steps`); they are checked to sum to 1 within 1e-10.  A
+    pure state is converted to its density matrix.
     """
     if isinstance(initial, PureState):
         initial = initial.density()
@@ -465,13 +473,13 @@ def _transfer_value(initial: DensityMatrix | PureState, steps):
     """The exact weighted average Tr(E_m ... E_1(rho)), and the strength
     angles.
 
-    One state is carried through the sequence: each measurement but the
-    last applies its transfer map E(X) = sum_a alpha_a K_a X K_a^dag, each
-    evolution maps X to u X u^dag, and the last measurement gives Tr E(X).
-    A density matrix travels as the matrix X.  A pure state psi travels as
-    the factor pair X = L R^dag, starting from (psi, psi): a measurement
-    concatenates the factors of its nonzero-weight terms and an evolution
-    maps (L, R) to (u L, u R), so no dim x dim state is formed.
+    One state is carried through the measurements that
+    :func:`_resolve_steps` leaves (evolutions are folded into them): each
+    but the last applies its transfer map E(X) = sum_a alpha_a K_a X K_a^dag,
+    and the last gives Tr E(X).  A density matrix travels as the matrix X.
+    A pure state psi travels as the factor pair X = L R^dag, starting from
+    (psi, psi): a measurement concatenates the factors of its nonzero-weight
+    terms, so no dim x dim state is formed.
     Every E preserves Hermiticity and the value is a nested bracket of
     involutions, so it must be finite and real to 1e-10 with magnitude at
     most 1 + 1e-10; otherwise :class:`NumericalInvariantError` is raised.
@@ -482,20 +490,12 @@ def _transfer_value(initial: DensityMatrix | PureState, steps):
         psi = initial.amplitudes[:, None]
         pair = (psi, psi)
         for step in inner:
-            if isinstance(step, tuple):
-                u = step[0]
-                pair = (u @ pair[0], u @ pair[1])
-            else:
-                pair = step.transfer_factors(pair)
+            pair = step.transfer_factors(pair)
         value = complex(last.factor_trace(pair))
     else:
         state = initial.matrix
         for step in inner:
-            if isinstance(step, tuple):
-                u, u_dag = step
-                state = u @ state @ u_dag
-            else:
-                state = step.transfer(state)
+            state = step.transfer(state)
         value = complex(last.transfer_trace(state))
     if not (
         math.isfinite(value.real)
@@ -620,18 +620,18 @@ def sample_protocol(
 # Two-point and four-point correlator protocols.
 
 
-def _evolution_matrix(evolution, dim: int, label: str) -> np.ndarray:
+def _evolution_matrix(evolution, dim: int) -> np.ndarray:
     """The evolution's matrix, checked once for shape and unitarity."""
-    if isinstance(evolution, (Propagator, ClockPropagator)):
+    if isinstance(evolution, Propagator):
         u = evolution.matrix
     else:
         u = np.asarray(evolution, dtype=np.complex128)
     if u.shape != (dim, dim):
         raise ValueError(
-            f"evolution {label!r} has shape {u.shape}, expected {(dim, dim)}"
+            f"evolution 'U_t' has shape {u.shape}, expected {(dim, dim)}"
         )
     if not is_unitary(u, CHECK_TOL):
-        raise ValueError(f"evolution {label!r} is not unitary to 1e-10")
+        raise ValueError("evolution 'U_t' is not unitary to 1e-10")
     return u
 
 
@@ -677,7 +677,7 @@ def _heisenberg_action(spec: MeasurementSpec, u: Propagator, initial: PureState)
 
 
 def _heisenberg_protocol(
-    initial, a, b, count, evolution, clock, part, phis, mode, trials, seed
+    initial, a, b, count, evolution, part, phis, mode, trials, seed
 ) -> CorrelatorEstimate:
     """Measure A, B(t), A, B(t), ... for ``count`` steps (2 for the TOC, 4
     for the OTOC) in the Heisenberg frame, with B(t) = U^dag B U.  The first
@@ -689,11 +689,9 @@ def _heisenberg_protocol(
     factors: every B(t) step applies one checked :func:`_heisenberg_action`
     through the propagator's spectrum, so neither U nor B(t) is formed.
     Every other input takes the density route: a pure state is converted to
-    its density matrix, U is checked unitary once (the clock propagator
-    U_c, on the register extended by the time-direction ancilla in |1>,
-    with A and B on the system qubits), and B(t) is built once by
-    :func:`heisenberg` into one checked spec, shared by every B(t) step, so
-    B(t)^2 is formed once.
+    its density matrix, U is checked unitary once, and B(t) is built once
+    by :func:`heisenberg` into one checked spec, shared by every B(t) step,
+    so B(t)^2 is formed once.
     """
     phis = tuple(float(p) for p in phis)
     if len(phis) != count:
@@ -710,7 +708,6 @@ def _heisenberg_protocol(
         and isinstance(evolution, Propagator)
         and mode == "exact"
     ):
-        register, targets = initial, None
         spec_b = MeasurementSpec(b, phis[1], INFORMATIVE)
         apply = _heisenberg_action(spec_b, evolution, initial)
 
@@ -720,28 +717,16 @@ def _heisenberg_protocol(
     else:
         if isinstance(initial, PureState):
             initial = initial.density()
-        if clock is None:
-            register, targets = initial, None
-            u = _evolution_matrix(evolution, register.dim, "U_t")
-        else:
-            n = initial.n_qubits
-            if clock.n_system != n:
-                raise ValueError(
-                    f"clock propagator is for {clock.n_system} system qubits, "
-                    f"state has {n}"
-                )
-            register = DensityMatrix(n + 1, tensor(initial.matrix, np.diag([0.0, 1.0])))
-            targets = tuple(range(n))
-            u = _evolution_matrix(clock, register.dim, "U_clock")
-        spec_b = MeasurementSpec(heisenberg(b, u, targets), phis[1], INFORMATIVE)
+        u = _evolution_matrix(evolution, initial.dim)
+        spec_b = MeasurementSpec(heisenberg(b, u), phis[1], INFORMATIVE)
         b_step = MeasureStep
 
     b_specs = [spec_b] + [spec_b.with_phi(p) for p in phis[3::2]]
     steps = []
     for k, (phi_a, spec) in enumerate(zip(phis[::2], b_specs)):
         kind = kind_first if k == 0 else INFORMATIVE
-        steps += [MeasureStep(MeasurementSpec(a, phi_a, kind), targets), b_step(spec)]
-    return nested_estimate(register, steps, mode, trials, seed)
+        steps += [MeasureStep(MeasurementSpec(a, phi_a, kind)), b_step(spec)]
+    return nested_estimate(initial, steps, mode, trials, seed)
 
 
 def toc(
@@ -767,7 +752,7 @@ def toc(
     :func:`_heisenberg_protocol` builds it and picks the route.
     """
     return _heisenberg_protocol(
-        initial, a, b, 2, evolution, None, part, phis, mode, trials, seed
+        initial, a, b, 2, evolution, part, phis, mode, trials, seed
     )
 
 
@@ -794,9 +779,13 @@ def otoc(
     The single backward evolution is realized either directly
     (``evolution`` given: conjugate-transpose propagator) or with a
     time-reversal ancilla (``clock`` given: the register is extended by
-    one qubit whose computational state selects the time direction, and
-    the backward step flips the ancilla around the clock propagator U_c,
-    which equals U_c^dag for exp(-i t H (x) Z)).
+    one qubit in |1> whose computational state selects the time direction,
+    and the backward step flips the ancilla around the clock propagator
+    U_c).  :class:`ClockPropagator` checks that U_c is block diagonal in
+    the ancilla with its |0> sector the adjoint of its |1> sector, so
+    X_anc U_c X_anc = U_c^dag and the state never leaves the ancilla-|1>
+    sector: the clock sequence is the direct one with U = ``clock.forward``
+    on the system register, and runs as such.
 
     In both cases the backward step is U^dag, so the sequence runs in the
     Heisenberg frame as A, B(t), A, B(t), with the same outcome
@@ -805,8 +794,10 @@ def otoc(
     """
     if (evolution is None) == (clock is None):
         raise ValueError("provide exactly one of evolution or clock")
+    if clock is not None:
+        evolution = clock.forward
     return _heisenberg_protocol(
-        initial, a, b, 4, evolution, clock, part, phis, mode, trials, seed
+        initial, a, b, 4, evolution, part, phis, mode, trials, seed
     )
 
 def otoc_value(part: str, average: float) -> float:

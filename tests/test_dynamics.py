@@ -6,6 +6,7 @@ from helpers import max_abs, random_density, random_hermitian, random_pauli, ran
 from scipy.linalg import expm
 
 from seqmeas import (
+    ClockPropagator,
     Hamiltonian,
     PauliString,
     build_mixed_field_ising,
@@ -219,6 +220,15 @@ class TestHeisenberg:
             heisenberg(p, clock, range(3)), clock.conj().T @ full @ clock, atol=0
         )
 
+    def test_takes_clock_propagator(self):
+        rng = np.random.default_rng(9)
+        for n in (1, 2, 3):
+            clk = time_reversed_evolution(random_hermitian(rng, 2**n), 0.8)
+            b = random_pauli(rng, n)
+            np.testing.assert_allclose(
+                heisenberg(b, clk, range(n)), heisenberg(b, clk.matrix, range(n)), atol=0
+            )
+
     def test_raw_observable(self):
         rng = np.random.default_rng(8)
         u = propagator(build_mixed_field_ising(3), 1.2).matrix
@@ -265,3 +275,35 @@ class TestTimeReversal:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             time_reversed_evolution(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
+
+    def test_output_sectors_are_exact_adjoints(self):
+        clk = time_reversed_evolution(random_hermitian(np.random.default_rng(8), 8), 1.3)
+        np.testing.assert_array_equal(clk.backward, clk.forward.conj().T)
+        view = clk.matrix.reshape(8, 2, 8, 2)
+        assert not view[:, 0, :, 1].any() and not view[:, 1, :, 0].any()
+
+
+class TestClockPropagatorValidation:
+    def _clock(self, seed=9):
+        return time_reversed_evolution(random_hermitian(np.random.default_rng(seed), 4), 0.7)
+
+    def test_rejects_wrong_shape(self):
+        clk = self._clock()
+        with pytest.raises(ValueError, match="shape"):
+            ClockPropagator(clk.matrix, 0.7, 3)
+        with pytest.raises(ValueError, match="shape"):
+            ClockPropagator(clk.matrix[:4, :4], 0.7, 2)
+
+    def test_rejects_off_diagonal_ancilla_block(self):
+        for ancilla_row, ancilla_col in ((0, 1), (1, 0)):
+            m = self._clock().matrix.copy()
+            m.reshape(4, 2, 4, 2)[2, ancilla_row, 1, ancilla_col] = 1e-9
+            with pytest.raises(ValueError, match="block diagonal"):
+                ClockPropagator(m, 0.7, 2)
+
+    def test_rejects_backward_sector_that_is_not_the_adjoint(self):
+        m = self._clock().matrix.copy()
+        # the |0> sector runs time forward too
+        m.reshape(4, 2, 4, 2)[:, 0, :, 0] = m.reshape(4, 2, 4, 2)[:, 1, :, 1]
+        with pytest.raises(ValueError, match="adjoint"):
+            ClockPropagator(m, 0.7, 2)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import random_density, random_pauli, random_unitary
+from helpers import random_density, random_hermitian, random_pauli, random_unitary
 
 import seqmeas.measurement as measurement_mod
 import seqmeas.protocols as protocols_mod
@@ -17,6 +17,7 @@ from seqmeas import (
     MeasurementSpec,
     NumericalInvariantError,
     PauliString,
+    PureState,
     build_mixed_field_ising,
     config_from_dict,
     embed,
@@ -36,6 +37,7 @@ from seqmeas import (
     toc,
 )
 from seqmeas.observables import basis_ket
+from seqmeas.verify import _ancilla_flip_otoc
 
 PI = math.pi
 
@@ -532,6 +534,45 @@ class TestOtoc:
                     rho, pa, pb, clock=time_reversed_evolution(ham, t), part=part, phis=phis
                 )
                 assert clocked.value == pytest.approx(direct.value, abs=1e-9)
+
+    def test_clock_matches_ancilla_flip_sequence(self):
+        # the clock OTOC on the system register against A, U_c, B,
+        # X_anc U_c X_anc, A, U_c, B on the register extended by the
+        # ancilla in |1>
+        rng = np.random.default_rng(13)
+        ket1 = np.array([0.0, 1.0])
+        for n in (1, 2, 3):
+            h = random_hermitian(rng, 2**n)
+            clk = time_reversed_evolution(h, float(rng.uniform(0, 2)))
+            pa, pb = random_pauli(rng, n), random_pauli(rng, n)
+            phis = [float(rng.uniform(0.15, PI / 2)) for _ in range(4)]
+            rho = random_density(rng, n)
+            v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            psi = PureState(n, v / np.linalg.norm(v))
+            states = (
+                (rho, DensityMatrix(n + 1, np.kron(rho.matrix, np.outer(ket1, ket1)))),
+                (psi, PureState(n + 1, np.kron(psi.amplitudes, ket1))),
+            )
+            for initial, register in states:
+                for part in ("real", "imag"):
+                    clocked = otoc(initial, pa, pb, clock=clk, part=part, phis=phis)
+                    flipped = _ancilla_flip_otoc(register, pa, pb, clk, part, phis)
+                    assert abs(clocked.value - flipped) <= 1e-12
+
+    def test_clock_runs_on_the_system_register(self, monkeypatch):
+        shapes = []
+        original = protocols_mod.heisenberg
+
+        def recording(obs, u, *args):
+            shapes.append(np.shape(u))
+            return original(obs, u, *args)
+
+        monkeypatch.setattr(protocols_mod, "heisenberg", recording)
+        ham = build_mixed_field_ising(3)
+        rho = DensityMatrix.maximally_mixed(3)
+        a, b = PauliString(("Z", "I", "I")), PauliString(("I", "I", "X"))
+        otoc(rho, a, b, clock=time_reversed_evolution(ham, 0.7))
+        assert shapes == [(8, 8)]
 
     def test_conserved_b_freezes_otoc(self):
         # g = 0 makes every Z_i commute with H, so F(t) = F(0)
