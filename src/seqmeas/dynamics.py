@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CHECK_TOL, NumericalInvariantError, embed, is_hermitian, is_unitary, tensor
+from .core import CHECK_TOL, NumericalInvariantError, embed, is_hermitian, is_unitary
 from .observables import PauliString
 
 # A standard nonintegrable point of the mixed-field Ising chain; an
@@ -247,11 +247,15 @@ def time_reversed_evolution(h, t: float) -> ClockPropagator:
     The returned pair of sector propagators equals exp(-+ i t H): ancilla
     |1> runs time forward, ancilla |0> runs it backward.  Since
     Z = diag(-1, +1) is diagonal, exp(-i t H (x) Z) is block diagonal in
-    the ancilla and is assembled from the system propagator U and its
-    conjugate transpose, so the backward sector is the adjoint of the
-    forward one exactly and the forward sector is U bit for bit.
+    the ancilla: the system propagator U and its conjugate transpose are
+    written into the ancilla blocks of a zero matrix, so the backward
+    sector is the adjoint of the forward one exactly and the forward sector
+    is U bit for bit.
     """
     u = propagator(h, t).matrix
-    n_system = int(round(np.log2(u.shape[0])))
-    u_ext = tensor(u.conj().T, np.diag([1.0, 0.0])) + tensor(u, np.diag([0.0, 1.0]))
-    return ClockPropagator(u_ext, float(t), n_system)
+    dim = u.shape[0]
+    n_system = int(round(np.log2(dim)))
+    u_ext = np.zeros((dim, 2, dim, 2), dtype=np.complex128)
+    u_ext[:, 0, :, 0] = u.conj().T
+    u_ext[:, 1, :, 1] = u
+    return ClockPropagator(u_ext.reshape(2 * dim, 2 * dim), float(t), n_system)

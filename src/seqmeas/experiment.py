@@ -20,10 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import PARTS, ExperimentConfig
 from .core import DensityMatrix
 from .dynamics import propagator, time_reversed_evolution
-from .protocols import otoc, otoc_value, toc
+from .protocols import _heisenberg_protocol, otoc_value
+# Unused here; perfbench/spans.py traces toc and otoc by these names.
+from .protocols import otoc, toc  # noqa: F401
 
 CSV_HEADER = "t,re_value,im_value,re_stderr,im_stderr,rms_bound,mode,trials,seed"
 
@@ -85,32 +87,35 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     ham = cfg.hamiltonian_obj()
     sampled = cfg.mode == "sampled"
     scale = 1.0 if cfg.protocol == "toc" else 2.0
+    count = 2 if cfg.protocol == "toc" else 4
+    parts = tuple(p for p in PARTS if p in cfg.parts)
 
     rows = []
     for time_index, t in enumerate(cfg.times):
+        if cfg.protocol == "otoc" and cfg.reversal == "clock-ancilla":
+            # The clock OTOC runs on the ancilla's forward sector (see otoc).
+            evolution = time_reversed_evolution(ham, t).forward
+        else:
+            evolution = propagator(ham, t)
+        seeds = None
+        if sampled:
+            seeds = tuple(_row_seed(cfg.seed, time_index, PARTS.index(p)) for p in parts)
+        estimates = _heisenberg_protocol(
+            initial,
+            a,
+            b,
+            count,
+            evolution,
+            parts,
+            cfg.phis,
+            cfg.mode,
+            cfg.trials if sampled else None,
+            seeds,
+        )
         values = {"real": None, "imag": None}
         errors = {"real": None, "imag": None}
-        if cfg.protocol == "otoc" and cfg.reversal == "clock-ancilla":
-            evolution = {"clock": time_reversed_evolution(ham, t)}
-        else:
-            evolution = {"evolution": propagator(ham, t)}
-
-        for part_index, part in enumerate(("real", "imag")):
-            if part not in cfg.parts:
-                continue
-            kwargs = dict(
-                part=part,
-                phis=cfg.phis,
-                mode=cfg.mode,
-                trials=cfg.trials if sampled else None,
-                seed=_row_seed(cfg.seed, time_index, part_index) if sampled else None,
-            )
-            if cfg.protocol == "toc":
-                est = toc(initial, a, b, evolution["evolution"], **kwargs)
-                values[part] = est.value
-            else:
-                est = otoc(initial, a, b, **evolution, **kwargs)
-                values[part] = otoc_value(part, est.value)
+        for part, est in zip(parts, estimates):
+            values[part] = otoc_value(part, est.value) if count == 4 else est.value
             errors[part] = scale * est.empirical_stderr
 
         rows.append(

@@ -16,15 +16,18 @@ before them, so each evolution folds into every later measurement through
 Exact mode is the verification reference.  By linearity, the weighted
 average over outcome strings is Tr(E_m ... E_1(rho)) with the transfer
 map E_k(X) = sum_a alpha_a K_a X K_a^dag, whose weights are
-W = sum_a alpha_a w_a.  The engine carries one matrix through the
-sequence, one four-term update per measurement, and the last measurement
-contributes one weighted trace.  The +-1/sin(phi) outcome weights cancel
-in the four scalars W, so the value keeps full precision at every
-strength and does not depend on the strength angles.  A pure initial state psi travels as a factor pair
-X = L R^dag of dim x k blocks, starting from (psi, psi): B is Hermitian,
-so each term is again a factor pair (X B = L (B R)^dag), a measurement
-concatenates the pairs of its nonzero-weight terms, and the value is a
-sum of W-weighted vdot traces.  No dim x dim state is formed.
+W = sum_a alpha_a w_a.  A density matrix is evaluated from the back: the
+effect Z = E_2^dag ... E_m^dag(1) is carried one four-term update per
+measurement (E^dag is E with the XB and BX weights swapped; the last one
+is formed from B and B^2 alone), and the value is Tr(E_1(rho) Z).
+Sequences that differ only in their first measurement share Z.  The
++-1/sin(phi) outcome weights cancel in the four scalars W, so the value
+keeps full precision at every strength and does not depend on the
+strength angles.  A pure initial state psi travels forward as a factor
+pair X = L R^dag of dim x k blocks, starting from (psi, psi): B is
+Hermitian, so each term is again a factor pair (X B = L (B R)^dag), a
+measurement concatenates the pairs of its nonzero-weight terms, and the
+value is a sum of W-weighted vdot traces.  No dim x dim state is formed.
 
 Sampled mode models the experiment.  It walks the full outcome tree,
 recording each outcome string with its sequential-Born probability and
@@ -41,7 +44,11 @@ sequence A, U, B, U^dag, A, U, B becomes A, B(t), A, B(t) with B(t) =
 U^dag B U and the same outcome distribution, so their sequences hold only
 measurements.  Both are built by :func:`_heisenberg_protocol`, which
 picks the route from the input.  The clock-ancilla OTOC runs there too,
-on the system register with the ancilla's forward sector as U.
+on the system register with the ancilla's forward sector as U.  The real
+and imaginary parts differ only in the first measurement of A, so the
+builder takes the requested parts together: U, B(t), the measurements
+after the first and A's signed permutation are built and checked once
+for all of them, and exact density values share one effect Z.
 """
 
 from __future__ import annotations
@@ -172,9 +179,10 @@ class _Measurement:
     ``alphas`` holds the generalized eigenvalues of the two outcomes,
     ``weights`` the per-outcome weights of X, XB, BX, BXB and
     ``transfer_weights`` their alpha-weighted sum W = sum_a alpha_a w_a,
-    the weights of the transfer map.  Subclasses supply B X (``left``),
-    X B (``right``) and the four traces Tr X, Tr XB, Tr BX, Tr BXB
-    (``trace_terms``).
+    the weights of the transfer map, and ``adjoint_weights`` those of its
+    adjoint.  Subclasses supply B X (``left``), X B (``right``), the four
+    traces Tr X, Tr XB, Tr BX, Tr BXB (``trace_terms``) and the matrices B
+    and B^2 (``dense``).
     """
 
     def __init__(self, spec: MeasurementSpec):
@@ -184,6 +192,10 @@ class _Measurement:
         self.transfer_weights = tuple(
             sum(a * w[j] for a, w in zip(self.alphas, self.weights)) for j in range(4)
         )
+        # Tr(E(X) Z) = Tr(X E^dag(Z)) with E^dag(Z) = W0 Z + W1 BZ + W2 ZB
+        # + W3 BZB: the four terms of Z with the XB and BX weights swapped.
+        w0, w1, w2, w3 = self.transfer_weights
+        self.adjoint_weights = (w0, w2, w1, w3)
 
     @staticmethod
     def _combine(terms, w):
@@ -226,9 +238,17 @@ class _Measurement:
         w = self.transfer_weights
         return self._combine(self._terms(state, (w,)), w)
 
-    def transfer_trace(self, state):
-        """Tr E(X), without forming E(X)."""
-        return self._combine(self.trace_terms(state), self.transfer_weights)
+    def adjoint_transfer(self, z):
+        """E^dag(Z), the map with Tr(E(X) Z) = Tr(X E^dag(Z))."""
+        w = self.adjoint_weights
+        return self._combine(self._terms(z, (w,)), w)
+
+    def effect(self):
+        """E^dag(1) = W0 1 + (W1 + W2) B + W3 B^2, formed from B and B^2
+        (``dense``) without a product."""
+        b, b_sq = self.dense()
+        eye = np.identity(len(b), dtype=np.complex128)
+        return self._combine((eye, b, b, b_sq), self.adjoint_weights)
 
     # A pure initial state travels as a factor pair (L, R), dim x k blocks
     # with X = L R^dag.  B is Hermitian, so the four terms are factor pairs
@@ -284,6 +304,12 @@ class _PauliMeasurement(_Measurement):
         self.perm, self.d, self.d_conj = perm, d, d.conj()
         self.index = np.arange(len(perm))
 
+    def dense(self):
+        """P as a matrix, and P^2 = 1."""
+        p = np.zeros((len(self.perm),) * 2, dtype=np.complex128)
+        p[self.index, self.perm] = self.d
+        return p, np.identity(len(p), dtype=np.complex128)
+
     def left(self, x):
         return self.d[:, None] * x[self.perm]
 
@@ -332,6 +358,9 @@ class _DenseMeasurement(_Measurement):
         BLAS dot product."""
         return self.b.T.ravel(), self.b_sq.T.ravel()
 
+    def dense(self):
+        return self.b, self.b_sq
+
     def left(self, x):
         return self.b @ x
 
@@ -351,8 +380,9 @@ class _HeisenbergMeasurement(_Measurement):
     the kind, and ``apply`` maps a dim x k block x to B(t) x by U's
     spectrum (see :func:`_heisenberg_action`), O(dim^2 k) per block;
     neither U nor B(t) is formed.  It acts on factor pairs only, so it has
-    ``left`` and no ``right`` or ``trace_terms``.  B(t)^2 = 1 is checked
-    where ``apply`` is built, so completeness takes the scalar form.
+    ``left`` and no ``right``, ``trace_terms`` or ``dense``.  B(t)^2 = 1 is
+    checked where ``apply`` is built, so completeness takes the scalar
+    form.
     Built by :func:`_heisenberg_protocol` for a pure initial state only."""
 
     def __init__(self, spec: MeasurementSpec, apply):
@@ -367,19 +397,23 @@ def _resolve_steps(initial: DensityMatrix | PureState, steps):
     A measurement becomes a :class:`_PauliMeasurement` or, for a raw
     observable matrix, a :class:`_DenseMeasurement` (the matrix and the
     square its spec formed when it was checked, embedded on the targets).
-    After an evolution it measures B(t) = V^dag B V instead, with V the
-    product of the evolutions so far: :func:`heisenberg` builds B(t) into a
-    new spec, which checks it, for a :class:`_DenseMeasurement`.  Both
-    yield the unnormalized children K_a X K_a^dag in outcome order or the
-    transfer map, and, for the last measurement, only traces.  A prebuilt
-    :class:`_HeisenbergMeasurement` is taken as it is; it acts on the
-    factors of a pure state only.  Evolutions after the last measurement
-    are shape-checked and dropped, as they preserve every trace.  A
-    sequence without measurements is rejected.
+    Measurements of the same Pauli string on the same targets share one
+    signed permutation.  After an evolution it measures B(t) = V^dag B V
+    instead, with V the product of the evolutions so far:
+    :func:`heisenberg` builds B(t) into a new spec, which checks it, for a
+    :class:`_DenseMeasurement`.  Both yield the unnormalized children
+    K_a X K_a^dag in outcome order, the transfer map and its adjoint, and,
+    for the last measurement, only traces.  A prebuilt measurement (such
+    as a :class:`_HeisenbergMeasurement`, which acts on the factors of a
+    pure state only) is taken as it is; after an evolution it is rejected,
+    as it cannot be folded.  Evolutions after the last measurement are
+    shape-checked and dropped, as they preserve every trace.  A sequence
+    without measurements is rejected.
     """
     n = initial.n_qubits
     dim = 2**n
     resolved = []
+    actions = {}
     v = None
     for step in steps:
         if isinstance(step, MeasureStep):
@@ -398,14 +432,20 @@ def _resolve_steps(initial: DensityMatrix | PureState, steps):
                 )
                 resolved.append(_DenseMeasurement(spec, spec.observable, spec._square))
             elif isinstance(spec.observable, PauliString):
-                perm, d = spec.observable.action(n, targets)
-                resolved.append(_PauliMeasurement(spec, perm, d))
+                key = (spec.observable, targets)
+                if key not in actions:
+                    actions[key] = spec.observable.action(n, targets)
+                resolved.append(_PauliMeasurement(spec, *actions[key]))
             else:
                 b, b_sq = spec.matrix(), spec._square
                 if step.targets is not None:
                     b, b_sq = embed(b, n, targets), embed(b_sq, n, targets)
                 resolved.append(_DenseMeasurement(spec, b, b_sq))
-        elif isinstance(step, _HeisenbergMeasurement):
+        elif isinstance(step, _Measurement):
+            if v is not None:
+                raise ValueError(
+                    "a prebuilt measurement cannot follow an evolution step"
+                )
             resolved.append(step)
         elif isinstance(step, EvolveStep):
             if step.unitary.shape != (dim, dim):
@@ -469,44 +509,89 @@ def sequence_distribution(
     return records
 
 
-def _transfer_value(initial: DensityMatrix | PureState, steps):
-    """The exact weighted average Tr(E_m ... E_1(rho)), and the strength
-    angles.
+def _transfer_values(initial: DensityMatrix | PureState, firsts, rest):
+    """The exact weighted averages Tr(E_m ... E_2 E_1(rho)), one for each
+    first measurement E_1 in ``firsts``, all followed by the resolved
+    measurements ``rest`` (see :func:`_resolve_steps`).
 
-    One state is carried through the measurements that
-    :func:`_resolve_steps` leaves (evolutions are folded into them): each
-    but the last applies its transfer map E(X) = sum_a alpha_a K_a X K_a^dag,
-    and the last gives Tr E(X).  A density matrix travels as the matrix X.
-    A pure state psi travels as the factor pair X = L R^dag, starting from
-    (psi, psi): a measurement concatenates the factors of its nonzero-weight
-    terms, so no dim x dim state is formed.
-    Every E preserves Hermiticity and the value is a nested bracket of
+    A density matrix is evaluated from the back: the effect Z = E_2^dag ...
+    E_m^dag(1) is formed once, the last measurement's E^dag(1) from B and
+    B^2 alone, and shared by every first measurement, whose value is
+    Tr(E_1(rho) Z), summed elementwise.  A pure state psi travels forward
+    as the factor pair X = L R^dag, starting from (psi, psi): a measurement
+    concatenates the factors of its nonzero-weight terms, so no dim x dim
+    state is formed, and the last one gives Tr E(X).
+    Every E preserves Hermiticity and each value is a nested bracket of
     involutions, so it must be finite and real to 1e-10 with magnitude at
     most 1 + 1e-10; otherwise :class:`NumericalInvariantError` is raised.
     """
-    resolved, phis = _resolve_steps(initial, steps)
-    *inner, last = resolved
+    values = []
     if isinstance(initial, PureState):
         psi = initial.amplitudes[:, None]
-        pair = (psi, psi)
-        for step in inner:
-            pair = step.transfer_factors(pair)
-        value = complex(last.factor_trace(pair))
+        for first in firsts:
+            *inner, last = (first, *rest)
+            pair = (psi, psi)
+            for step in inner:
+                pair = step.transfer_factors(pair)
+            values.append(complex(last.factor_trace(pair)))
     else:
-        state = initial.matrix
-        for step in inner:
-            state = step.transfer(state)
-        value = complex(last.transfer_trace(state))
-    if not (
-        math.isfinite(value.real)
-        and math.isfinite(value.imag)
-        and abs(value.imag) <= 1e-10
-        and abs(value.real) <= 1 + 1e-10
-    ):
-        raise NumericalInvariantError(
-            f"exact value {value!r} is not real with magnitude at most 1"
-        )
-    return value.real, phis
+        if rest:
+            *inner, last = rest
+            z = last.effect()
+            for step in reversed(inner):
+                z = step.adjoint_transfer(z)
+        else:
+            z = np.identity(initial.dim)
+        z_t = z.T.ravel()
+        for first in firsts:
+            values.append(complex(np.sum(z_t * first.transfer(initial.matrix).ravel())))
+    for value in values:
+        if not (
+            math.isfinite(value.real)
+            and math.isfinite(value.imag)
+            and abs(value.imag) <= 1e-10
+            and abs(value.real) <= 1 + 1e-10
+        ):
+            raise NumericalInvariantError(
+                f"exact value {value!r} is not real with magnitude at most 1"
+            )
+    return [value.real for value in values]
+
+
+def _estimates(initial, firsts, rest, mode, trials, seeds):
+    """One estimate for each first measurement in ``firsts``, followed by
+    the resolved measurements ``rest``; sampled mode takes one seed per
+    first measurement.  Exact values share the evaluation of ``rest``
+    (:func:`_transfer_values`); sampled ones run one outcome tree each
+    (:func:`sample_protocol`)."""
+    if mode == "exact":
+        values = _transfer_values(initial, firsts, rest)
+        estimates = []
+        for value, first in zip(values, firsts):
+            phis = (first.phi,) + tuple(s.phi for s in rest)
+            estimates.append(
+                CorrelatorEstimate(
+                    value=value,
+                    mode="exact",
+                    trials=(0,) * len(phis),
+                    phis=phis,
+                    rms_bound=0.0,
+                    empirical_stderr=0.0,
+                )
+            )
+        return estimates
+    if mode == "sampled":
+        if trials is None or seeds is None or None in seeds:
+            raise ValueError("sampled mode needs trials and seed")
+        if len(seeds) != len(firsts):
+            raise ValueError(
+                f"sampled mode needs {len(firsts)} seed(s), got {len(seeds)}"
+            )
+        return [
+            sample_protocol(initial, [first, *rest], trials, seed)
+            for first, seed in zip(firsts, seeds)
+        ]
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def nested_estimate(
@@ -524,28 +609,15 @@ def nested_estimate(
     bracket into a commutator with normalization 2^(m-2) (2i).  The value
     does not depend on the strength angles.
 
-    Exact mode computes it by transfer maps (:func:`_transfer_value`), in
+    Exact mode computes it by transfer maps (:func:`_transfer_values`), in
     O(m) state updates and without a limit on the number of measurements;
     a pure state travels there as vector factors.  Sampled mode draws
     outcome strings from the enumerated outcome tree
     (:func:`sample_protocol`), which holds a pure state as its density
     matrix.
     """
-    if mode == "exact":
-        value, phis = _transfer_value(initial, steps)
-        return CorrelatorEstimate(
-            value=value,
-            mode="exact",
-            trials=(0,) * len(phis),
-            phis=phis,
-            rms_bound=0.0,
-            empirical_stderr=0.0,
-        )
-    if mode == "sampled":
-        if trials is None or seed is None:
-            raise ValueError("sampled mode needs trials and seed")
-        return sample_protocol(initial, steps, trials, seed)
-    raise ValueError(f"unknown mode {mode!r}")
+    resolved, _ = _resolve_steps(initial, steps)
+    return _estimates(initial, resolved[:1], resolved[1:], mode, trials, (seed,))[0]
 
 
 def trial_uniforms(seed: int, trials: int, draws: int) -> np.ndarray:
@@ -577,9 +649,8 @@ def sample_protocol(
     trials = int(trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    steps = list(steps)
-    records = sequence_distribution(initial, steps)
-    phis = tuple(s.spec.phi for s in steps if isinstance(s, MeasureStep))
+    resolved, phis = _resolve_steps(initial, steps)
+    records = sequence_distribution(initial, resolved)
     m = len(phis)
 
     # Leaves come in lexicographic order, so leaf i is the outcome string
@@ -641,8 +712,9 @@ def _heisenberg_action(spec: MeasurementSpec, u: Propagator, initial: PureState)
     spectrum: V e^{iEt} V^dag B V e^{-iEt} V^dag x.
 
     B(t)^2 = 1 is checked on the initial vector, ||B(t) (B(t) psi) -
-    psi||_inf <= 1e-10, once per call of the protocol; a corrupted
-    propagator fails here with :class:`NumericalInvariantError`.
+    psi||_inf <= 1e-10, once per call of :func:`_heisenberg_protocol`
+    (one time point, every part); a corrupted propagator fails here with
+    :class:`NumericalInvariantError`.
     """
     n, dim = initial.n_qubits, 2**initial.n_qubits
     if u.evecs.shape != (dim, dim):
@@ -676,32 +748,38 @@ def _heisenberg_action(spec: MeasurementSpec, u: Propagator, initial: PureState)
     return apply
 
 
+_FIRST_KINDS = {"real": INFORMATIVE, "imag": NONINFORMATIVE}
+
+
 def _heisenberg_protocol(
-    initial, a, b, count, evolution, part, phis, mode, trials, seed
-) -> CorrelatorEstimate:
+    initial, a, b, count, evolution, parts, phis, mode="exact", trials=None, seeds=None
+) -> list[CorrelatorEstimate]:
     """Measure A, B(t), A, B(t), ... for ``count`` steps (2 for the TOC, 4
-    for the OTOC) in the Heisenberg frame, with B(t) = U^dag B U.  The first
-    A is informative for part='real' and noninformative for part='imag';
-    every later step is informative.
+    for the OTOC) in the Heisenberg frame, with B(t) = U^dag B U, and
+    return one estimate per part in ``parts``.  The first A is informative
+    for part 'real' and noninformative for part 'imag'; every later step is
+    informative.  Sampled mode takes one seed per part.
+
+    The parts differ only in their first measurement, so everything after
+    it is built and checked once for all of them: U, B(t), the B(t)
+    measurements, A's signed permutation and the later A measurements.
 
     The input picks the route once.  A pure ``initial`` with a
     :class:`Propagator` ``evolution`` in exact mode travels as vector
     factors: every B(t) step applies one checked :func:`_heisenberg_action`
     through the propagator's spectrum, so neither U nor B(t) is formed.
     Every other input takes the density route: a pure state is converted to
-    its density matrix, U is checked unitary once, and B(t) is built once
-    by :func:`heisenberg` into one checked spec, shared by every B(t) step,
-    so B(t)^2 is formed once.
+    its density matrix, U is checked unitary, and B(t) is built by
+    :func:`heisenberg` into one checked spec, shared by every B(t) step,
+    so B(t)^2 is formed once.  Exact density values share one backward
+    evaluation of the steps after the first (:func:`_transfer_values`).
     """
     phis = tuple(float(p) for p in phis)
     if len(phis) != count:
         raise ValueError(f"this protocol takes {count} strength angles, got {len(phis)}")
-    if part == "real":
-        kind_first = INFORMATIVE
-    elif part == "imag":
-        kind_first = NONINFORMATIVE
-    else:
-        raise ValueError(f"part must be 'real' or 'imag', got {part!r}")
+    for part in parts:
+        if part not in _FIRST_KINDS:
+            raise ValueError(f"part must be 'real' or 'imag', got {part!r}")
 
     if (
         isinstance(initial, PureState)
@@ -721,12 +799,15 @@ def _heisenberg_protocol(
         spec_b = MeasurementSpec(heisenberg(b, u), phis[1], INFORMATIVE)
         b_step = MeasureStep
 
-    b_specs = [spec_b] + [spec_b.with_phi(p) for p in phis[3::2]]
-    steps = []
-    for k, (phi_a, spec) in enumerate(zip(phis[::2], b_specs)):
-        kind = kind_first if k == 0 else INFORMATIVE
-        steps += [MeasureStep(MeasurementSpec(a, phi_a, kind)), b_step(spec)]
-    return nested_estimate(initial, steps, mode, trials, seed)
+    steps = [MeasureStep(MeasurementSpec(a, phis[0], _FIRST_KINDS[p])) for p in parts]
+    for k, phi in enumerate(phis[1:], start=1):
+        if k % 2:
+            steps.append(b_step(spec_b if k == 1 else spec_b.with_phi(phi)))
+        else:
+            steps.append(MeasureStep(MeasurementSpec(a, phi, INFORMATIVE)))
+    resolved, _ = _resolve_steps(initial, steps)
+    firsts, rest = resolved[: len(parts)], resolved[len(parts) :]
+    return _estimates(initial, firsts, rest, mode, trials, seeds)
 
 
 def toc(
@@ -751,9 +832,10 @@ def toc(
     U^dag K(B) U before it, and the trailing U^dag cannot change them.
     :func:`_heisenberg_protocol` builds it and picks the route.
     """
-    return _heisenberg_protocol(
-        initial, a, b, 2, evolution, part, phis, mode, trials, seed
+    (estimate,) = _heisenberg_protocol(
+        initial, a, b, 2, evolution, (part,), phis, mode, trials, (seed,)
     )
+    return estimate
 
 
 def otoc(
@@ -796,9 +878,10 @@ def otoc(
         raise ValueError("provide exactly one of evolution or clock")
     if clock is not None:
         evolution = clock.forward
-    return _heisenberg_protocol(
-        initial, a, b, 4, evolution, part, phis, mode, trials, seed
+    (estimate,) = _heisenberg_protocol(
+        initial, a, b, 4, evolution, (part,), phis, mode, trials, (seed,)
     )
+    return estimate
 
 def otoc_value(part: str, average: float) -> float:
     """Convert the OTOC protocol average to the correlator part:

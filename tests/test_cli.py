@@ -17,6 +17,8 @@ from seqmeas import (
     run_experiment,
 )
 from seqmeas.cli import main
+import seqmeas.dynamics as dynamics_mod
+import seqmeas.verify as verify_mod
 from seqmeas.verify import format_report, povm_identity_suite, run_suites
 
 
@@ -354,3 +356,31 @@ class TestVerifyCommand:
         assert main(["verify", "--seed", "-1"]) == 1
         err = capsys.readouterr().err
         assert err == "seqmeas: error: --seed must be >= 0\n"
+
+    def test_time_reversal_suite_diagonalizes_twice_per_instance(self, monkeypatch):
+        calls = []
+        original = dynamics_mod._checked_spectrum
+
+        def counting(m):
+            calls.append(m)
+            return original(m)
+
+        monkeypatch.setattr(dynamics_mod, "_checked_spectrum", counting)
+        result = verify_mod.time_reversal_suite(30, np.random.default_rng(0))
+        assert result.passed and result.samples == 3
+        assert len(calls) == 2 * result.samples
+
+    def test_phi_independence_takes_both_parts_from_one_call(self, monkeypatch):
+        calls = []
+        original = verify_mod._heisenberg_protocol
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verify_mod, "_heisenberg_protocol", counting)
+        result = verify_mod.phi_independence_suite(10, np.random.default_rng(0))
+        assert result.passed
+        # one call per correlator (TOC and OTOC) per strength draw
+        assert len(calls) == 2 * result.samples
+        assert all(call[5] == ("real", "imag") for call in calls)

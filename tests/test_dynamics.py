@@ -276,6 +276,15 @@ class TestTimeReversal:
         with pytest.raises(ValueError, match="Hermitian"):
             time_reversed_evolution(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
 
+    def test_matches_kronecker_build(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 3):
+            h = random_hermitian(rng, 2**n)
+            t = float(rng.uniform(0, 3))
+            u = propagator(h, t).matrix
+            kron = np.kron(u.conj().T, np.diag([1.0, 0.0])) + np.kron(u, np.diag([0.0, 1.0]))
+            assert np.array_equal(time_reversed_evolution(h, t).matrix, kron)
+
     def test_output_sectors_are_exact_adjoints(self):
         clk = time_reversed_evolution(random_hermitian(np.random.default_rng(8), 8), 1.3)
         np.testing.assert_array_equal(clk.backward, clk.forward.conj().T)

@@ -698,6 +698,164 @@ class TestExperimentHamiltonian:
         assert len(calls) == 1
 
 
+def forward_transfer_reference(rho, resolved):
+    """Tr(E_m ... E_1(rho)) carried forward, one transfer map per resolved
+    measurement, with the trace of the full last state."""
+    state = rho.matrix
+    for step in resolved:
+        state = step.transfer(state)
+    return complex(np.trace(state))
+
+
+def random_pure_state(rng, n):
+    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return PureState(n, v / np.linalg.norm(v))
+
+
+def counting_patch(monkeypatch, owner, name):
+    """Replace ``owner.name`` with a wrapper that records each call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+class TestBackwardDensityRoute:
+    @pytest.mark.parametrize("last", ["pauli", "raw"])
+    def test_matches_forward_transfer(self, last):
+        rng = np.random.default_rng(70 if last == "pauli" else 71)
+        for _ in range(40):
+            rho, steps = random_sequence(rng, last, int(rng.integers(1, 6)))
+            resolved, _ = protocols_mod._resolve_steps(rho, steps)
+            ref = forward_transfer_reference(rho, resolved)
+            assert abs(nested_estimate(rho, steps).value - ref.real) <= 1e-12
+
+    def test_first_measurements_share_the_tail(self):
+        rng = np.random.default_rng(72)
+        for _ in range(30):
+            rho, steps = random_sequence(rng, "raw", int(rng.integers(2, 6)))
+            resolved, _ = protocols_mod._resolve_steps(rho, steps)
+            other_rho, other_steps = random_sequence(rng, "pauli", 1)
+            while other_rho.n_qubits != rho.n_qubits:
+                other_rho, other_steps = random_sequence(rng, "pauli", 1)
+            (other,), _ = protocols_mod._resolve_steps(rho, other_steps)
+            firsts, rest = [resolved[0], other], resolved[1:]
+            values = protocols_mod._transfer_values(rho, firsts, rest)
+            for first, value in zip(firsts, values):
+                ref = forward_transfer_reference(rho, [first, *rest])
+                assert abs(value - ref.real) <= 1e-12
+
+    def test_prebuilt_measurement_after_evolution_is_rejected(self):
+        rho = DensityMatrix.from_label("01")
+        (prebuilt,), _ = protocols_mod._resolve_steps(
+            rho, [meas(PauliString(("Z", "Z")), 0.7)]
+        )
+        assert nested_estimate(rho, [prebuilt]).value == pytest.approx(-1.0, abs=1e-12)
+        with pytest.raises(ValueError, match="prebuilt measurement"):
+            nested_estimate(rho, [EvolveStep(np.eye(4)), prebuilt])
+        with pytest.raises(ValueError, match="prebuilt measurement"):
+            sequence_distribution(rho, [meas(PauliString(("X", "I")), 0.7),
+                                        EvolveStep(np.eye(4)), prebuilt])
+
+
+class TestSharedParts:
+    PARTS = ("real", "imag")
+
+    def test_both_parts_equal_single_part_calls(self):
+        rng = np.random.default_rng(73)
+        for n in range(1, 6):
+            for route in ("density", "vector", "sampled"):
+                u = propagator(random_hermitian(rng, 2**n), float(rng.uniform(0, 3)))
+                a, b = random_pauli(rng, n), random_pauli(rng, n)
+                if route == "density":
+                    initial = random_density(rng, n)
+                else:
+                    initial = random_pure_state(rng, n)
+                sampled = route == "sampled"
+                kwargs = {"mode": "sampled", "trials": 64} if sampled else {}
+                seeds = (None, None)
+                if sampled:
+                    seeds = tuple(int(s) for s in rng.integers(0, 2**63, size=2))
+                for count in (2, 4):
+                    phis = [float(rng.uniform(0.2, PI / 2)) for _ in range(count)]
+                    both = protocols_mod._heisenberg_protocol(
+                        initial, a, b, count, u, self.PARTS, phis,
+                        seeds=seeds if sampled else None, **kwargs
+                    )
+                    for part, seed, est in zip(self.PARTS, seeds, both):
+                        if count == 2:
+                            one = toc(initial, a, b, u, part, phis, seed=seed, **kwargs)
+                        else:
+                            one = otoc(initial, a, b, u, part=part, phis=phis,
+                                       seed=seed, **kwargs)
+                        assert est == one
+
+    @pytest.mark.parametrize("pure", [False, True])
+    def test_gathers_each_action_once(self, monkeypatch, pure):
+        calls = counting_patch(monkeypatch, PauliString, "action")
+        rng = np.random.default_rng(74)
+        n = 3
+        initial = random_pure_state(rng, n) if pure else random_density(rng, n)
+        u = propagator(random_hermitian(rng, 2**n), 0.9)
+        a, b = random_pauli(rng, n), random_pauli(rng, n)
+        protocols_mod._heisenberg_protocol(initial, a, b, 4, u, self.PARTS, [0.6] * 4)
+        assert len(calls) == 2  # A in the engine, B in B(t)
+
+    def test_sampled_needs_one_seed_per_part(self):
+        rho = DensityMatrix.maximally_mixed(1)
+        z = PauliString(("Z",))
+        with pytest.raises(ValueError, match="seed"):
+            protocols_mod._heisenberg_protocol(
+                rho, z, z, 2, np.eye(2), self.PARTS, [0.6] * 2,
+                mode="sampled", trials=10, seeds=(1,),
+            )
+
+
+class TestOneBuildPerTimePoint:
+    TIMES = [0.0, 0.4, 0.8]
+
+    def test_mixed_state_otoc(self, monkeypatch):
+        heisenberg_calls = counting_patch(monkeypatch, protocols_mod, "heisenberg")
+        unitary_calls = counting_patch(monkeypatch, protocols_mod, "is_unitary")
+        cfg = config_from_dict(
+            {
+                "system_size": 3,
+                "observable_a": "+ZII",
+                "observable_b": "+IIX",
+                "times": self.TIMES,
+                "protocol": "otoc",
+                "initial_state": "maximally-mixed",
+                "parts": ["real", "imag"],
+            }
+        )
+        rows = run_experiment(cfg)
+        assert all(r.re_value is not None and r.im_value is not None for r in rows)
+        assert len(heisenberg_calls) == len(self.TIMES)
+        assert len(unitary_calls) == len(self.TIMES)
+
+    def test_label_state_toc(self, monkeypatch):
+        calls = counting_patch(monkeypatch, protocols_mod, "_heisenberg_action")
+        cfg = config_from_dict(
+            {
+                "system_size": 3,
+                "observable_a": "+ZII",
+                "observable_b": "+IIX",
+                "times": self.TIMES,
+                "protocol": "toc",
+                "initial_state": "010",
+                "parts": ["real", "imag"],
+            }
+        )
+        rows = run_experiment(cfg)
+        assert all(r.re_value is not None and r.im_value is not None for r in rows)
+        assert len(calls) == len(self.TIMES)
+
+
 class TestRmsBound:
     def test_known_values(self):
         assert rms_bound([PI / 2], [100]) == pytest.approx(0.1)
