@@ -4,7 +4,7 @@ The on-disk format is a flat JSON object; every field name below is a
 key.  Unknown keys are rejected so typos surface as validation errors.
 
 Required:
-  system_size     int, 1..10 (9 with the clock ancilla)
+  system_size     int, 1..10
   observable_a    Pauli-string text, e.g. "+ZIIIII" (sign optional)
   observable_b    same
   times           list of finite floats
@@ -170,9 +170,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     protocol = _require_enum("protocol", raw.get("protocol", "otoc"), PROTOCOLS)
     reversal = _require_enum("reversal", raw.get("reversal", "direct-dagger"), REVERSALS)
     n = _require_int("system_size", raw["system_size"], 1)
-    budget = MAX_QUBITS - (1 if protocol == "otoc" and reversal == "clock-ancilla" else 0)
-    if n > budget:
-        _fail("system_size", f"must be <= {budget} for this protocol/reversal")
+    if n > MAX_QUBITS:
+        _fail("system_size", f"must be <= {MAX_QUBITS}, got {n}")
 
     _parse_pauli("observable_a", raw["observable_a"], n)
     _parse_pauli("observable_b", raw["observable_b"], n)

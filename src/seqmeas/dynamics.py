@@ -159,17 +159,14 @@ def propagator(h, t: float) -> Propagator:
 def heisenberg(obs, u, targets=None) -> np.ndarray:
     """Heisenberg-evolved operator U^dag B U, with B on ``targets`` of U's
     register (default: all of it); preserves B^2 = 1.  ``u`` is a matrix,
-    a :class:`Propagator` or a :class:`ClockPropagator` (whose register
-    holds the ancilla too).
+    a :class:`Propagator` or a :class:`ClockPropagator`, whose register
+    holds the ancilla too: its (2 dim)^2 matrix is written for this.
 
     A Pauli string forms B U by its signed row gather and B(t) as
     (B U)^dag U, one product that equals the triple product bit for bit;
     a raw observable matrix is embedded on ``targets`` first.
     """
-    if isinstance(u, (Propagator, ClockPropagator)):
-        um = u.matrix
-    else:
-        um = np.asarray(u, dtype=np.complex128)
+    um = np.asarray(getattr(u, "matrix", u), dtype=np.complex128)
     dim = um.shape[0]
     n = dim.bit_length() - 1
     if um.shape != (dim, dim) or dim != 2**n:
@@ -185,29 +182,35 @@ def heisenberg(obs, u, targets=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClockPropagator:
-    """exp(-i t H (x) Z) with a time-direction ancilla on the last slot.
+    """exp(-i t H (x) Z) with a time-direction ancilla on the last slot,
+    held as its system evolution U = exp(-i t H): a :class:`Propagator`
+    or a 2^n x 2^n matrix with n >= 1, else ``ValueError`` is raised.
 
-    With the ancilla in |1> the system evolves forward (Z|1> = +|1>), with
-    the ancilla in |0> it evolves backward.
-
-    The matrix must be 2^(n_system+1) x 2^(n_system+1), block diagonal in
-    the ancilla, with its |0> sector the adjoint of its |1> sector, each
-    to 1e-10; otherwise ``ValueError`` is raised.  That structure makes
-    X_anc U_c X_anc = U_c^dag, so a sequence that starts with the ancilla
-    in |1> and reverses time by flipping the ancilla around U_c stays in
-    the |1> sector and sees only ``forward`` and its adjoint.
+    Ancilla |1> runs U forward (Z|1> = +|1>), ancilla |0> runs U^dag
+    backward, so X_anc U_c X_anc = U_c^dag: a sequence that starts with
+    the ancilla in |1> and reverses time by flipping it around U_c stays
+    in the |1> sector and sees only U and its adjoint.  The 2^(n+1) x
+    2^(n+1) ``matrix`` is written on first use.
     """
 
-    matrix: np.ndarray
-    duration: float
-    n_system: int
+    system: Propagator | np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix)
-        dim = 2**self.n_system
+        shape = np.shape(getattr(self.system, "evecs", self.system))
+        dim = shape[0] if shape else 0
+        if shape != (dim, dim) or dim < 2 or dim & (dim - 1):
+            raise ValueError(f"clock system evolution has shape {shape}, not 2^n x 2^n")
+
+    @classmethod
+    def from_matrix(cls, m, n_system: int) -> "ClockPropagator":
+        """The clock from its full matrix, which must be 2^(n_system+1)
+        square, block diagonal in the ancilla and with its |0> sector the
+        adjoint of its |1> sector to 1e-10, else ``ValueError`` is raised."""
+        m = np.asarray(m)
+        dim = 2**n_system
         if m.shape != (2 * dim, 2 * dim):
             raise ValueError(
-                f"clock propagator for {self.n_system} system qubits has shape "
+                f"clock propagator for {n_system} system qubits has shape "
                 f"{m.shape}, expected {(2 * dim, 2 * dim)}"
             )
         view = m.reshape(dim, 2, dim, 2)
@@ -223,39 +226,36 @@ class ClockPropagator:
                 f"clock propagator's backward sector is not the adjoint of its "
                 f"forward sector (deviation {dev:.3e})"
             )
+        return cls(view[:, 1, :, 1].copy())
 
-    def sector(self, ancilla_bit: int) -> np.ndarray:
-        """System propagator conditioned on the ancilla computational state."""
-        if ancilla_bit not in (0, 1):
-            raise ValueError(f"ancilla bit must be 0 or 1, got {ancilla_bit}")
-        dim = self.matrix.shape[0] // 2
-        view = self.matrix.reshape(dim, 2, dim, 2)
-        return view[:, ancilla_bit, :, ancilla_bit].copy()
+    @property
+    def n_system(self) -> int:
+        return len(getattr(self.system, "evecs", self.system)).bit_length() - 1
 
     @property
     def forward(self) -> np.ndarray:
-        return self.sector(1)
+        return getattr(self.system, "matrix", self.system)
 
     @property
     def backward(self) -> np.ndarray:
-        return self.sector(0)
+        return self.forward.conj().T
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        u = self.forward
+        dim = u.shape[0]
+        m = np.zeros((dim, 2, dim, 2), dtype=np.complex128)
+        m[:, 0, :, 0] = u.conj().T
+        m[:, 1, :, 1] = u
+        return m.reshape(2 * dim, 2 * dim)
 
 
 def time_reversed_evolution(h, t: float) -> ClockPropagator:
     """Extend H to H (x) Z on system plus one ancilla qubit.
 
-    The returned pair of sector propagators equals exp(-+ i t H): ancilla
-    |1> runs time forward, ancilla |0> runs it backward.  Since
-    Z = diag(-1, +1) is diagonal, exp(-i t H (x) Z) is block diagonal in
-    the ancilla: the system propagator U and its conjugate transpose are
-    written into the ancilla blocks of a zero matrix, so the backward
-    sector is the adjoint of the forward one exactly and the forward sector
-    is U bit for bit.
+    Since Z = diag(-1, +1) is diagonal, exp(-i t H (x) Z) is block
+    diagonal in the ancilla: |1> runs U = exp(-i t H) forward, |0> runs
+    U^dag backward.  The clock holds U as the :class:`Propagator` of H, so
+    a protocol takes the same route with it as with U itself.
     """
-    u = propagator(h, t).matrix
-    dim = u.shape[0]
-    n_system = int(round(np.log2(dim)))
-    u_ext = np.zeros((dim, 2, dim, 2), dtype=np.complex128)
-    u_ext[:, 0, :, 0] = u.conj().T
-    u_ext[:, 1, :, 1] = u
-    return ClockPropagator(u_ext.reshape(2 * dim, 2 * dim), float(t), n_system)
+    return ClockPropagator(propagator(h, t))

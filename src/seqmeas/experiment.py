@@ -93,8 +93,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     rows = []
     for time_index, t in enumerate(cfg.times):
         if cfg.protocol == "otoc" and cfg.reversal == "clock-ancilla":
-            # The clock OTOC runs on the ancilla's forward sector (see otoc).
-            evolution = time_reversed_evolution(ham, t).forward
+            # The clock OTOC runs on its system propagator (see otoc).
+            evolution = time_reversed_evolution(ham, t).system
         else:
             evolution = propagator(ham, t)
         seeds = None

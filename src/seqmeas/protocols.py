@@ -44,7 +44,7 @@ sequence A, U, B, U^dag, A, U, B becomes A, B(t), A, B(t) with B(t) =
 U^dag B U and the same outcome distribution, so their sequences hold only
 measurements.  Both are built by :func:`_heisenberg_protocol`, which
 picks the route from the input.  The clock-ancilla OTOC runs there too,
-on the system register with the ancilla's forward sector as U.  The real
+as the direct one with the clock's system propagator as U.  The real
 and imaginary parts differ only in the first measurement of A, so the
 builder takes the requested parts together: U, B(t), the measurements
 after the first and A's signed permutation are built and checked once
@@ -863,11 +863,11 @@ def otoc(
     time-reversal ancilla (``clock`` given: the register is extended by
     one qubit in |1> whose computational state selects the time direction,
     and the backward step flips the ancilla around the clock propagator
-    U_c).  :class:`ClockPropagator` checks that U_c is block diagonal in
-    the ancilla with its |0> sector the adjoint of its |1> sector, so
+    U_c).  U_c is block diagonal in the ancilla with its |0> sector the
+    adjoint of its |1> sector (see :class:`ClockPropagator`), so
     X_anc U_c X_anc = U_c^dag and the state never leaves the ancilla-|1>
-    sector: the clock sequence is the direct one with U = ``clock.forward``
-    on the system register, and runs as such.
+    sector: the clock sequence is the direct one with U = ``clock.system``
+    on the system register, and takes the same route.
 
     In both cases the backward step is U^dag, so the sequence runs in the
     Heisenberg frame as A, B(t), A, B(t), with the same outcome
@@ -877,7 +877,7 @@ def otoc(
     if (evolution is None) == (clock is None):
         raise ValueError("provide exactly one of evolution or clock")
     if clock is not None:
-        evolution = clock.forward
+        evolution = clock.system
     (estimate,) = _heisenberg_protocol(
         initial, a, b, 4, evolution, (part,), phis, mode, trials, (seed,)
     )

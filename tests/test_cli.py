@@ -124,15 +124,23 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="times"):
             config_from_dict(base_config(times=[10**400]))
 
-    def test_register_budget(self):
-        cfg = base_config(
-            system_size=10,
-            observable_a="+" + "Z" + "I" * 9,
-            observable_b="+" + "I" * 9 + "Z",
-            reversal="clock-ancilla",
-        )
-        with pytest.raises(ConfigError, match="system_size"):
-            config_from_dict(cfg)
+    def test_register_budget(self, tmp_path, capsys):
+        def wide(n, reversal):
+            return base_config(
+                system_size=n,
+                observable_a="+Z" + "I" * (n - 1),
+                observable_b="+" + "I" * (n - 1) + "Z",
+                reversal=reversal,
+            )
+
+        # the clock ancilla takes no qubit of the budget
+        assert config_from_dict(wide(10, "clock-ancilla")).system_size == 10
+        for reversal in ("direct-dagger", "clock-ancilla"):
+            with pytest.raises(ConfigError, match="system_size"):
+                config_from_dict(wide(11, reversal))
+        cfg_path = write_config(tmp_path, wide(11, "clock-ancilla"))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert "system_size" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "extra",
@@ -175,12 +183,15 @@ class TestRunExperiment:
         assert rows[0].re_value == pytest.approx(1.0, abs=1e-10)
 
     def test_clock_ancilla_matches_direct(self):
-        direct = run_experiment(config_from_dict(base_config(times=[0.7])))
-        clocked = run_experiment(
-            config_from_dict(base_config(times=[0.7], reversal="clock-ancilla"))
-        )
-        assert clocked[0].re_value == pytest.approx(direct[0].re_value, abs=1e-9)
-        assert clocked[0].im_value == pytest.approx(direct[0].im_value, abs=1e-9)
+        # the clock runs on its system propagator, so on the direct route
+        def csv(**extra):
+            cfg = base_config(observable_a="+XI", times=[0.0, 0.7, 1.9], **extra)
+            return rows_to_csv(run_experiment(config_from_dict(cfg)))
+
+        for initial_state in ("01", [0.6, [0, 0.8], 0, 0], "maximally-mixed"):
+            for mode in ("exact", "sampled"):
+                kw = dict(initial_state=initial_state, mode=mode, trials=300, seed=4)
+                assert csv(reversal="clock-ancilla", **kw) == csv(**kw)
 
     def test_parts_subset(self):
         rows = run_experiment(config_from_dict(base_config(parts=["imag"])))

@@ -299,20 +299,27 @@ class TestClockPropagatorValidation:
     def test_rejects_wrong_shape(self):
         clk = self._clock()
         with pytest.raises(ValueError, match="shape"):
-            ClockPropagator(clk.matrix, 0.7, 3)
+            ClockPropagator.from_matrix(clk.matrix, 3)
         with pytest.raises(ValueError, match="shape"):
-            ClockPropagator(clk.matrix[:4, :4], 0.7, 2)
+            ClockPropagator.from_matrix(clk.matrix[:4, :4], 2)
+
+    def test_rejects_system_dimension_that_is_not_a_power_of_two(self):
+        with pytest.raises(ValueError, match="shape"):
+            time_reversed_evolution(np.diag([1.0, 2.0, 3.0]), 0.5)
+        for system in (np.eye(3), np.eye(4)[:, :2], np.eye(1)):
+            with pytest.raises(ValueError, match="shape"):
+                ClockPropagator(system)
 
     def test_rejects_off_diagonal_ancilla_block(self):
         for ancilla_row, ancilla_col in ((0, 1), (1, 0)):
             m = self._clock().matrix.copy()
             m.reshape(4, 2, 4, 2)[2, ancilla_row, 1, ancilla_col] = 1e-9
             with pytest.raises(ValueError, match="block diagonal"):
-                ClockPropagator(m, 0.7, 2)
+                ClockPropagator.from_matrix(m, 2)
 
     def test_rejects_backward_sector_that_is_not_the_adjoint(self):
         m = self._clock().matrix.copy()
         # the |0> sector runs time forward too
         m.reshape(4, 2, 4, 2)[:, 0, :, 0] = m.reshape(4, 2, 4, 2)[:, 1, :, 1]
         with pytest.raises(ValueError, match="adjoint"):
-            ClockPropagator(m, 0.7, 2)
+            ClockPropagator.from_matrix(m, 2)

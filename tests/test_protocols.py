@@ -593,7 +593,7 @@ class TestOtoc:
         with pytest.raises(ValueError, match="not unitary"):
             otoc(rho, z, z, 1.01 * np.eye(2))
         with pytest.raises(ValueError, match="not unitary"):
-            otoc(rho, z, z, clock=ClockPropagator(1.01 * np.eye(4), 0.0, 1))
+            otoc(rho, z, z, clock=ClockPropagator.from_matrix(1.01 * np.eye(4), 1))
 
     @pytest.mark.parametrize("route", ["direct", "clock"])
     def test_checks_evolution_once(self, monkeypatch, route):

@@ -9,6 +9,7 @@ from helpers import random_hermitian, random_pauli, random_unitary
 import seqmeas.dynamics as dynamics_mod
 import seqmeas.protocols as protocols_mod
 from seqmeas import (
+    ClockPropagator,
     EvolveStep,
     MeasureStep,
     MeasurementSpec,
@@ -166,9 +167,10 @@ class TestOtherRoutesUnchanged:
         raw = propagator(ham, 0.9).matrix
         phis = random_phis(rng, 4)
         for part in ("real", "imag"):
-            assert otoc(psi, a, b, clock=clock, part=part, phis=phis) == otoc(
-                psi.density(), a, b, clock=clock, part=part, phis=phis
-            )
+            for initial in (psi, psi.density()):
+                assert otoc(initial, a, b, clock=clock, part=part, phis=phis) == otoc(
+                    initial, a, b, clock.system, part=part, phis=phis
+                )
             assert otoc(psi, a, b, raw, part=part, phis=phis) == otoc(
                 psi.density(), a, b, raw, part=part, phis=phis
             )
@@ -228,6 +230,23 @@ class TestChecks:
         rows = run_experiment(cfg)
         assert len(rows) == 3
         assert len(calls) == 1
+
+    def test_label_clock_otoc_takes_the_vector_route(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("dense route taken")
+
+        rng = np.random.default_rng(66)
+        clock = time_reversed_evolution(build_mixed_field_ising(3), 0.8)
+        psi = PureState.from_label("010")
+        a, b = random_pauli(rng, 3), random_pauli(rng, 3)
+        monkeypatch.setattr(protocols_mod, "heisenberg", forbidden)
+        monkeypatch.setattr(protocols_mod, "_evolution_matrix", forbidden)
+        monkeypatch.setattr(ClockPropagator, "matrix", property(forbidden))
+        monkeypatch.setattr(Propagator, "matrix", property(forbidden))
+        for part in ("real", "imag"):
+            assert otoc(psi, a, b, clock=clock, part=part) == otoc(
+                psi, a, b, clock.system, part=part
+            )
 
     def test_non_unitary_eigenbasis_is_rejected(self, monkeypatch):
         original = np.linalg.eigh
