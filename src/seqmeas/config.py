@@ -127,10 +127,6 @@ class ExperimentConfig:
             return PureState.from_label(state)
         return _pure_state(n, state)
 
-    def initial_density(self) -> DensityMatrix:
-        state = self.initial_state_obj()
-        return state.density() if isinstance(state, PureState) else state
-
     def hamiltonian_obj(self) -> Hamiltonian:
         spec = self.hamiltonian
         if "terms" in spec:

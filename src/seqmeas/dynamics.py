@@ -122,13 +122,6 @@ class Propagator:
         y = np.conj(self.evecs.T @ np.conj(x))
         return self.evecs @ (phases[:, None] * y)
 
-    def dagger(self) -> "Propagator":
-        """exp(+i t H).  Its matrix is this one's conjugate transpose, formed
-        now, so the two are exact adjoints of each other."""
-        inverse = Propagator(self.evals, self.evecs, -self.duration)
-        inverse.__dict__["matrix"] = self.matrix.conj().T.copy()
-        return inverse
-
 
 def _check_hermitian_matrix(h) -> np.ndarray:
     m = h.matrix() if isinstance(h, Hamiltonian) else np.asarray(h, dtype=np.complex128)

@@ -1,11 +1,12 @@
-"""Sequential-measurement engine: exact transfer maps, sampled outcome trees.
+"""Sequential-measurement engine: exact values and sampled outcome strings.
 
 Every Kraus operator has the form K_a = c0 1 + c1 B, so K_a X K_a^dag is
 w0 X + w1 X B + w2 B X + w3 B X B with per-outcome weights w.  For a
 Pauli-string observable P the terms come from P's signed permutation of
 rows and columns (O(dim^2), no dense Kraus matrix); for a raw observable
-matrix B they cost a product each.  A term whose weight is exactly zero
-is not formed.
+matrix B they cost a product each.  A term is formed once for all the
+weight tuples a state is mapped with, and not at all if every weight of
+it is exactly zero.
 
 The engine sees measurements only.  An evolution is a change of the
 measured operator: a measurement of B after the evolutions V = u_k ... u_1
@@ -13,14 +14,18 @@ has the outcome distribution and the later effect of measuring V^dag B V
 before them, so each evolution folds into every later measurement through
 :func:`heisenberg` and trailing evolutions are dropped.
 
+Both modes evaluate a density matrix from the back, in one walk
+(:func:`_effects`) that differs only in the weights each step branches
+over.  It builds effects Z = E_2^dag ... E_m^dag(1), one four-term update
+per measurement (E^dag is E with the XB and BX weights swapped; the last
+one is formed from B and B^2 alone), and a value is Tr(E_1(rho) Z),
+summed elementwise.
+
 Exact mode is the verification reference.  By linearity, the weighted
 average over outcome strings is Tr(E_m ... E_1(rho)) with the transfer
 map E_k(X) = sum_a alpha_a K_a X K_a^dag, whose weights are
-W = sum_a alpha_a w_a.  A density matrix is evaluated from the back: the
-effect Z = E_2^dag ... E_m^dag(1) is carried one four-term update per
-measurement (E^dag is E with the XB and BX weights swapped; the last one
-is formed from B and B^2 alone), and the value is Tr(E_1(rho) Z).
-Sequences that differ only in their first measurement share Z.  The
+W = sum_a alpha_a w_a: the walk branches over W alone and builds one Z,
+shared by sequences that differ only in their first measurement.  The
 +-1/sin(phi) outcome weights cancel in the four scalars W, so the value
 keeps full precision at every strength and does not depend on the
 strength angles.  A pure initial state psi travels forward as a factor
@@ -29,15 +34,15 @@ Hermitian, so each term is again a factor pair (X B = L (B R)^dag), a
 measurement concatenates the pairs of its nonzero-weight terms, and the
 value is a sum of W-weighted vdot traces.  No dim x dim state is formed.
 
-Sampled mode models the experiment.  It walks the full outcome tree,
-recording each outcome string with its sequential-Born probability and
-alpha-product weight (the last measurement builds no child: a leaf needs
-only Tr(K_a X K_a^dag)); each trial then draws one string, measurement by
-measurement with the conditional Born probabilities.  Randomness is
-counter-based (Philox keyed by the seed; trial k consumes row k of the
-uniform block), so results do not depend on execution order, and
-aggregation uses exactly-rounded summation (math.fsum) for bit-stable
-results.
+Sampled mode models the experiment.  The walk branches over the
+per-outcome weights and builds one Z per outcome string of measurements
+2..m, and the sequential-Born probability of a full string is
+Tr(K_a rho K_a^dag Z); its weight is the alpha product in forward order.
+Each trial then draws one string, measurement by measurement with the
+conditional Born probabilities.  Randomness is counter-based (Philox
+keyed by the seed; trial k consumes row k of the uniform block), so
+results do not depend on execution order, and aggregation uses
+exactly-rounded summation (math.fsum) for bit-stable results.
 
 The TOC and OTOC protocols run in the Heisenberg frame: the interleaved
 sequence A, U, B, U^dag, A, U, B becomes A, B(t), A, B(t) with B(t) =
@@ -53,7 +58,7 @@ for all of them, and exact density values share one effect Z.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass
 from math import fsum
@@ -173,16 +178,20 @@ def _kraus_weights(spec: MeasurementSpec):
     )
 
 
+def _adjoint(w):
+    """The weights of E^dag for a map E with weights ``w``: Tr(E(X) Z) =
+    Tr(X E^dag(Z)) with E^dag(Z) = w0 Z + w2 ZB + w1 BZ + w3 BZB."""
+    return w[0], w[2], w[1], w[3]
+
+
 class _Measurement:
     """The two Kraus operators K_a = c0 1 + c1 B of one measure step.
 
     ``alphas`` holds the generalized eigenvalues of the two outcomes,
     ``weights`` the per-outcome weights of X, XB, BX, BXB and
     ``transfer_weights`` their alpha-weighted sum W = sum_a alpha_a w_a,
-    the weights of the transfer map, and ``adjoint_weights`` those of its
-    adjoint.  Subclasses supply B X (``left``), X B (``right``), the four
-    traces Tr X, Tr XB, Tr BX, Tr BXB (``trace_terms``) and the matrices B
-    and B^2 (``dense``).
+    the weights of the transfer map.  Subclasses supply B X (``left``),
+    X B (``right``) and the matrices B and B^2 (``dense``).
     """
 
     def __init__(self, spec: MeasurementSpec):
@@ -192,10 +201,6 @@ class _Measurement:
         self.transfer_weights = tuple(
             sum(a * w[j] for a, w in zip(self.alphas, self.weights)) for j in range(4)
         )
-        # Tr(E(X) Z) = Tr(X E^dag(Z)) with E^dag(Z) = W0 Z + W1 BZ + W2 ZB
-        # + W3 BZB: the four terms of Z with the XB and BX weights swapped.
-        w0, w1, w2, w3 = self.transfer_weights
-        self.adjoint_weights = (w0, w2, w1, w3)
 
     @staticmethod
     def _combine(terms, w):
@@ -211,44 +216,32 @@ class _Measurement:
                     total += wj * term
         return 0.0 * terms[0] if total is None else total
 
-    def _terms(self, state, weights):
-        """(X, XB, BX, BXB), forming only the terms some weight needs."""
+    def maps(self, x, weights):
+        """w0 X + w1 XB + w2 BX + w3 BXB for each weight tuple w in
+        ``weights``, with each term formed once for all of them and only
+        if some w needs it.  The per-outcome ``weights`` give the children
+        K_a X K_a^dag; the adjoint of a map is the map with its XB and BX
+        weights swapped (:func:`_adjoint`)."""
         need = [any(w[j] != 0.0 for w in weights) for j in range(4)]
-        bx = self.left(state) if need[2] or need[3] else None
-        return (
-            state,
-            self.right(state) if need[1] else None,
+        bx = self.left(x) if need[2] or need[3] else None
+        terms = (
+            x,
+            self.right(x) if need[1] else None,
             bx,
             self.right(bx) if need[3] else None,
         )
+        return [self._combine(terms, w) for w in weights]
 
-    def children(self, state):
-        """The unnormalized children K_a X K_a^dag in outcome order."""
-        terms = self._terms(state, self.weights)
-        for w in self.weights:
-            yield self._combine(terms, w)
-
-    def traces(self, state):
-        """Tr(K_a X K_a^dag) in outcome order, without forming the children."""
-        t = self.trace_terms(state)
-        return [self._combine(t, w).real for w in self.weights]
-
-    def transfer(self, state):
+    def transfer(self, x):
         """E(X) = sum_a alpha_a K_a X K_a^dag."""
-        w = self.transfer_weights
-        return self._combine(self._terms(state, (w,)), w)
+        return self.maps(x, (self.transfer_weights,))[0]
 
-    def adjoint_transfer(self, z):
-        """E^dag(Z), the map with Tr(E(X) Z) = Tr(X E^dag(Z))."""
-        w = self.adjoint_weights
-        return self._combine(self._terms(z, (w,)), w)
-
-    def effect(self):
-        """E^dag(1) = W0 1 + (W1 + W2) B + W3 B^2, formed from B and B^2
-        (``dense``) without a product."""
+    def effect(self, w):
+        """E_w^dag(1) = w0 1 + (w1 + w2) B + w3 B^2 for the map with weights
+        ``w``, formed from B and B^2 (``dense``) without a product."""
         b, b_sq = self.dense()
         eye = np.identity(len(b), dtype=np.complex128)
-        return self._combine((eye, b, b, b_sq), self.adjoint_weights)
+        return self._combine((eye, b, b, b_sq), _adjoint(w))
 
     # A pure initial state travels as a factor pair (L, R), dim x k blocks
     # with X = L R^dag.  B is Hermitian, so the four terms are factor pairs
@@ -294,20 +287,19 @@ def _check_scalar_completeness(weights) -> None:
 
 class _PauliMeasurement(_Measurement):
     """B = P acts through its signed permutation ``(perm, d)``: O(dim^2)
-    per child, O(dim) per trace.  P^2 = 1, so completeness is checked in
-    scalar form (:func:`_check_scalar_completeness`).
+    per map term.  P^2 = 1, so completeness is checked in scalar form
+    (:func:`_check_scalar_completeness`).
     """
 
     def __init__(self, spec: MeasurementSpec, perm, d):
         super().__init__(spec)
         _check_scalar_completeness(self.weights)
         self.perm, self.d, self.d_conj = perm, d, d.conj()
-        self.index = np.arange(len(perm))
 
     def dense(self):
         """P as a matrix, and P^2 = 1."""
         p = np.zeros((len(self.perm),) * 2, dtype=np.complex128)
-        p[self.index, self.perm] = self.d
+        p[np.arange(len(self.perm)), self.perm] = self.d
         return p, np.identity(len(p), dtype=np.complex128)
 
     def left(self, x):
@@ -316,20 +308,10 @@ class _PauliMeasurement(_Measurement):
     def right(self, x):
         return x[:, self.perm] * self.d_conj
 
-    def trace_terms(self, x):
-        i, perm = self.index, self.perm
-        diag = x[i, i]
-        return (
-            diag.sum(),
-            np.dot(x[i, perm], self.d_conj),
-            np.dot(self.d, x[perm, i]),
-            diag[perm].sum(),  # |d| = 1
-        )
-
 
 class _DenseMeasurement(_Measurement):
-    """B is a raw observable matrix on the register: three products per
-    state for both children, O(dim^2) per trace.
+    """B is a raw observable matrix on the register: one product per map
+    term XB, BX and BXB, each formed once for all the maps of a state.
 
     Completeness, sum_a K_a^dag K_a = sum_a w0 1 + (w1 + w2) B + w3 B^2
     = 1, is checked to 1e-12 from the square ``b_sq`` = B B, without
@@ -350,14 +332,6 @@ class _DenseMeasurement(_Measurement):
         self.b = b
         self.b_sq = b_sq
 
-    @functools.cached_property
-    def _transposes(self):
-        """B^T and (B^2)^T, flattened; copied only by a measurement that
-        takes traces.  Tr(M X) = sum_ij M[i, j] X[j, i] is summed over
-        M^T * X by numpy's pairwise summation, which rounds less than a
-        BLAS dot product."""
-        return self.b.T.ravel(), self.b_sq.T.ravel()
-
     def dense(self):
         return self.b, self.b_sq
 
@@ -367,22 +341,15 @@ class _DenseMeasurement(_Measurement):
     def right(self, x):
         return x @ self.b
 
-    def trace_terms(self, x):
-        b_t, b_sq_t = self._transposes
-        flat = x.ravel()
-        tr_bx = np.sum(b_t * flat)  # Tr XB = Tr BX
-        tr_bbx = np.sum(b_sq_t * flat)  # Tr BXB = Tr B^2 X
-        return np.trace(x), tr_bx, tr_bx, tr_bbx
-
 
 class _HeisenbergMeasurement(_Measurement):
     """Measure B(t) = U^dag B U, where ``spec`` gives B, the strength and
     the kind, and ``apply`` maps a dim x k block x to B(t) x by U's
     spectrum (see :func:`_heisenberg_action`), O(dim^2 k) per block;
-    neither U nor B(t) is formed.  It acts on factor pairs only, so it has
-    ``left`` and no ``right``, ``trace_terms`` or ``dense``.  B(t)^2 = 1 is
-    checked where ``apply`` is built, so completeness takes the scalar
-    form.
+    neither U nor B(t) is formed.  It acts on the factor pairs of a pure
+    state only, so it has ``left`` and no ``right`` or ``dense``, and never
+    meets a density matrix.  B(t)^2 = 1 is checked where ``apply`` is
+    built, so completeness takes the scalar form.
     Built by :func:`_heisenberg_protocol` for a pure initial state only."""
 
     def __init__(self, spec: MeasurementSpec, apply):
@@ -401,9 +368,10 @@ def _resolve_steps(initial: DensityMatrix | PureState, steps):
     signed permutation.  After an evolution it measures B(t) = V^dag B V
     instead, with V the product of the evolutions so far:
     :func:`heisenberg` builds B(t) into a new spec, which checks it, for a
-    :class:`_DenseMeasurement`.  Both yield the unnormalized children
-    K_a X K_a^dag in outcome order, the transfer map and its adjoint, and,
-    for the last measurement, only traces.  A prebuilt measurement (such
+    :class:`_DenseMeasurement`.  Both map a density matrix with any list of
+    weight tuples (``maps``), which gives the children K_a X K_a^dag, the
+    transfer map and their adjoints, and form the effect E^dag(1) of the
+    last measurement from B and B^2.  A prebuilt measurement (such
     as a :class:`_HeisenbergMeasurement`, which acts on the factors of a
     pure state only) is taken as it is; after an evolution it is rejected,
     as it cannot be folded.  Evolutions after the last measurement are
@@ -461,18 +429,31 @@ def _resolve_steps(initial: DensityMatrix | PureState, steps):
     return resolved, tuple(s.phi for s in resolved)
 
 
-def _leaves(resolved, i, state, outcomes, weight):
-    """Yield ``(outcomes, weight, trace)`` for every leaf below ``state``,
-    depth first in outcome order; step ``i`` acts on ``state`` next."""
-    step = resolved[i]
-    if i == len(resolved) - 1:
-        for a, prob in enumerate(step.traces(state)):
-            yield outcomes + (a,), weight * step.alphas[a], prob
+def _effects(rest, branches, dim, z=None, index=0, stride=1):
+    """Yield ``(index, Z)`` for every outcome string s of the resolved
+    measurements ``rest``, with Z = E_{s_2}^dag ... E_{s_m}^dag(1) its
+    effect; ``branches[k]`` holds the weight tuples that step k branches
+    over, and ``index`` numbers the strings in lexicographic order.
+
+    The walk runs depth first from the back: the last step's Z is its
+    ``effect``, and each earlier step maps the Z after it with the adjoint
+    weights, all branches of a node from one set of terms, so only the
+    branches of one node per step are alive.  An empty ``rest`` has the
+    effect 1.  The recursion goes through this module-level function, so a
+    walk holds no reference cycle.
+    """
+    if not rest:
+        yield index, np.identity(dim) if z is None else z
+        return
+    step, weights = rest[-1], branches[-1]
+    if z is None:
+        zs = [step.effect(w) for w in weights]
     else:
-        for a, child in enumerate(step.children(state)):
-            yield from _leaves(
-                resolved, i + 1, child, outcomes + (a,), weight * step.alphas[a]
-            )
+        zs = step.maps(z, [_adjoint(w) for w in weights])
+    for a, child in enumerate(zs):
+        yield from _effects(
+            rest[:-1], branches[:-1], dim, child, index + a * stride, stride * len(zs)
+        )
 
 
 def sequence_distribution(
@@ -484,7 +465,11 @@ def sequence_distribution(
     P(a_1..a_m) = Tr(K_m ... K_1 rho K_1^dag ... K_m^dag) with unitary
     steps interleaved (folded into the measurements by
     :func:`_resolve_steps`); they are checked to sum to 1 within 1e-10.  A
-    pure state is converted to its density matrix.
+    pure state is converted to its density matrix.  The probabilities are
+    read from the back: each suffix string a_2..a_m has the effect Z =
+    K_2^dag ... K_m^dag K_m ... K_2 (:func:`_effects`, branching over the
+    per-outcome weights), and P(a_1..a_m) = Tr(K_1 rho K_1^dag Z), summed
+    elementwise.  A string's weight is its alpha product in forward order.
     """
     if isinstance(initial, PureState):
         initial = initial.density()
@@ -495,9 +480,21 @@ def sequence_distribution(
             f"{m} measurement steps exceed the enumeration limit of "
             f"{MAX_ENUMERATED_MEASUREMENTS}"
         )
+    first, rest = resolved[0], resolved[1:]
+    children = [x.ravel() for x in first.maps(initial.matrix, first.weights)]
+    suffixes = 2 ** len(rest)
+    probs = np.empty(2**m)
+    for index, z in _effects(rest, [s.weights for s in rest], initial.dim):
+        z_t = z.T.ravel()
+        for a, child in enumerate(children):
+            probs[a * suffixes + index] = np.sum(z_t * child).real
+    weights = np.ones(1)
+    for step in resolved:
+        weights = np.multiply.outer(weights, step.alphas).ravel()
     records: list[OutcomeRecord] = []
-    for outcomes, weight, prob in _leaves(resolved, 0, initial.matrix, (), 1.0):
-        prob = float(prob)
+    for outcomes, weight, prob in zip(
+        itertools.product((0, 1), repeat=m), weights.tolist(), probs.tolist()
+    ):
         if prob < -1e-12 or prob > 1 + 1e-12:
             raise NumericalInvariantError(f"branch probability {prob} outside [0, 1]")
         records.append(OutcomeRecord(outcomes, weight, prob))
@@ -514,10 +511,11 @@ def _transfer_values(initial: DensityMatrix | PureState, firsts, rest):
     first measurement E_1 in ``firsts``, all followed by the resolved
     measurements ``rest`` (see :func:`_resolve_steps`).
 
-    A density matrix is evaluated from the back: the effect Z = E_2^dag ...
-    E_m^dag(1) is formed once, the last measurement's E^dag(1) from B and
-    B^2 alone, and shared by every first measurement, whose value is
-    Tr(E_1(rho) Z), summed elementwise.  A pure state psi travels forward
+    A density matrix is evaluated from the back: the walk of
+    :func:`_effects`, branching over the transfer weights alone, forms the
+    one effect Z = E_2^dag ... E_m^dag(1), shared by every first
+    measurement, whose value is Tr(E_1(rho) Z), summed elementwise, as
+    sampled mode sums its leaf probabilities.  A pure state psi travels forward
     as the factor pair X = L R^dag, starting from (psi, psi): a measurement
     concatenates the factors of its nonzero-weight terms, so no dim x dim
     state is formed, and the last one gives Tr E(X).
@@ -535,13 +533,7 @@ def _transfer_values(initial: DensityMatrix | PureState, firsts, rest):
                 pair = step.transfer_factors(pair)
             values.append(complex(last.factor_trace(pair)))
     else:
-        if rest:
-            *inner, last = rest
-            z = last.effect()
-            for step in reversed(inner):
-                z = step.adjoint_transfer(z)
-        else:
-            z = np.identity(initial.dim)
+        ((_, z),) = _effects(rest, [(s.transfer_weights,) for s in rest], initial.dim)
         z_t = z.T.ravel()
         for first in firsts:
             values.append(complex(np.sum(z_t * first.transfer(initial.matrix).ravel())))

@@ -70,15 +70,17 @@ class TestConfigValidation:
             config_from_dict(base_config(phis=3.2))
 
     def test_initial_state_forms(self):
-        assert config_from_dict(base_config(initial_state="10")).initial_density()
+        label = config_from_dict(base_config(initial_state="10")).initial_state_obj()
+        assert label.density()
         assert (
             config_from_dict(base_config(initial_state="maximally-mixed"))
-            .initial_density()
+            .initial_state_obj()
             .matrix[0, 0]
             == 0.25
         )
         amp = [[1 / math.sqrt(2), 0], [0, 0], [0, 0], [1 / math.sqrt(2), 0]]
-        rho = config_from_dict(base_config(initial_state=amp)).initial_density()
+        pure = config_from_dict(base_config(initial_state=amp)).initial_state_obj()
+        rho = pure.density()
         assert rho.matrix[0, 3] == pytest.approx(0.5)
         with pytest.raises(ConfigError, match="initial_state"):
             config_from_dict(base_config(initial_state="0"))
@@ -192,6 +194,57 @@ class TestRunExperiment:
             for mode in ("exact", "sampled"):
                 kw = dict(initial_state=initial_state, mode=mode, trials=300, seed=4)
                 assert csv(reversal="clock-ancilla", **kw) == csv(**kw)
+
+    # rows_to_csv text of small sampled runs: a sampled value depends only on
+    # the drawn outcome strings and their alpha products, so these bytes do
+    # not depend on the BLAS build.
+    PINNED = {
+        "label-toc": (
+            dict(observable_a="+XII", protocol="toc", initial_state="010",
+                 phis=[0.7, 1.1]),
+            "0,-0.048769311276561665,0.09753862255312333,0.077941365133534252,"
+            "0.077849580127312232,0.077893925164456368,sampled,500,5\n"
+            "0.80000000000000004,0.020901133404240713,0.062703400212722138,"
+            "0.077966321944065942,0.077921393929994892,0.077893925164456368,"
+            "sampled,500,5\n"
+            "1.6000000000000001,-0.15327497829776524,0.062703400212722138,"
+            "0.077669442022133967,0.077921393929994892,0.077893925164456368,"
+            "sampled,500,5\n",
+        ),
+        "mixed-otoc": (
+            dict(observable_a="+ZII", protocol="otoc", initial_state="maximally-mixed",
+                 phis=[math.pi / 2, 0.3, 0.9, 1.2]),
+            "0,-0.3325816562989532,0.074157593744560754,0.41389173152747927,"
+            "0.41495544886003838,0.41455355165162761,sampled,500,5\n"
+            "0.80000000000000004,1.2247278123368228,0.59326074995648603,"
+            "0.40284039056374144,0.41411800007736554,0.41455355165162761,"
+            "sampled,500,5\n"
+            "1.6000000000000001,0.11236390616841141,0.14831518748912151,"
+            "0.41197011909304443,0.4149156086747553,0.41455355165162761,"
+            "sampled,500,5\n",
+        ),
+        "clock-otoc": (
+            dict(observable_a="+XII", protocol="otoc", initial_state="101",
+                 reversal="clock-ancilla", phis=[0.4, 0.5, 0.6, 0.7]),
+            "0,1.8272061205834147,1.6492035703403254,1.3122768238837812,"
+            "1.316297094779378,1.3170468900058296,sampled,500,5\n"
+            "0.80000000000000004,1.4738053555104882,2.1204045904375612,"
+            "1.3137064870313537,1.3149442710974162,1.3170468900058296,"
+            "sampled,500,5\n"
+            "1.6000000000000001,0.41360306029170735,2.3560051004861791,"
+            "1.3168462824160314,1.3141403731137284,1.3170468900058296,"
+            "sampled,500,5\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_sampled_csv_is_pinned(self, name):
+        extra, body = self.PINNED[name]
+        cfg = base_config(system_size=3, observable_b="+IIZ", times=[0.0, 0.8, 1.6],
+                          mode="sampled", trials=500, seed=5, **extra)
+        csv = rows_to_csv(run_experiment(config_from_dict(cfg)))
+        header = "t,re_value,im_value,re_stderr,im_stderr,rms_bound,mode,trials,seed\n"
+        assert csv == header + body
 
     def test_parts_subset(self):
         rows = run_experiment(config_from_dict(base_config(parts=["imag"])))

@@ -1,5 +1,6 @@
 """Sequence engine, TOC/OTOC protocols, sampling, statistical bounds."""
 
+import gc
 import math
 
 import numpy as np
@@ -749,6 +750,30 @@ class TestBackwardDensityRoute:
             for first, value in zip(firsts, values):
                 ref = forward_transfer_reference(rho, [first, *rest])
                 assert abs(value - ref.real) <= 1e-12
+
+    def test_walks_make_no_reference_cycles(self):
+        # A self-referencing closure in the walk would leave garbage for the
+        # cycle collector; a module-level recursion frees every level at once.
+        rng = np.random.default_rng(74)
+        rho = random_density(rng, 3)
+        a, b = random_pauli(rng, 3), random_pauli(rng, 3)
+        u = propagator(random_hermitian(rng, 8), 0.9)
+        steps = [
+            meas(random_pauli(rng, 3), 0.4, "noninformative"),
+            meas(random_involution(rng, 2), 0.9, targets=(2, 0)),
+            EvolveStep(random_unitary(rng, 8)),
+            meas(random_pauli(rng, 1), 1.2, targets=(1,)),
+            meas(random_involution(rng, 3), 0.6),
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            otoc(rho, a, b, u, phis=(0.5, 0.6, 0.7, 0.8), mode="sampled",
+                 trials=200, seed=3)
+            nested_estimate(rho, steps)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_prebuilt_measurement_after_evolution_is_rejected(self):
         rho = DensityMatrix.from_label("01")
