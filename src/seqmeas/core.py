@@ -46,12 +46,21 @@ def is_hermitian(m: np.ndarray, tol: float = CHECK_TOL) -> bool:
     return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= tol
 
 
+def identity_deviation(m: np.ndarray) -> float:
+    """max |m - 1| over the entries of a square matrix, equal bit for bit
+    to ``np.max(np.abs(m - np.eye(dim)))`` but without the identity or
+    the difference: |m| elementwise with the diagonal replaced by
+    |m_ii - 1|.  ``m`` is not changed."""
+    dev = np.abs(m)
+    np.fill_diagonal(dev, np.abs(m.diagonal() - 1))
+    return float(np.max(dev))
+
+
 def is_unitary(m: np.ndarray, tol: float = CHECK_TOL) -> bool:
     m = _as_complex(m)
     if m.shape[0] != m.shape[1]:
         return False
-    eye = np.eye(m.shape[0])
-    return np.max(np.abs(m.conj().T @ m - eye)) <= tol
+    return identity_deviation(m.conj().T @ m) <= tol
 
 
 def distance_up_to_phase(u: np.ndarray, v: np.ndarray) -> float:

@@ -173,6 +173,18 @@ def heisenberg(obs, u, targets=None) -> np.ndarray:
     return um.conj().T @ b @ um
 
 
+def heisenberg_phases(b_frame: np.ndarray, u: Propagator) -> np.ndarray:
+    """B(t) = U^dag B U in the eigenbasis V of H, from B in that basis,
+    ``b_frame`` = V^dag B V, and the propagator U = V e^{-iEt} V^dag of H:
+    V^dag B(t) V = e^{iEt} (V^dag B V) e^{-iEt}, the elementwise scaling of
+    entry (j, k) by e^{iE_j t} e^{-iE_k t}.  One O(dim^2) pass; neither U
+    nor a product is formed."""
+    phases = u.phases
+    bt = phases.conj()[:, None] * b_frame
+    bt *= phases
+    return bt
+
+
 @dataclass(frozen=True)
 class ClockPropagator:
     """exp(-i t H (x) Z) with a time-direction ancilla on the last slot,

@@ -77,8 +77,16 @@ def _row_seed(base: int, time_index: int, part_index: int) -> int:
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
-    # A label or amplitude list stays a pure state (positive by
-    # construction), which exact runs carry as a vector.
+    """One row per time point of ``cfg.times``.
+
+    The whole grid goes to one :func:`_heisenberg_protocol` call, with one
+    propagator per time from the Hamiltonian's one spectrum, so an exact
+    mixed-state run is evaluated in H's eigenbasis, built once per run;
+    the clock-ancilla OTOC passes its system propagators and takes the
+    same route as the direct one.  A label or amplitude list stays a pure
+    state (positive by construction), which exact runs carry as a vector;
+    a density matrix is checked positive first.
+    """
     initial = cfg.initial_state_obj()
     if isinstance(initial, DensityMatrix):
         initial.check_positive()
@@ -90,28 +98,32 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     count = 2 if cfg.protocol == "toc" else 4
     parts = tuple(p for p in PARTS if p in cfg.parts)
 
+    if cfg.protocol == "otoc" and cfg.reversal == "clock-ancilla":
+        # The clock OTOC runs on its system propagator (see otoc).
+        evolutions = [time_reversed_evolution(ham, t).system for t in cfg.times]
+    else:
+        evolutions = [propagator(ham, t) for t in cfg.times]
+    seeds = None
+    if sampled:
+        seeds = [
+            tuple(_row_seed(cfg.seed, time_index, PARTS.index(p)) for p in parts)
+            for time_index in range(len(cfg.times))
+        ]
+    grid = _heisenberg_protocol(
+        initial,
+        a,
+        b,
+        count,
+        evolutions,
+        parts,
+        cfg.phis,
+        cfg.mode,
+        cfg.trials if sampled else None,
+        seeds,
+    )
+
     rows = []
-    for time_index, t in enumerate(cfg.times):
-        if cfg.protocol == "otoc" and cfg.reversal == "clock-ancilla":
-            # The clock OTOC runs on its system propagator (see otoc).
-            evolution = time_reversed_evolution(ham, t).system
-        else:
-            evolution = propagator(ham, t)
-        seeds = None
-        if sampled:
-            seeds = tuple(_row_seed(cfg.seed, time_index, PARTS.index(p)) for p in parts)
-        estimates = _heisenberg_protocol(
-            initial,
-            a,
-            b,
-            count,
-            evolution,
-            parts,
-            cfg.phis,
-            cfg.mode,
-            cfg.trials if sampled else None,
-            seeds,
-        )
+    for t, estimates in zip(cfg.times, grid):
         values = {"real": None, "imag": None}
         errors = {"real": None, "imag": None}
         for part, est in zip(parts, estimates):

@@ -21,7 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CHECK_TOL, DensityMatrix, PureState, embed, is_hermitian
+from .core import (
+    CHECK_TOL,
+    DensityMatrix,
+    PureState,
+    embed,
+    identity_deviation,
+    is_hermitian,
+)
 from .observables import PAULI_Y, PauliString, basis_ket
 
 INFORMATIVE = "informative"
@@ -62,7 +69,7 @@ def _raw_observable(obs) -> tuple[np.ndarray, np.ndarray]:
     if not is_hermitian(m):
         raise ValueError("observable is not Hermitian to 1e-10")
     square = m @ m
-    if np.max(np.abs(square - np.eye(m.shape[0]))) > CHECK_TOL:
+    if identity_deviation(square) > CHECK_TOL:
         raise ValueError("observable does not square to the identity to 1e-10")
     return m, square
 
@@ -132,7 +139,7 @@ class KrausPair:
         k0 = np.array(self.outcome0, dtype=np.complex128)
         k1 = np.array(self.outcome1, dtype=np.complex128)
         total = k0.conj().T @ k0 + k1.conj().T @ k1
-        dev = np.max(np.abs(total - np.eye(k0.shape[0])))
+        dev = identity_deviation(total)
         if dev > 1e-12:
             raise ValueError(f"Kraus pair violates completeness by {dev:.3e}")
         k0.flags.writeable = False

@@ -48,16 +48,25 @@ The TOC and OTOC protocols run in the Heisenberg frame: the interleaved
 sequence A, U, B, U^dag, A, U, B becomes A, B(t), A, B(t) with B(t) =
 U^dag B U and the same outcome distribution, so their sequences hold only
 measurements.  Both are built by :func:`_heisenberg_protocol`, which
-picks the route from the input.  The clock-ancilla OTOC runs there too,
-as the direct one with the clock's system propagator as U.  The real
-and imaginary parts differ only in the first measurement of A, so the
-builder takes the requested parts together: U, B(t), the measurements
-after the first and A's signed permutation are built and checked once
-for all of them, and exact density values share one effect Z.
+takes a whole time grid and picks the route from the input.  The
+clock-ancilla OTOC runs there too, as the direct one with the clock's
+system propagator as U.  The real and imaginary parts differ only in the
+first measurement of A, so the builder takes the requested parts
+together: everything after the first measurement is built and checked
+once for all of them, and exact density values share one effect Z.  An
+exact density matrix on a grid of propagators of one spectrum (E, V) of
+H is evaluated in the eigenbasis V: the frame (V checked, V^dag B V,
+V^dag A V and the first transfers) is built once per grid, and each time
+point forms V^dag B(t) V = e^{iEt} V^dag B V e^{-iEt} by a phase scaling
+(:func:`heisenberg_phases`), with no U and no product.  Every other
+input runs one time point at a time, checking U and building B(t) by
+:func:`heisenberg`, or, for a pure state, applying it through the
+spectrum.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -73,7 +82,7 @@ from .core import (
     embed,
     is_unitary,
 )
-from .dynamics import ClockPropagator, Propagator, heisenberg
+from .dynamics import ClockPropagator, Propagator, heisenberg, heisenberg_phases
 from .measurement import (
     INFORMATIVE,
     NONINFORMATIVE,
@@ -495,11 +504,11 @@ def sequence_distribution(
     for outcomes, weight, prob in zip(
         itertools.product((0, 1), repeat=m), weights.tolist(), probs.tolist()
     ):
-        if prob < -1e-12 or prob > 1 + 1e-12:
+        if not -1e-12 <= prob <= 1 + 1e-12:
             raise NumericalInvariantError(f"branch probability {prob} outside [0, 1]")
         records.append(OutcomeRecord(outcomes, weight, prob))
     total = fsum(r.probability for r in records)
-    if abs(total - 1.0) > 1e-10:
+    if not abs(total - 1.0) <= 1e-10:
         raise NumericalInvariantError(
             f"sequence probabilities sum to {total!r}, not 1"
         )
@@ -511,20 +520,14 @@ def _transfer_values(initial: DensityMatrix | PureState, firsts, rest):
     first measurement E_1 in ``firsts``, all followed by the resolved
     measurements ``rest`` (see :func:`_resolve_steps`).
 
-    A density matrix is evaluated from the back: the walk of
-    :func:`_effects`, branching over the transfer weights alone, forms the
-    one effect Z = E_2^dag ... E_m^dag(1), shared by every first
-    measurement, whose value is Tr(E_1(rho) Z), summed elementwise, as
-    sampled mode sums its leaf probabilities.  A pure state psi travels forward
-    as the factor pair X = L R^dag, starting from (psi, psi): a measurement
-    concatenates the factors of its nonzero-weight terms, so no dim x dim
-    state is formed, and the last one gives Tr E(X).
-    Every E preserves Hermiticity and each value is a nested bracket of
-    involutions, so it must be finite and real to 1e-10 with magnitude at
-    most 1 + 1e-10; otherwise :class:`NumericalInvariantError` is raised.
+    A density matrix is evaluated from the back (:func:`_density_values`).
+    A pure state psi travels forward as the factor pair X = L R^dag,
+    starting from (psi, psi): a measurement concatenates the factors of its
+    nonzero-weight terms, so no dim x dim state is formed, and the last one
+    gives Tr E(X).  Every value is checked by :func:`_checked_values`.
     """
-    values = []
     if isinstance(initial, PureState):
+        values = []
         psi = initial.amplitudes[:, None]
         for first in firsts:
             *inner, last = (first, *rest)
@@ -533,10 +536,27 @@ def _transfer_values(initial: DensityMatrix | PureState, firsts, rest):
                 pair = step.transfer_factors(pair)
             values.append(complex(last.factor_trace(pair)))
     else:
-        ((_, z),) = _effects(rest, [(s.transfer_weights,) for s in rest], initial.dim)
-        z_t = z.T.ravel()
-        for first in firsts:
-            values.append(complex(np.sum(z_t * first.transfer(initial.matrix).ravel())))
+        transfers = (first.transfer(initial.matrix) for first in firsts)
+        values = _density_values(transfers, rest, initial.dim)
+    return _checked_values(values)
+
+
+def _density_values(transfers, rest, dim):
+    """Tr(E_m ... E_2(X)) for each first transfer X = E_1(rho) in
+    ``transfers``: the walk of :func:`_effects`, branching over the
+    transfer weights alone, forms the one effect Z = E_2^dag ... E_m^dag(1),
+    shared by every X, whose value is Tr(X Z), summed elementwise, as
+    sampled mode sums its leaf probabilities."""
+    ((_, z),) = _effects(rest, [(s.transfer_weights,) for s in rest], dim)
+    z_t = z.T.ravel()
+    return [complex(np.sum(z_t * x.ravel())) for x in transfers]
+
+
+def _checked_values(values):
+    """The real parts of exact values.  Every E preserves Hermiticity and
+    each value is a nested bracket of involutions, so it must be finite and
+    real to 1e-10 with magnitude at most 1 + 1e-10; otherwise
+    :class:`NumericalInvariantError` is raised."""
     for value in values:
         if not (
             math.isfinite(value.real)
@@ -550,6 +570,17 @@ def _transfer_values(initial: DensityMatrix | PureState, firsts, rest):
     return [value.real for value in values]
 
 
+def _exact_estimate(value, phis) -> CorrelatorEstimate:
+    return CorrelatorEstimate(
+        value=value,
+        mode="exact",
+        trials=(0,) * len(phis),
+        phis=phis,
+        rms_bound=0.0,
+        empirical_stderr=0.0,
+    )
+
+
 def _estimates(initial, firsts, rest, mode, trials, seeds):
     """One estimate for each first measurement in ``firsts``, followed by
     the resolved measurements ``rest``; sampled mode takes one seed per
@@ -558,20 +589,11 @@ def _estimates(initial, firsts, rest, mode, trials, seeds):
     (:func:`sample_protocol`)."""
     if mode == "exact":
         values = _transfer_values(initial, firsts, rest)
-        estimates = []
-        for value, first in zip(values, firsts):
-            phis = (first.phi,) + tuple(s.phi for s in rest)
-            estimates.append(
-                CorrelatorEstimate(
-                    value=value,
-                    mode="exact",
-                    trials=(0,) * len(phis),
-                    phis=phis,
-                    rms_bound=0.0,
-                    empirical_stderr=0.0,
-                )
-            )
-        return estimates
+        later = tuple(s.phi for s in rest)
+        return [
+            _exact_estimate(value, (first.phi,) + later)
+            for value, first in zip(values, firsts)
+        ]
     if mode == "sampled":
         if trials is None or seeds is None or None in seeds:
             raise ValueError("sampled mode needs trials and seed")
@@ -684,9 +706,11 @@ def sample_protocol(
 
 
 def _evolution_matrix(evolution, dim: int) -> np.ndarray:
-    """The evolution's matrix, checked once for shape and unitarity."""
+    """The evolution's matrix, checked once for shape and unitarity.  A
+    propagator's matrix is formed on a copy and not kept, as a time grid
+    holds all its propagators."""
     if isinstance(evolution, Propagator):
-        u = evolution.matrix
+        u = dataclasses.replace(evolution).matrix
     else:
         u = np.asarray(evolution, dtype=np.complex128)
     if u.shape != (dim, dim):
@@ -742,29 +766,30 @@ def _heisenberg_action(spec: MeasurementSpec, u: Propagator, initial: PureState)
 
 _FIRST_KINDS = {"real": INFORMATIVE, "imag": NONINFORMATIVE}
 
+# The eigenbasis route pays for its frame (about 8 products) once per call
+# and saves about a third of each time point.  At n = 7, one and two points
+# are cheaper without it; from three points on it is the faster one.
+_FRAME_MIN_POINTS = 3
+
 
 def _heisenberg_protocol(
-    initial, a, b, count, evolution, parts, phis, mode="exact", trials=None, seeds=None
-) -> list[CorrelatorEstimate]:
+    initial, a, b, count, evolutions, parts, phis, mode="exact", trials=None, seeds=None
+) -> list[list[CorrelatorEstimate]]:
     """Measure A, B(t), A, B(t), ... for ``count`` steps (2 for the TOC, 4
-    for the OTOC) in the Heisenberg frame, with B(t) = U^dag B U, and
-    return one estimate per part in ``parts``.  The first A is informative
-    for part 'real' and noninformative for part 'imag'; every later step is
-    informative.  Sampled mode takes one seed per part.
+    for the OTOC) in the Heisenberg frame, with B(t) = U^dag B U, for each
+    evolution U of the time grid ``evolutions``, and return one list of
+    estimates per time point, one estimate per part in ``parts``.  The
+    first A is informative for part 'real' and noninformative for part
+    'imag'; every later step is informative.  Sampled mode takes one tuple
+    of seeds per time point, one seed per part.
 
     The parts differ only in their first measurement, so everything after
-    it is built and checked once for all of them: U, B(t), the B(t)
-    measurements, A's signed permutation and the later A measurements.
-
-    The input picks the route once.  A pure ``initial`` with a
-    :class:`Propagator` ``evolution`` in exact mode travels as vector
-    factors: every B(t) step applies one checked :func:`_heisenberg_action`
-    through the propagator's spectrum, so neither U nor B(t) is formed.
-    Every other input takes the density route: a pure state is converted to
-    its density matrix, U is checked unitary, and B(t) is built by
-    :func:`heisenberg` into one checked spec, shared by every B(t) step,
-    so B(t)^2 is formed once.  Exact density values share one backward
-    evaluation of the steps after the first (:func:`_transfer_values`).
+    it is built and checked once for all of them.  The input picks the
+    route.  An exact density matrix on a grid of at least
+    ``_FRAME_MIN_POINTS`` propagators of one spectrum (E, V) takes the
+    eigenbasis route (:func:`_frame_grid`): V is checked once, and each
+    time point costs a phase scaling and the engine walk.  Every other
+    input is evaluated one time point at a time (:func:`_time_point`).
     """
     phis = tuple(float(p) for p in phis)
     if len(phis) != count:
@@ -772,7 +797,61 @@ def _heisenberg_protocol(
     for part in parts:
         if part not in _FIRST_KINDS:
             raise ValueError(f"part must be 'real' or 'imag', got {part!r}")
+    evolutions = list(evolutions)
+    if seeds is None:
+        seeds = [None] * len(evolutions)
+    elif len(seeds) != len(evolutions):
+        raise ValueError(
+            f"{len(evolutions)} time point(s) need as many seed tuples, got {len(seeds)}"
+        )
+    if (
+        mode == "exact"
+        and isinstance(initial, DensityMatrix)
+        and len(evolutions) >= _FRAME_MIN_POINTS
+        and all(
+            isinstance(u, Propagator)
+            and u.evals is evolutions[0].evals
+            and u.evecs is evolutions[0].evecs
+            for u in evolutions
+        )
+    ):
+        return _frame_grid(initial, a, b, evolutions, parts, phis)
+    return [
+        _time_point(initial, a, b, u, parts, phis, mode, trials, point_seeds)
+        for u, point_seeds in zip(evolutions, seeds)
+    ]
 
+
+def _first_steps(a, parts, phis):
+    """The first measurement of A, one per part."""
+    return [MeasureStep(MeasurementSpec(a, phis[0], _FIRST_KINDS[p])) for p in parts]
+
+
+def _later_steps(phis, spec_b, b_step, a_step):
+    """The steps after the first A: ``b_step`` of B(t) at each odd
+    position (``spec_b`` at the strength phis[1], a copy at phis[3]) and
+    the prebuilt ``a_step``, the later A, at position 2."""
+    return [
+        b_step(spec_b if k == 1 else spec_b.with_phi(phi)) if k % 2 else a_step
+        for k, phi in enumerate(phis[1:], start=1)
+    ]
+
+
+def _time_point(initial, a, b, evolution, parts, phis, mode, trials, seeds):
+    """The estimates of one time point, built and checked once for all
+    the parts: U, B(t), the B(t) measurements, A's signed permutation and
+    the later A measurements.
+
+    A pure ``initial`` with a :class:`Propagator` ``evolution`` in exact
+    mode travels as vector factors: every B(t) step applies one checked
+    :func:`_heisenberg_action` through the propagator's spectrum, so
+    neither U nor B(t) is formed.  Every other input takes the density
+    route: a pure state is converted to its density matrix, U is checked
+    unitary, and B(t) is built by :func:`heisenberg` into one checked spec,
+    shared by every B(t) step, so B(t)^2 is formed once.  Exact density
+    values share one backward evaluation of the steps after the first
+    (:func:`_transfer_values`).
+    """
     if (
         isinstance(initial, PureState)
         and isinstance(evolution, Propagator)
@@ -791,15 +870,58 @@ def _heisenberg_protocol(
         spec_b = MeasurementSpec(heisenberg(b, u), phis[1], INFORMATIVE)
         b_step = MeasureStep
 
-    steps = [MeasureStep(MeasurementSpec(a, phis[0], _FIRST_KINDS[p])) for p in parts]
-    for k, phi in enumerate(phis[1:], start=1):
-        if k % 2:
-            steps.append(b_step(spec_b if k == 1 else spec_b.with_phi(phi)))
-        else:
-            steps.append(MeasureStep(MeasurementSpec(a, phi, INFORMATIVE)))
+    a_step = None
+    if len(phis) > 2:
+        a_step = MeasureStep(MeasurementSpec(a, phis[2], INFORMATIVE))
+    steps = _first_steps(a, parts, phis) + _later_steps(phis, spec_b, b_step, a_step)
     resolved, _ = _resolve_steps(initial, steps)
     firsts, rest = resolved[: len(parts)], resolved[len(parts) :]
     return _estimates(initial, firsts, rest, mode, trials, seeds)
+
+
+def _frame_grid(initial: DensityMatrix, a, b, evolutions, parts, phis):
+    """Exact density values over a grid of propagators of one spectrum
+    (E, V), evaluated in the eigenbasis V of H.
+
+    The frame is built once: V is checked unitary to 1e-10, which stands
+    in for the per-point check of U, as U = V e^{-iEt} V^dag is never
+    formed; B~ = V^dag B V and, for the OTOC, A~ = V^dag A V are built by
+    :func:`heisenberg` with V in place of U, and A~ (with A~^2, formed
+    once) is the checked later A measurement.  Each part's first transfer
+    E_1(rho) is taken in the computational basis, by A's signed
+    permutation, and carried into the frame as V^dag E_1(rho) V; the trace
+    Tr(E_m ... E_1(rho)) is the same in every basis.
+
+    Each time point then costs one O(dim^2) phase scaling,
+    B~(t) = e^{iEt} B~ e^{-iEt} (:func:`heisenberg_phases`), and goes
+    through the same checks and walk as the density route: the spec checks
+    B~(t) Hermitian with B~(t)^2 = 1 to 1e-10, the dense measurements check
+    completeness, the walk of :func:`_density_values` gives the values and
+    :func:`_checked_values` checks them.  A value depends on its time alone,
+    not on the rest of the grid.
+    """
+    evecs = evolutions[0].evecs
+    dim = initial.dim
+    if evecs.shape != (dim, dim):
+        raise ValueError(
+            f"evolution 'U_t' has shape {evecs.shape}, expected {(dim, dim)}"
+        )
+    if not is_unitary(evecs, CHECK_TOL):
+        raise NumericalInvariantError("eigenbasis of H is not unitary to 1e-10")
+    firsts, _ = _resolve_steps(initial, _first_steps(a, parts, phis))
+    transfers = [evecs.conj().T @ f.transfer(initial.matrix) @ evecs for f in firsts]
+    b_frame = heisenberg(b, evecs)
+    a_step = None
+    if len(phis) > 2:
+        spec_a = MeasurementSpec(heisenberg(a, evecs), phis[2], INFORMATIVE)
+        ((a_step,), _) = _resolve_steps(initial, [MeasureStep(spec_a)])
+    grid = []
+    for u in evolutions:
+        spec_b = MeasurementSpec(heisenberg_phases(b_frame, u), phis[1], INFORMATIVE)
+        rest, _ = _resolve_steps(initial, _later_steps(phis, spec_b, MeasureStep, a_step))
+        values = _checked_values(_density_values(transfers, rest, dim))
+        grid.append([_exact_estimate(value, phis) for value in values])
+    return grid
 
 
 def toc(
@@ -824,8 +946,8 @@ def toc(
     U^dag K(B) U before it, and the trailing U^dag cannot change them.
     :func:`_heisenberg_protocol` builds it and picks the route.
     """
-    (estimate,) = _heisenberg_protocol(
-        initial, a, b, 2, evolution, (part,), phis, mode, trials, (seed,)
+    ((estimate,),) = _heisenberg_protocol(
+        initial, a, b, 2, [evolution], (part,), phis, mode, trials, [(seed,)]
     )
     return estimate
 
@@ -870,8 +992,8 @@ def otoc(
         raise ValueError("provide exactly one of evolution or clock")
     if clock is not None:
         evolution = clock.system
-    (estimate,) = _heisenberg_protocol(
-        initial, a, b, 4, evolution, (part,), phis, mode, trials, (seed,)
+    ((estimate,),) = _heisenberg_protocol(
+        initial, a, b, 4, [evolution], (part,), phis, mode, trials, [(seed,)]
     )
     return estimate
 

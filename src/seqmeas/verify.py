@@ -130,8 +130,8 @@ def phi_independence_suite(samples: int, rng) -> SuiteResult:
             phis2 = [_random_phi(rng) for _ in range(2)]
             phis4 = [_random_phi(rng) for _ in range(4)]
             # One call per correlator gives both parts.
-            toc_re, toc_im = _heisenberg_protocol(rho, a, b, 2, u, PARTS, phis2)
-            otoc_re, otoc_im = _heisenberg_protocol(rho, a, b, 4, u, PARTS, phis4)
+            ((toc_re, toc_im),) = _heisenberg_protocol(rho, a, b, 2, [u], PARTS, phis2)
+            ((otoc_re, otoc_im),) = _heisenberg_protocol(rho, a, b, 4, [u], PARTS, phis4)
             worst = max(
                 worst,
                 abs(toc_re.value - ref_toc.real),

@@ -14,6 +14,7 @@ from seqmeas import (
     partial_trace,
     tensor,
 )
+from seqmeas.core import identity_deviation
 from seqmeas.observables import PAULI_X, PAULI_Y, PAULI_Z, basis_ket
 from seqmeas.observables import entangling_gate
 
@@ -45,6 +46,22 @@ class TestTensor:
             np.testing.assert_array_equal(
                 tensor(tensor(a, b), c), tensor(a, tensor(b, c))
             )
+
+
+class TestIdentityDeviation:
+    def test_equals_difference_from_the_identity(self):
+        # the unitarity, square and completeness checks read this in place
+        # of np.max(np.abs(m - np.eye(dim))), and must see the same number
+        rng = np.random.default_rng(5)
+        for dim in (1, 2, 4, 8, 16):
+            u = random_unitary(rng, dim)
+            for scale in (0.0, 1e-14, 1e-11, 1e-9, 1e-3):
+                noise = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                m = u + scale * noise
+                for x in (m, m.conj().T @ m):
+                    before = x.copy()
+                    assert identity_deviation(x) == np.max(np.abs(x - np.eye(dim)))
+                    assert np.array_equal(x, before)
 
 
 class TestEmbedAndApply:

@@ -18,6 +18,7 @@ from seqmeas import (
     MeasurementSpec,
     NumericalInvariantError,
     PauliString,
+    Propagator,
     PureState,
     build_mixed_field_ising,
     config_from_dict,
@@ -128,6 +129,16 @@ class TestSequenceDistribution:
         probs = {r.outcomes: r.probability for r in records}
         assert probs[(1,)] == pytest.approx(1.0, abs=1e-12)
         assert probs[(0,)] == pytest.approx(0.0, abs=1e-12)
+
+    def test_nan_probability_is_rejected(self):
+        # NaN compares False with both bounds, so the checks test for the
+        # range, not for leaving it.
+        rho = DensityMatrix.maximally_mixed(1)
+        corrupted = rho.matrix.copy()
+        corrupted[0, 0] = np.nan
+        object.__setattr__(rho, "matrix", corrupted)
+        with pytest.raises(NumericalInvariantError):
+            sequence_distribution(rho, [meas(PauliString(("Z",)), 0.7)])
 
     def test_noninformative_is_flat(self):
         rng = np.random.default_rng(0)
@@ -808,9 +819,9 @@ class TestSharedParts:
                     seeds = tuple(int(s) for s in rng.integers(0, 2**63, size=2))
                 for count in (2, 4):
                     phis = [float(rng.uniform(0.2, PI / 2)) for _ in range(count)]
-                    both = protocols_mod._heisenberg_protocol(
-                        initial, a, b, count, u, self.PARTS, phis,
-                        seeds=seeds if sampled else None, **kwargs
+                    (both,) = protocols_mod._heisenberg_protocol(
+                        initial, a, b, count, [u], self.PARTS, phis,
+                        seeds=[seeds] if sampled else None, **kwargs
                     )
                     for part, seed, est in zip(self.PARTS, seeds, both):
                         if count == 2:
@@ -828,7 +839,7 @@ class TestSharedParts:
         initial = random_pure_state(rng, n) if pure else random_density(rng, n)
         u = propagator(random_hermitian(rng, 2**n), 0.9)
         a, b = random_pauli(rng, n), random_pauli(rng, n)
-        protocols_mod._heisenberg_protocol(initial, a, b, 4, u, self.PARTS, [0.6] * 4)
+        protocols_mod._heisenberg_protocol(initial, a, b, 4, [u], self.PARTS, [0.6] * 4)
         assert len(calls) == 2  # A in the engine, B in B(t)
 
     def test_sampled_needs_one_seed_per_part(self):
@@ -836,8 +847,13 @@ class TestSharedParts:
         z = PauliString(("Z",))
         with pytest.raises(ValueError, match="seed"):
             protocols_mod._heisenberg_protocol(
-                rho, z, z, 2, np.eye(2), self.PARTS, [0.6] * 2,
-                mode="sampled", trials=10, seeds=(1,),
+                rho, z, z, 2, [np.eye(2)], self.PARTS, [0.6] * 2,
+                mode="sampled", trials=10, seeds=[(1,)],
+            )
+        with pytest.raises(ValueError, match="seed tuples"):
+            protocols_mod._heisenberg_protocol(
+                rho, z, z, 2, [np.eye(2)] * 2, self.PARTS, [0.6] * 2,
+                mode="sampled", trials=10, seeds=[(1, 2)],
             )
 
 
@@ -845,8 +861,13 @@ class TestOneBuildPerTimePoint:
     TIMES = [0.0, 0.4, 0.8]
 
     def test_mixed_state_otoc(self, monkeypatch):
+        # A mixed-state grid runs in H's eigenbasis: V is checked once and A
+        # and B are carried into it once per run (heisenberg with V in place
+        # of U); a time point only scales B's phases, with no U to check and
+        # no B(t) product.
         heisenberg_calls = counting_patch(monkeypatch, protocols_mod, "heisenberg")
         unitary_calls = counting_patch(monkeypatch, protocols_mod, "is_unitary")
+        phase_calls = counting_patch(monkeypatch, protocols_mod, "heisenberg_phases")
         cfg = config_from_dict(
             {
                 "system_size": 3,
@@ -860,8 +881,11 @@ class TestOneBuildPerTimePoint:
         )
         rows = run_experiment(cfg)
         assert all(r.re_value is not None and r.im_value is not None for r in rows)
-        assert len(heisenberg_calls) == len(self.TIMES)
-        assert len(unitary_calls) == len(self.TIMES)
+        assert len(unitary_calls) == 1
+        evecs = unitary_calls[0][0]
+        assert len(heisenberg_calls) == 2
+        assert all(call[1] is evecs for call in heisenberg_calls)
+        assert len(phase_calls) == len(self.TIMES)
 
     def test_label_state_toc(self, monkeypatch):
         calls = counting_patch(monkeypatch, protocols_mod, "_heisenberg_action")
@@ -879,6 +903,141 @@ class TestOneBuildPerTimePoint:
         rows = run_experiment(cfg)
         assert all(r.re_value is not None and r.im_value is not None for r in rows)
         assert len(calls) == len(self.TIMES)
+
+
+def _grid_propagators(h, times):
+    """Propagators of H at ``times`` that share one spectrum: a Hamiltonian
+    caches its own; a matrix is decomposed once here."""
+    if isinstance(h, Hamiltonian):
+        return [propagator(h, t) for t in times]
+    first = propagator(h, times[0])
+    return [first] + [Propagator(first.evals, first.evecs, t) for t in times[1:]]
+
+
+def _random_grid_input(rng, n, source, initial, observable):
+    if source == "hamiltonian":
+        if n == 1:
+            h = Hamiltonian(1, ((0.8, PauliString(("X",))), (-0.5, PauliString(("Z",)))))
+        else:
+            h = build_mixed_field_ising(n)
+    else:
+        h = random_hermitian(rng, 2**n)
+    rho = random_density(rng, n) if initial == "random" else DensityMatrix.maximally_mixed(n)
+    a = random_pauli(rng, n)
+    b = random_pauli(rng, n) if observable == "pauli" else random_involution(rng, n)
+    return h, rho, a, b
+
+
+class TestEigenbasisGrid:
+    PARTS = ("real", "imag")
+    TIMES = [0.0, 0.35, 0.9, 1.6]
+
+    @pytest.mark.parametrize("observable", ["pauli", "raw"])
+    @pytest.mark.parametrize("initial", ["random", "mixed"])
+    @pytest.mark.parametrize("source", ["hamiltonian", "matrix"])
+    def test_matches_oracle_and_single_points(self, monkeypatch, source, initial, observable):
+        phase_calls = counting_patch(monkeypatch, protocols_mod, "heisenberg_phases")
+        rng = np.random.default_rng([91, len(source), len(initial), len(observable)])
+        for n in range(1, 6):
+            h, rho, a, b = _random_grid_input(rng, n, source, initial, observable)
+            grid = _grid_propagators(h, self.TIMES)
+            for count in (2, 4):
+                phis = [float(rng.uniform(0.2, PI / 2)) for _ in range(count)]
+                before = len(phase_calls)
+                rows = protocols_mod._heisenberg_protocol(
+                    rho, a, b, count, grid, self.PARTS, phis
+                )
+                assert len(phase_calls) - before == len(self.TIMES)
+                bm = b.matrix() if isinstance(b, PauliString) else b
+                for u, (re_est, im_est) in zip(grid, rows):
+                    if count == 2:
+                        ref = oracle_toc(rho.matrix, a.matrix(), bm, u.matrix)
+                        got = complex(re_est.value, im_est.value)
+                        single = [toc(rho, a, b, u, p, phis).value for p in self.PARTS]
+                    else:
+                        ref = oracle_otoc(rho.matrix, a.matrix(), bm, u.matrix)
+                        got = complex(
+                            otoc_value("real", re_est.value),
+                            otoc_value("imag", im_est.value),
+                        )
+                        single = [
+                            otoc(rho, a, b, u, part=p, phis=phis).value
+                            for p in self.PARTS
+                        ]
+                    assert abs(got - ref) <= 1e-12
+                    assert abs(re_est.value - single[0]) <= 1e-13
+                    assert abs(im_est.value - single[1]) <= 1e-13
+                    assert re_est.phis == im_est.phis == tuple(phis)
+
+    def test_row_does_not_depend_on_the_grid(self):
+        rng = np.random.default_rng(92)
+        n = 3
+        ham = build_mixed_field_ising(n)
+        rho = random_density(rng, n)
+        a, b = random_pauli(rng, n), random_pauli(rng, n)
+        phis = [0.5, 0.7, 0.9, 1.1]
+        long = protocols_mod._heisenberg_protocol(
+            rho, a, b, 4, _grid_propagators(ham, [0.0, 0.4, 0.8]), self.PARTS, phis
+        )
+        short = protocols_mod._heisenberg_protocol(
+            rho, a, b, 4, _grid_propagators(ham, [0.8, 1.2, 1.6]), self.PARTS, phis
+        )
+        assert long[2] == short[0]
+
+    def test_rows_do_not_depend_on_the_grid_in_a_run(self):
+        def rows(times):
+            cfg = config_from_dict(
+                {
+                    "system_size": 3,
+                    "observable_a": "+ZII",
+                    "observable_b": "+IIZ",
+                    "times": times,
+                    "protocol": "otoc",
+                    "initial_state": "maximally-mixed",
+                    "parts": ["real", "imag"],
+                }
+            )
+            return run_experiment(cfg)
+
+        assert rows([0.0, 0.4, 0.8])[2] == rows([0.8, 1.2, 1.6])[0]
+
+    def test_non_unitary_eigenbasis_is_rejected(self):
+        ham = build_mixed_field_ising(2)
+        evals, evecs = ham.spectrum
+        scaled = 1.001 * evecs
+        bad = [Propagator(evals, scaled, t) for t in self.TIMES]
+        rho = DensityMatrix.maximally_mixed(2)
+        a, b = PauliString(("Z", "I")), PauliString(("I", "Z"))
+        with pytest.raises(NumericalInvariantError, match="eigenbasis"):
+            protocols_mod._heisenberg_protocol(rho, a, b, 4, bad, self.PARTS, [0.6] * 4)
+
+    @pytest.mark.parametrize(
+        "case", ["two points", "sampled", "pure", "raw matrices", "two spectra"]
+    )
+    def test_other_inputs_keep_their_route(self, monkeypatch, case):
+        phase_calls = counting_patch(monkeypatch, protocols_mod, "heisenberg_phases")
+        rng = np.random.default_rng(93)
+        n = 2
+        ham = build_mixed_field_ising(n)
+        rho = random_density(rng, n)
+        a, b = PauliString(("Z", "I")), PauliString(("I", "X"))
+        grid = _grid_propagators(ham, [0.3, 0.9, 1.4])
+        kwargs = {}
+        if case == "two points":
+            grid = grid[:2]
+        elif case == "sampled":
+            kwargs = {"mode": "sampled", "trials": 50, "seeds": [(1, 2), (3, 4), (5, 6)]}
+        elif case == "pure":
+            rho = random_pure_state(rng, n)
+        elif case == "raw matrices":
+            grid = [u.matrix for u in grid]
+        else:
+            grid[2] = propagator(build_mixed_field_ising(n, h=0.3), 1.4)
+        rows = protocols_mod._heisenberg_protocol(
+            rho, a, b, 4, grid, self.PARTS, [0.6] * 4, **kwargs
+        )
+        assert len(rows) == len(grid)
+        assert phase_calls == []
 
 
 class TestRmsBound:
