@@ -140,7 +140,7 @@ class KrausPair:
         k1 = np.array(self.outcome1, dtype=np.complex128)
         total = k0.conj().T @ k0 + k1.conj().T @ k1
         dev = identity_deviation(total)
-        if dev > 1e-12:
+        if not dev <= 1e-12:
             raise ValueError(f"Kraus pair violates completeness by {dev:.3e}")
         k0.flags.writeable = False
         k1.flags.writeable = False

@@ -41,27 +41,18 @@ Tr(K_a rho K_a^dag Z); its weight is the alpha product in forward order.
 Each trial then draws one string, measurement by measurement with the
 conditional Born probabilities.  Randomness is counter-based (Philox
 keyed by the seed; trial k consumes row k of the uniform block), so
-results do not depend on execution order, and aggregation uses
-exactly-rounded summation (math.fsum) for bit-stable results.
+results do not depend on execution order, and the mean and variance
+are summed exactly over the leaves and rounded once, for bit-stable
+results.
 
 The TOC and OTOC protocols run in the Heisenberg frame: the interleaved
 sequence A, U, B, U^dag, A, U, B becomes A, B(t), A, B(t) with B(t) =
 U^dag B U and the same outcome distribution, so their sequences hold only
 measurements.  Both are built by :func:`_heisenberg_protocol`, which
-takes a whole time grid and picks the route from the input.  The
-clock-ancilla OTOC runs there too, as the direct one with the clock's
-system propagator as U.  The real and imaginary parts differ only in the
-first measurement of A, so the builder takes the requested parts
-together: everything after the first measurement is built and checked
-once for all of them, and exact density values share one effect Z.  An
-exact density matrix on a grid of propagators of one spectrum (E, V) of
-H is evaluated in the eigenbasis V: the frame (V checked, V^dag B V,
-V^dag A V and the first transfers) is built once per grid, and each time
-point forms V^dag B(t) V = e^{iEt} V^dag B V e^{-iEt} by a phase scaling
-(:func:`heisenberg_phases`), with no U and no product.  Every other
-input runs one time point at a time, checking U and building B(t) by
-:func:`heisenberg`, or, for a pure state, applying it through the
-spectrum.
+takes a whole time grid and the requested parts, builds what does not
+depend on the time once per grid, and picks one of the routes its
+docstring lists.  The clock-ancilla OTOC runs there too, as the direct
+one with the clock's system propagator as U.
 """
 
 from __future__ import annotations
@@ -70,6 +61,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from math import fsum
 
 import numpy as np
@@ -287,7 +279,7 @@ def _check_scalar_completeness(weights) -> None:
     form: sum_a |c0|^2 + |c1|^2 = 1 and sum_a Re(conj(c0) c1) = 0."""
     norm = fsum(w[0] + w[3] for w in weights)
     cross = fsum(w[1].real for w in weights)
-    if abs(norm - 1.0) > 1e-12 or abs(cross) > 1e-12:
+    if not (abs(norm - 1.0) <= 1e-12 and abs(cross) <= 1e-12):
         raise NumericalInvariantError(
             f"Kraus coefficients violate completeness (norm {norm!r}, "
             f"cross term {cross!r})"
@@ -334,7 +326,7 @@ class _DenseMeasurement(_Measurement):
         residual += w3 * b_sq
         residual.flat[:: len(b) + 1] += w0 - 1.0
         dev = float(np.max(np.abs(residual)))
-        if dev > 1e-12:
+        if not dev <= 1e-12:
             raise NumericalInvariantError(
                 f"Kraus operators violate completeness by {dev:.3e}"
             )
@@ -447,9 +439,10 @@ def _effects(rest, branches, dim, z=None, index=0, stride=1):
     The walk runs depth first from the back: the last step's Z is its
     ``effect``, and each earlier step maps the Z after it with the adjoint
     weights, all branches of a node from one set of terms, so only the
-    branches of one node per step are alive.  An empty ``rest`` has the
-    effect 1.  The recursion goes through this module-level function, so a
-    walk holds no reference cycle.
+    branches of one node per step are alive; a node drops its Z once it is
+    mapped and hands each branch on without keeping it.  An empty ``rest``
+    has the effect 1.  The recursion goes through this module-level
+    function, so a walk holds no reference cycle.
     """
     if not rest:
         yield index, np.identity(dim) if z is None else z
@@ -459,9 +452,11 @@ def _effects(rest, branches, dim, z=None, index=0, stride=1):
         zs = [step.effect(w) for w in weights]
     else:
         zs = step.maps(z, [_adjoint(w) for w in weights])
-    for a, child in enumerate(zs):
+        del z
+    count = len(zs)
+    for a in range(count):
         yield from _effects(
-            rest[:-1], branches[:-1], dim, child, index + a * stride, stride * len(zs)
+            rest[:-1], branches[:-1], dim, zs.pop(0), index + a * stride, stride * count
         )
 
 
@@ -515,41 +510,43 @@ def sequence_distribution(
     return records
 
 
-def _transfer_values(initial: DensityMatrix | PureState, firsts, rest):
-    """The exact weighted averages Tr(E_m ... E_2 E_1(rho)), one for each
-    first measurement E_1 in ``firsts``, all followed by the resolved
-    measurements ``rest`` (see :func:`_resolve_steps`).
-
-    A density matrix is evaluated from the back (:func:`_density_values`).
-    A pure state psi travels forward as the factor pair X = L R^dag,
-    starting from (psi, psi): a measurement concatenates the factors of its
-    nonzero-weight terms, so no dim x dim state is formed, and the last one
-    gives Tr E(X).  Every value is checked by :func:`_checked_values`.
-    """
+def _first_transfers(initial: DensityMatrix | PureState, firsts):
+    """The exact first transfers E_1(rho), one for each first measurement
+    E_1 in ``firsts``.  A pure state psi gives the factor pair of
+    E_1(psi psi^dag), from (psi, psi), and no dim x dim state."""
     if isinstance(initial, PureState):
-        values = []
         psi = initial.amplitudes[:, None]
-        for first in firsts:
-            *inner, last = (first, *rest)
-            pair = (psi, psi)
-            for step in inner:
+        return [first.transfer_factors((psi, psi)) for first in firsts]
+    return [first.transfer(initial.matrix) for first in firsts]
+
+
+def _transfer_values(starts, rest, dim):
+    """The exact weighted averages Tr(E_m ... E_2(X)), one for each first
+    transfer X = E_1(rho) in ``starts`` (see :func:`_first_transfers`),
+    all followed by the resolved measurements ``rest`` (see
+    :func:`_resolve_steps`).  Every value is checked by
+    :func:`_checked_values`.
+
+    A dim x dim X is evaluated from the back: the walk of :func:`_effects`,
+    branching over the transfer weights alone, forms the one effect Z =
+    E_2^dag ... E_m^dag(1), shared by every X, whose value is Tr(X Z),
+    summed elementwise, as sampled mode sums its leaf probabilities.  A
+    factor pair X = L R^dag travels forward: a measurement concatenates the
+    factors of its nonzero-weight terms, so no dim x dim state is formed,
+    and the last one gives Tr E(X).
+    """
+    if not starts or isinstance(starts[0], tuple):
+        values = []
+        for pair in starts:
+            for step in rest[:-1]:
                 pair = step.transfer_factors(pair)
-            values.append(complex(last.factor_trace(pair)))
+            trace = rest[-1].factor_trace(pair) if rest else np.vdot(pair[1], pair[0])
+            values.append(complex(trace))
     else:
-        transfers = (first.transfer(initial.matrix) for first in firsts)
-        values = _density_values(transfers, rest, initial.dim)
+        ((_, z),) = _effects(rest, [(s.transfer_weights,) for s in rest], dim)
+        z_t = z.T.ravel()
+        values = [complex(np.sum(z_t * x.ravel())) for x in starts]
     return _checked_values(values)
-
-
-def _density_values(transfers, rest, dim):
-    """Tr(E_m ... E_2(X)) for each first transfer X = E_1(rho) in
-    ``transfers``: the walk of :func:`_effects`, branching over the
-    transfer weights alone, forms the one effect Z = E_2^dag ... E_m^dag(1),
-    shared by every X, whose value is Tr(X Z), summed elementwise, as
-    sampled mode sums its leaf probabilities."""
-    ((_, z),) = _effects(rest, [(s.transfer_weights,) for s in rest], dim)
-    z_t = z.T.ravel()
-    return [complex(np.sum(z_t * x.ravel())) for x in transfers]
 
 
 def _checked_values(values):
@@ -581,33 +578,6 @@ def _exact_estimate(value, phis) -> CorrelatorEstimate:
     )
 
 
-def _estimates(initial, firsts, rest, mode, trials, seeds):
-    """One estimate for each first measurement in ``firsts``, followed by
-    the resolved measurements ``rest``; sampled mode takes one seed per
-    first measurement.  Exact values share the evaluation of ``rest``
-    (:func:`_transfer_values`); sampled ones run one outcome tree each
-    (:func:`sample_protocol`)."""
-    if mode == "exact":
-        values = _transfer_values(initial, firsts, rest)
-        later = tuple(s.phi for s in rest)
-        return [
-            _exact_estimate(value, (first.phi,) + later)
-            for value, first in zip(values, firsts)
-        ]
-    if mode == "sampled":
-        if trials is None or seeds is None or None in seeds:
-            raise ValueError("sampled mode needs trials and seed")
-        if len(seeds) != len(firsts):
-            raise ValueError(
-                f"sampled mode needs {len(firsts)} seed(s), got {len(seeds)}"
-            )
-        return [
-            sample_protocol(initial, [first, *rest], trials, seed)
-            for first, seed in zip(firsts, seeds)
-        ]
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def nested_estimate(
     initial: DensityMatrix | PureState,
     steps,
@@ -630,8 +600,16 @@ def nested_estimate(
     (:func:`sample_protocol`), which holds a pure state as its density
     matrix.
     """
-    resolved, _ = _resolve_steps(initial, steps)
-    return _estimates(initial, resolved[:1], resolved[1:], mode, trials, (seed,))[0]
+    resolved, phis = _resolve_steps(initial, steps)
+    if mode == "exact":
+        starts = _first_transfers(initial, resolved[:1])
+        (value,) = _transfer_values(starts, resolved[1:], 2**initial.n_qubits)
+        return _exact_estimate(value, phis)
+    if mode == "sampled":
+        if trials is None or seed is None:
+            raise ValueError("sampled mode needs trials and seed")
+        return sample_protocol(initial, resolved, trials, seed)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def trial_uniforms(seed: int, trials: int, draws: int) -> np.ndarray:
@@ -683,11 +661,15 @@ def sample_protocol(
                 f"conditional outcome probability at measurement {j} outside [0, 1]"
             )
         leaf = 2 * leaf + (uniforms[:, j] < p1)
-    weights = np.array([r.weight for r in records])[leaf]
 
-    mean = fsum(weights) / trials
+    # The trials that end in one leaf share its weight w, so the sums run
+    # over the leaves: each is exact (count * w as a Fraction) and rounded
+    # once, as math.fsum over the trials rounds it, bit for bit.
+    counts = np.bincount(leaf, minlength=2**m).tolist()
+    tally = [(c, r.weight) for c, r in zip(counts, records) if c]
+    mean = float(sum(c * Fraction(w) for c, w in tally)) / trials
     if trials > 1:
-        var = fsum((x - mean) ** 2 for x in weights) / (trials - 1)
+        var = float(sum(c * Fraction((w - mean) ** 2) for c, w in tally)) / (trials - 1)
         stderr = math.sqrt(var / trials)
     else:
         stderr = 0.0
@@ -722,34 +704,20 @@ def _evolution_matrix(evolution, dim: int) -> np.ndarray:
     return u
 
 
-def _heisenberg_action(spec: MeasurementSpec, u: Propagator, initial: PureState):
-    """x -> B(t) x = U^dag (B (U x)) for dim x k blocks x, with B the
-    observable of ``spec`` on the whole register and U applied by its
-    spectrum: V e^{iEt} V^dag B V e^{-iEt} V^dag x.
+def _heisenberg_action(apply_b, u: Propagator, initial: PureState):
+    """x -> B(t) x = U^dag (B (U x)) for dim x k blocks x, with ``apply_b``
+    the map y -> B y on the whole register and U applied by its spectrum:
+    V e^{iEt} V^dag B V e^{-iEt} V^dag x.
 
     B(t)^2 = 1 is checked on the initial vector, ||B(t) (B(t) psi) -
-    psi||_inf <= 1e-10, once per call of :func:`_heisenberg_protocol`
-    (one time point, every part); a corrupted propagator fails here with
-    :class:`NumericalInvariantError`.
+    psi||_inf <= 1e-10, once per time point for every part; a corrupted
+    propagator fails here with :class:`NumericalInvariantError`.
     """
-    n, dim = initial.n_qubits, 2**initial.n_qubits
+    dim = 2**initial.n_qubits
     if u.evecs.shape != (dim, dim):
         raise ValueError(
             f"evolution 'U_t' has shape {u.evecs.shape}, expected {(dim, dim)}"
         )
-    if spec.n_qubits != n:
-        raise ValueError(
-            f"measurement of a {spec.n_qubits}-qubit observable on {n} qubits"
-        )
-    if isinstance(spec.observable, PauliString):
-        perm, d = spec.observable.action(n)
-        d = d[:, None]
-
-        def apply_b(y):
-            return d * y[perm]
-
-    else:
-        apply_b = spec.observable.__matmul__
 
     def apply(x):
         return u.apply(apply_b(u.apply(x)), adjoint=True)
@@ -766,9 +734,12 @@ def _heisenberg_action(spec: MeasurementSpec, u: Propagator, initial: PureState)
 
 _FIRST_KINDS = {"real": INFORMATIVE, "imag": NONINFORMATIVE}
 
-# The eigenbasis route pays for its frame (about 8 products) once per call
-# and saves about a third of each time point.  At n = 7, one and two points
-# are cheaper without it; from three points on it is the faster one.
+# The eigenbasis route pays for its frame (about 8 products) once per grid
+# and saves about a third of each time point.  Medians for an exact
+# maximally mixed OTOC with both parts (2-core VM, BLAS pinned to 1
+# thread), density route against eigenbasis route: one point 0.70 vs
+# 0.78 ms at n = 3, 1.5 vs 2.1 ms at n = 6 and 7.9 vs 11.5 ms at n = 7;
+# at n = 7, two points 12.1 vs 12.7 ms and three points 24.5 vs 22.5 ms.
 _FRAME_MIN_POINTS = 3
 
 
@@ -783,13 +754,35 @@ def _heisenberg_protocol(
     'imag'; every later step is informative.  Sampled mode takes one tuple
     of seeds per time point, one seed per part.
 
-    The parts differ only in their first measurement, so everything after
-    it is built and checked once for all of them.  The input picks the
-    route.  An exact density matrix on a grid of at least
-    ``_FRAME_MIN_POINTS`` propagators of one spectrum (E, V) takes the
-    eigenbasis route (:func:`_frame_grid`): V is checked once, and each
-    time point costs a phase scaling and the engine walk.  Every other
-    input is evaluated one time point at a time (:func:`_time_point`).
+    Only B(t) depends on the time, and the parts differ only in their
+    first measurement.  So the route is picked once per grid, and every A
+    measurement, the route's frame and the exact first transfers are built
+    and checked once per grid, for all the parts.  A time point builds
+    B(t), resolves the steps after the first A and evaluates them: exact
+    values share one evaluation (:func:`_transfer_values`), sampled ones run
+    one outcome tree per part (:func:`sample_protocol`).  A value depends
+    on its time alone, not on the rest of the grid.  The routes:
+
+    * vector: an exact pure state psi on a grid of :class:`Propagator`
+      objects.  The first transfers are factor pairs of E_1(psi psi^dag),
+      and B's spec and signed action are built once.  A time point applies
+      B(t) through the propagator's spectrum (:func:`_heisenberg_action`,
+      which checks B(t)^2 = 1 on psi), so neither U nor B(t) is formed.
+    * eigenbasis: an exact density matrix on a grid of at least
+      ``_FRAME_MIN_POINTS`` propagators of one spectrum (E, V).  V is
+      checked unitary to 1e-10 once, which stands in for the check of U,
+      as U is never formed.  B~ = V^dag B V and the later A~ = V^dag A V
+      (with A~^2) are built by :func:`heisenberg` with V in place of U, and
+      the first transfers are taken as V^dag E_1(rho) V (a trace is the
+      same in every basis).  A time point forms B~(t) = e^{iEt} B~ e^{-iEt}
+      by one O(dim^2) phase scaling (:func:`heisenberg_phases`).
+    * density: every other input; a pure state is converted to its
+      density matrix.  A time point checks U for shape and unitarity
+      (:func:`_evolution_matrix`) and builds B(t) by :func:`heisenberg`.
+
+    On the last two routes B(t) goes into one spec, which checks it
+    Hermitian with B(t)^2 = 1 to 1e-10; the B(t)^2 it forms serves every
+    B(t) step, and each dense B(t) measurement checks completeness.
     """
     phis = tuple(float(p) for p in phis)
     if len(phis) != count:
@@ -804,124 +797,87 @@ def _heisenberg_protocol(
         raise ValueError(
             f"{len(evolutions)} time point(s) need as many seed tuples, got {len(seeds)}"
         )
-    if (
-        mode == "exact"
+    exact = mode == "exact"
+    if mode == "sampled":
+        if trials is None or any(s is None or None in s for s in seeds):
+            raise ValueError("sampled mode needs trials and seed")
+        for point_seeds in seeds:
+            if len(point_seeds) != len(parts):
+                raise ValueError(
+                    f"sampled mode needs {len(parts)} seed(s), got {len(point_seeds)}"
+                )
+    elif not exact:
+        raise ValueError(f"unknown mode {mode!r}")
+
+    dim = 2**initial.n_qubits
+    propagators = all(isinstance(u, Propagator) for u in evolutions)
+    vector = exact and isinstance(initial, PureState) and propagators
+    frame = (
+        exact
         and isinstance(initial, DensityMatrix)
         and len(evolutions) >= _FRAME_MIN_POINTS
+        and propagators
         and all(
-            isinstance(u, Propagator)
-            and u.evals is evolutions[0].evals
-            and u.evecs is evolutions[0].evecs
+            u.evals is evolutions[0].evals and u.evecs is evolutions[0].evecs
             for u in evolutions
         )
-    ):
-        return _frame_grid(initial, a, b, evolutions, parts, phis)
-    return [
-        _time_point(initial, a, b, u, parts, phis, mode, trials, point_seeds)
-        for u, point_seeds in zip(evolutions, seeds)
+    )
+    if isinstance(initial, PureState) and not vector:
+        initial = initial.density()
+    if frame:
+        evecs = evolutions[0].evecs
+        if evecs.shape != (dim, dim):
+            raise ValueError(
+                f"evolution 'U_t' has shape {evecs.shape}, expected {(dim, dim)}"
+            )
+        if not is_unitary(evecs, CHECK_TOL):
+            raise NumericalInvariantError("eigenbasis of H is not unitary to 1e-10")
+        b_frame = heisenberg(b, evecs)
+
+    # One resolve for every A measurement, and for B's on the vector route,
+    # so that measurements of one Pauli string share its signed permutation.
+    steps = [MeasureStep(MeasurementSpec(a, phis[0], _FIRST_KINDS[p])) for p in parts]
+    steps += [
+        MeasureStep(MeasurementSpec(heisenberg(a, evecs) if frame else a, p, INFORMATIVE))
+        for p in phis[2::2]
     ]
-
-
-def _first_steps(a, parts, phis):
-    """The first measurement of A, one per part."""
-    return [MeasureStep(MeasurementSpec(a, phis[0], _FIRST_KINDS[p])) for p in parts]
-
-
-def _later_steps(phis, spec_b, b_step, a_step):
-    """The steps after the first A: ``b_step`` of B(t) at each odd
-    position (``spec_b`` at the strength phis[1], a copy at phis[3]) and
-    the prebuilt ``a_step``, the later A, at position 2."""
-    return [
-        b_step(spec_b if k == 1 else spec_b.with_phi(phi)) if k % 2 else a_step
-        for k, phi in enumerate(phis[1:], start=1)
-    ]
-
-
-def _time_point(initial, a, b, evolution, parts, phis, mode, trials, seeds):
-    """The estimates of one time point, built and checked once for all
-    the parts: U, B(t), the B(t) measurements, A's signed permutation and
-    the later A measurements.
-
-    A pure ``initial`` with a :class:`Propagator` ``evolution`` in exact
-    mode travels as vector factors: every B(t) step applies one checked
-    :func:`_heisenberg_action` through the propagator's spectrum, so
-    neither U nor B(t) is formed.  Every other input takes the density
-    route: a pure state is converted to its density matrix, U is checked
-    unitary, and B(t) is built by :func:`heisenberg` into one checked spec,
-    shared by every B(t) step, so B(t)^2 is formed once.  Exact density
-    values share one backward evaluation of the steps after the first
-    (:func:`_transfer_values`).
-    """
-    if (
-        isinstance(initial, PureState)
-        and isinstance(evolution, Propagator)
-        and mode == "exact"
-    ):
+    if vector:
         spec_b = MeasurementSpec(b, phis[1], INFORMATIVE)
-        apply = _heisenberg_action(spec_b, evolution, initial)
-
-        def b_step(spec):
-            return _HeisenbergMeasurement(spec, apply)
-
-    else:
-        if isinstance(initial, PureState):
-            initial = initial.density()
-        u = _evolution_matrix(evolution, initial.dim)
-        spec_b = MeasurementSpec(heisenberg(b, u), phis[1], INFORMATIVE)
-        b_step = MeasureStep
-
-    a_step = None
-    if len(phis) > 2:
-        a_step = MeasureStep(MeasurementSpec(a, phis[2], INFORMATIVE))
-    steps = _first_steps(a, parts, phis) + _later_steps(phis, spec_b, b_step, a_step)
+        b_specs = [spec_b.with_phi(p) for p in phis[1::2]]
+        steps.append(MeasureStep(spec_b))
     resolved, _ = _resolve_steps(initial, steps)
-    firsts, rest = resolved[: len(parts)], resolved[len(parts) :]
-    return _estimates(initial, firsts, rest, mode, trials, seeds)
+    if vector:
+        apply_b = resolved.pop().left
+    firsts, a_steps = resolved[: len(parts)], resolved[len(parts) :]
+    if exact:
+        starts = _first_transfers(initial, firsts)
+        if frame:
+            starts = [evecs.conj().T @ x @ evecs for x in starts]
 
+    def point(u, point_seeds):
+        # Every array built here is freed when the point is done.
+        if vector:
+            apply = _heisenberg_action(apply_b, u, initial)
+            b_steps = [_HeisenbergMeasurement(s, apply) for s in b_specs]
+        else:
+            if frame:
+                b_t = heisenberg_phases(b_frame, u)
+            else:
+                b_t = heisenberg(b, _evolution_matrix(u, dim))
+            spec = MeasurementSpec(b_t, phis[1], INFORMATIVE)
+            del b_t  # the spec keeps its own checked copy
+            b_steps = [MeasureStep(spec.with_phi(p)) for p in phis[1::2]]
+        # B(t) at the odd positions, the later A at the even ones.
+        later = [b_steps[k // 2] if k % 2 else a_steps[k // 2 - 1] for k in range(1, count)]
+        rest, _ = _resolve_steps(initial, later)
+        if exact:
+            return [_exact_estimate(v, phis) for v in _transfer_values(starts, rest, dim)]
+        return [
+            sample_protocol(initial, [first, *rest], trials, seed)
+            for first, seed in zip(firsts, point_seeds)
+        ]
 
-def _frame_grid(initial: DensityMatrix, a, b, evolutions, parts, phis):
-    """Exact density values over a grid of propagators of one spectrum
-    (E, V), evaluated in the eigenbasis V of H.
-
-    The frame is built once: V is checked unitary to 1e-10, which stands
-    in for the per-point check of U, as U = V e^{-iEt} V^dag is never
-    formed; B~ = V^dag B V and, for the OTOC, A~ = V^dag A V are built by
-    :func:`heisenberg` with V in place of U, and A~ (with A~^2, formed
-    once) is the checked later A measurement.  Each part's first transfer
-    E_1(rho) is taken in the computational basis, by A's signed
-    permutation, and carried into the frame as V^dag E_1(rho) V; the trace
-    Tr(E_m ... E_1(rho)) is the same in every basis.
-
-    Each time point then costs one O(dim^2) phase scaling,
-    B~(t) = e^{iEt} B~ e^{-iEt} (:func:`heisenberg_phases`), and goes
-    through the same checks and walk as the density route: the spec checks
-    B~(t) Hermitian with B~(t)^2 = 1 to 1e-10, the dense measurements check
-    completeness, the walk of :func:`_density_values` gives the values and
-    :func:`_checked_values` checks them.  A value depends on its time alone,
-    not on the rest of the grid.
-    """
-    evecs = evolutions[0].evecs
-    dim = initial.dim
-    if evecs.shape != (dim, dim):
-        raise ValueError(
-            f"evolution 'U_t' has shape {evecs.shape}, expected {(dim, dim)}"
-        )
-    if not is_unitary(evecs, CHECK_TOL):
-        raise NumericalInvariantError("eigenbasis of H is not unitary to 1e-10")
-    firsts, _ = _resolve_steps(initial, _first_steps(a, parts, phis))
-    transfers = [evecs.conj().T @ f.transfer(initial.matrix) @ evecs for f in firsts]
-    b_frame = heisenberg(b, evecs)
-    a_step = None
-    if len(phis) > 2:
-        spec_a = MeasurementSpec(heisenberg(a, evecs), phis[2], INFORMATIVE)
-        ((a_step,), _) = _resolve_steps(initial, [MeasureStep(spec_a)])
-    grid = []
-    for u in evolutions:
-        spec_b = MeasurementSpec(heisenberg_phases(b_frame, u), phis[1], INFORMATIVE)
-        rest, _ = _resolve_steps(initial, _later_steps(phis, spec_b, MeasureStep, a_step))
-        values = _checked_values(_density_values(transfers, rest, dim))
-        grid.append([_exact_estimate(value, phis) for value in values])
-    return grid
+    return [point(u, point_seeds) for u, point_seeds in zip(evolutions, seeds)]
 
 
 def toc(

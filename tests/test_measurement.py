@@ -388,6 +388,9 @@ class TestKrausPairType:
     def test_rejects_incomplete_pair(self):
         with pytest.raises(ValueError, match="completeness"):
             KrausPair(np.eye(2) / 2, np.eye(2) / 2)
+        # A NaN deviation is not within the tolerance either.
+        with pytest.raises(ValueError, match="completeness"):
+            KrausPair(np.full((2, 2), np.nan), np.eye(2))
 
     def test_outcome_indexing(self):
         pair = kraus_pair(MeasurementSpec(PauliString(("Z",)), 0.5, "informative"))

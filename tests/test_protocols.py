@@ -285,7 +285,11 @@ class TestSequenceDistribution:
         monkeypatch.setattr(protocols_mod, "kraus_coefficients", lambda spec: coeffs)
         rho = DensityMatrix.from_label("0")
         sequence_distribution(rho, [meas(PauliString(("Z",)), 0.5)])
-        for bad in (((0.5, 0.5), (0.5, 0.6)), ((0.5, 0.5), (0.5, 0.5))):
+        for bad in (
+            ((0.5, 0.5), (0.5, 0.6)),
+            ((0.5, 0.5), (0.5, 0.5)),
+            ((0.5, 0.5), (0.5, math.nan)),  # a NaN deviation fails too
+        ):
             monkeypatch.setattr(protocols_mod, "kraus_coefficients", lambda spec: bad)
             with pytest.raises(NumericalInvariantError, match="completeness"):
                 sequence_distribution(rho, [meas(PauliString(("Z",)), 0.5)])
@@ -757,7 +761,8 @@ class TestBackwardDensityRoute:
                 other_rho, other_steps = random_sequence(rng, "pauli", 1)
             (other,), _ = protocols_mod._resolve_steps(rho, other_steps)
             firsts, rest = [resolved[0], other], resolved[1:]
-            values = protocols_mod._transfer_values(rho, firsts, rest)
+            starts = [first.transfer(rho.matrix) for first in firsts]
+            values = protocols_mod._transfer_values(starts, rest, rho.dim)
             for first, value in zip(firsts, values):
                 ref = forward_transfer_reference(rho, [first, *rest])
                 assert abs(value - ref.real) <= 1e-12
@@ -831,16 +836,41 @@ class TestSharedParts:
                                        seed=seed, **kwargs)
                         assert est == one
 
-    @pytest.mark.parametrize("pure", [False, True])
-    def test_gathers_each_action_once(self, monkeypatch, pure):
-        calls = counting_patch(monkeypatch, PauliString, "action")
+    @pytest.mark.parametrize("count", [2, 4])
+    @pytest.mark.parametrize("route", ["vector", "eigenbasis", "density", "sampled"])
+    def test_gathers_each_action_once(self, monkeypatch, route, count):
+        # Only B(t) depends on the time, so A's signed permutation and each
+        # part's first transfer are built once per grid on every route.
+        gathers = counting_patch(monkeypatch, PauliString, "action")
+        transfers = [
+            counting_patch(monkeypatch, protocols_mod._Measurement, name)
+            for name in ("transfer", "transfer_factors")
+        ]
         rng = np.random.default_rng(74)
         n = 3
+        pure = route in ("vector", "sampled")
         initial = random_pure_state(rng, n) if pure else random_density(rng, n)
-        u = propagator(random_hermitian(rng, 2**n), 0.9)
+        grid = _grid_propagators(random_hermitian(rng, 2**n), [0.3, 0.9, 1.4])
+        if route == "density":
+            grid = [u.matrix for u in grid]
+        kwargs = {}
+        if route == "sampled":
+            kwargs = {"mode": "sampled", "trials": 50, "seeds": [(1, 2), (3, 4), (5, 6)]}
         a, b = random_pauli(rng, n), random_pauli(rng, n)
-        protocols_mod._heisenberg_protocol(initial, a, b, 4, [u], self.PARTS, [0.6] * 4)
-        assert len(calls) == 2  # A in the engine, B in B(t)
+        phis = [0.5, 0.6, 0.7, 0.8][:count]
+        rows = protocols_mod._heisenberg_protocol(
+            initial, a, b, count, grid, self.PARTS, phis, **kwargs
+        )
+        assert len(rows) == len(grid)
+        a_gathers = sum(call[0] is a for call in gathers)
+        b_gathers = sum(call[0] is b for call in gathers)
+        # The eigenbasis route carries the later A into the frame by a
+        # second gather; the density route forms B(t) = (BU)^dag U from the
+        # gather BU at every point (dynamics.heisenberg).
+        assert a_gathers == (2 if route == "eigenbasis" and count == 4 else 1)
+        assert b_gathers == (1 if route in ("vector", "eigenbasis") else len(grid))
+        firsts = [call for calls in transfers for call in calls if call[0].phi == phis[0]]
+        assert len(firsts) == (0 if route == "sampled" else len(self.PARTS))
 
     def test_sampled_needs_one_seed_per_part(self):
         rho = DensityMatrix.maximally_mixed(1)
@@ -1012,10 +1042,12 @@ class TestEigenbasisGrid:
             protocols_mod._heisenberg_protocol(rho, a, b, 4, bad, self.PARTS, [0.6] * 4)
 
     @pytest.mark.parametrize(
-        "case", ["two points", "sampled", "pure", "raw matrices", "two spectra"]
+        "case",
+        ["two points", "sampled", "pure", "pure, mixed grid", "raw matrices", "two spectra"],
     )
     def test_other_inputs_keep_their_route(self, monkeypatch, case):
         phase_calls = counting_patch(monkeypatch, protocols_mod, "heisenberg_phases")
+        density_points = counting_patch(monkeypatch, protocols_mod, "_evolution_matrix")
         rng = np.random.default_rng(93)
         n = 2
         ham = build_mixed_field_ising(n)
@@ -1029,6 +1061,11 @@ class TestEigenbasisGrid:
             kwargs = {"mode": "sampled", "trials": 50, "seeds": [(1, 2), (3, 4), (5, 6)]}
         elif case == "pure":
             rho = random_pure_state(rng, n)
+        elif case == "pure, mixed grid":
+            # The route is picked per grid: one raw matrix sends a pure
+            # state to the density route at every point.
+            rho = random_pure_state(rng, n)
+            grid[1] = grid[1].matrix
         elif case == "raw matrices":
             grid = [u.matrix for u in grid]
         else:
@@ -1038,6 +1075,7 @@ class TestEigenbasisGrid:
         )
         assert len(rows) == len(grid)
         assert phase_calls == []
+        assert len(density_points) == (0 if case == "pure" else len(grid))
 
 
 class TestRmsBound:
