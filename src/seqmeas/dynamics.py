@@ -98,12 +98,24 @@ class Propagator:
     together with the duration t it realizes.
 
     ``matrix`` is formed on first use and then kept; :meth:`apply` acts on
-    vectors through the spectrum and never forms it.
+    vectors through the spectrum and never forms it.  ``evecs`` must be a
+    square 2-D array, ``evals`` a real 1-D array of one eigenvalue per
+    column and ``duration`` finite, else ``ValueError`` is raised; the
+    arrays are not copied, so propagators of one spectrum share them.
     """
 
     evals: np.ndarray
     evecs: np.ndarray
     duration: float
+
+    def __post_init__(self):
+        evals_shape, shape = np.shape(self.evals), np.shape(self.evecs)
+        real = not np.iscomplexobj(self.evals) and np.isfinite(self.duration)
+        if not (real and len(evals_shape) == 1 and shape == evals_shape * 2):
+            raise ValueError(
+                f"a propagator takes real eigenvalues of shape (dim,), an eigenbasis of shape "
+                f"(dim, dim) and a finite duration, got {evals_shape}, {shape}, {self.duration!r}"
+            )
 
     @functools.cached_property
     def phases(self) -> np.ndarray:

@@ -19,7 +19,7 @@ Both modes evaluate a density matrix from the back, in one walk
 over.  It builds effects Z = E_2^dag ... E_m^dag(1), one four-term update
 per measurement (E^dag is E with the XB and BX weights swapped; the last
 one is formed from B and B^2 alone), and a value is Tr(E_1(rho) Z),
-summed elementwise.
+summed elementwise by the walk's one reader (:func:`_traces`).
 
 Exact mode is the verification reference.  By linearity, the weighted
 average over outcome strings is Tr(E_m ... E_1(rho)) with the transfer
@@ -38,6 +38,8 @@ Sampled mode models the experiment.  The walk branches over the
 per-outcome weights and builds one Z per outcome string of measurements
 2..m, and the sequential-Born probability of a full string is
 Tr(K_a rho K_a^dag Z); its weight is the alpha product in forward order.
+Sequences that differ only in their first measurement (the parts of a
+correlator) share the walk, as they share the exact Z.
 Each trial then draws one string, measurement by measurement with the
 conditional Born probabilities.  Randomness is counter-based (Philox
 keyed by the seed; trial k consumes row k of the uniform block), so
@@ -372,12 +374,10 @@ def _resolve_steps(initial: DensityMatrix | PureState, steps):
     :class:`_DenseMeasurement`.  Both map a density matrix with any list of
     weight tuples (``maps``), which gives the children K_a X K_a^dag, the
     transfer map and their adjoints, and form the effect E^dag(1) of the
-    last measurement from B and B^2.  A prebuilt measurement (such
-    as a :class:`_HeisenbergMeasurement`, which acts on the factors of a
-    pure state only) is taken as it is; after an evolution it is rejected,
-    as it cannot be folded.  Evolutions after the last measurement are
-    shape-checked and dropped, as they preserve every trace.  A sequence
-    without measurements is rejected.
+    last measurement from B and B^2.  Evolutions after the last
+    measurement are shape-checked and dropped, as they preserve every
+    trace.  A sequence without measurements is rejected, and so is any
+    step that is neither a :class:`MeasureStep` nor an :class:`EvolveStep`.
     """
     n = initial.n_qubits
     dim = 2**n
@@ -410,12 +410,6 @@ def _resolve_steps(initial: DensityMatrix | PureState, steps):
                 if step.targets is not None:
                     b, b_sq = embed(b, n, targets), embed(b_sq, n, targets)
                 resolved.append(_DenseMeasurement(spec, b, b_sq))
-        elif isinstance(step, _Measurement):
-            if v is not None:
-                raise ValueError(
-                    "a prebuilt measurement cannot follow an evolution step"
-                )
-            resolved.append(step)
         elif isinstance(step, EvolveStep):
             if step.unitary.shape != (dim, dim):
                 raise ValueError(
@@ -460,6 +454,71 @@ def _effects(rest, branches, dim, z=None, index=0, stride=1):
         )
 
 
+def _traces(xs, rest, branches, dim) -> np.ndarray:
+    """Tr(X Z), summed elementwise, for every X in ``xs`` and every effect
+    Z of the walk of :func:`_effects` over ``rest`` and ``branches``: a
+    complex array with one row per X and one column per outcome string.
+    This is the walk's only reader; it drops each Z and the transposed copy
+    it reads it through before the walk forms the next one."""
+    traces = np.empty((len(xs), math.prod(map(len, branches))), dtype=np.complex128)
+    for index, z in _effects(rest, branches, dim):
+        z_t = z.T.ravel()
+        traces[:, index] = [np.sum(z_t * x.ravel()) for x in xs]
+        del z, z_t
+    return traces
+
+
+def _leaf_probabilities(children, rest, dim) -> np.ndarray:
+    """The sequential-Born probabilities P(a_1..a_m) of every outcome
+    string, in lexicographic order, one row for each first measurement
+    whose children K_a rho K_a^dag (a = 0, 1) are consecutive in
+    ``children``, all followed by the resolved measurements ``rest``.
+
+    They are read from the back, in one walk for every row: each suffix
+    string a_2..a_m has the effect Z = K_2^dag ... K_m^dag K_m ... K_2
+    (:func:`_effects`, branching over the per-outcome weights), and
+    P(a_1..a_m) = Tr(K_1 rho K_1^dag Z).  Every probability must lie in
+    [0, 1] to 1e-12 and each row must sum to 1 within 1e-10, else
+    :class:`NumericalInvariantError` is raised; more than
+    ``MAX_ENUMERATED_MEASUREMENTS`` measurements raise ``ValueError``.
+    """
+    if len(rest) >= MAX_ENUMERATED_MEASUREMENTS:
+        raise ValueError(
+            f"{len(rest) + 1} measurement steps exceed the enumeration limit of "
+            f"{MAX_ENUMERATED_MEASUREMENTS}"
+        )
+    traces = _traces(children, rest, [s.weights for s in rest], dim)
+    rows = traces.real.reshape(len(children) // 2, -1)
+    for row in rows:
+        for prob in row.tolist():
+            if not -1e-12 <= prob <= 1 + 1e-12:
+                raise NumericalInvariantError(f"branch probability {prob} outside [0, 1]")
+        total = fsum(row.tolist())
+        if not abs(total - 1.0) <= 1e-10:
+            raise NumericalInvariantError(f"sequence probabilities sum to {total!r}, not 1")
+    return rows
+
+
+def _alpha_products(resolved) -> list[float]:
+    """The weight of every outcome string, its alpha product in forward
+    order, in lexicographic order."""
+    weights = np.ones(1)
+    for step in resolved:
+        weights = np.multiply.outer(weights, step.alphas).ravel()
+    return weights.tolist()
+
+
+def _distribution(initial: DensityMatrix | PureState, steps):
+    """The resolved measurements of the sequence ``steps`` and the
+    probabilities of their outcome strings (:func:`_leaf_probabilities`);
+    a pure state is held as its density matrix."""
+    rho = initial.density() if isinstance(initial, PureState) else initial
+    resolved, _ = _resolve_steps(rho, steps)
+    first, rest = resolved[0], resolved[1:]
+    (probs,) = _leaf_probabilities(first.maps(rho.matrix, first.weights), rest, rho.dim)
+    return resolved, probs
+
+
 def sequence_distribution(
     initial: DensityMatrix | PureState, steps
 ) -> list[OutcomeRecord]:
@@ -468,46 +527,13 @@ def sequence_distribution(
     Probabilities follow the sequential Born rule
     P(a_1..a_m) = Tr(K_m ... K_1 rho K_1^dag ... K_m^dag) with unitary
     steps interleaved (folded into the measurements by
-    :func:`_resolve_steps`); they are checked to sum to 1 within 1e-10.  A
-    pure state is converted to its density matrix.  The probabilities are
-    read from the back: each suffix string a_2..a_m has the effect Z =
-    K_2^dag ... K_m^dag K_m ... K_2 (:func:`_effects`, branching over the
-    per-outcome weights), and P(a_1..a_m) = Tr(K_1 rho K_1^dag Z), summed
-    elementwise.  A string's weight is its alpha product in forward order.
+    :func:`_resolve_steps`) and are checked by
+    :func:`_leaf_probabilities`.  A string's weight is its alpha product
+    in forward order.
     """
-    if isinstance(initial, PureState):
-        initial = initial.density()
-    resolved, phis = _resolve_steps(initial, steps)
-    m = len(phis)
-    if m > MAX_ENUMERATED_MEASUREMENTS:
-        raise ValueError(
-            f"{m} measurement steps exceed the enumeration limit of "
-            f"{MAX_ENUMERATED_MEASUREMENTS}"
-        )
-    first, rest = resolved[0], resolved[1:]
-    children = [x.ravel() for x in first.maps(initial.matrix, first.weights)]
-    suffixes = 2 ** len(rest)
-    probs = np.empty(2**m)
-    for index, z in _effects(rest, [s.weights for s in rest], initial.dim):
-        z_t = z.T.ravel()
-        for a, child in enumerate(children):
-            probs[a * suffixes + index] = np.sum(z_t * child).real
-    weights = np.ones(1)
-    for step in resolved:
-        weights = np.multiply.outer(weights, step.alphas).ravel()
-    records: list[OutcomeRecord] = []
-    for outcomes, weight, prob in zip(
-        itertools.product((0, 1), repeat=m), weights.tolist(), probs.tolist()
-    ):
-        if not -1e-12 <= prob <= 1 + 1e-12:
-            raise NumericalInvariantError(f"branch probability {prob} outside [0, 1]")
-        records.append(OutcomeRecord(outcomes, weight, prob))
-    total = fsum(r.probability for r in records)
-    if not abs(total - 1.0) <= 1e-10:
-        raise NumericalInvariantError(
-            f"sequence probabilities sum to {total!r}, not 1"
-        )
-    return records
+    resolved, probs = _distribution(initial, steps)
+    outcomes = itertools.product((0, 1), repeat=len(resolved))
+    return list(map(OutcomeRecord, outcomes, _alpha_products(resolved), probs.tolist()))
 
 
 def _first_transfers(initial: DensityMatrix | PureState, firsts):
@@ -530,7 +556,7 @@ def _transfer_values(starts, rest, dim):
     A dim x dim X is evaluated from the back: the walk of :func:`_effects`,
     branching over the transfer weights alone, forms the one effect Z =
     E_2^dag ... E_m^dag(1), shared by every X, whose value is Tr(X Z),
-    summed elementwise, as sampled mode sums its leaf probabilities.  A
+    summed elementwise (:func:`_traces`, as for sampled leaves).  A
     factor pair X = L R^dag travels forward: a measurement concatenates the
     factors of its nonzero-weight terms, so no dim x dim state is formed,
     and the last one gives Tr E(X).
@@ -543,9 +569,8 @@ def _transfer_values(starts, rest, dim):
             trace = rest[-1].factor_trace(pair) if rest else np.vdot(pair[1], pair[0])
             values.append(complex(trace))
     else:
-        ((_, z),) = _effects(rest, [(s.transfer_weights,) for s in rest], dim)
-        z_t = z.T.ravel()
-        values = [complex(np.sum(z_t * x.ravel())) for x in starts]
+        traces = _traces(starts, rest, [(s.transfer_weights,) for s in rest], dim)
+        values = traces[:, 0].tolist()
     return _checked_values(values)
 
 
@@ -595,21 +620,20 @@ def nested_estimate(
 
     Exact mode computes it by transfer maps (:func:`_transfer_values`), in
     O(m) state updates and without a limit on the number of measurements;
-    a pure state travels there as vector factors.  Sampled mode draws
-    outcome strings from the enumerated outcome tree
-    (:func:`sample_protocol`), which holds a pure state as its density
-    matrix.
+    a pure state travels there as vector factors.  Sampled mode hands the
+    steps to :func:`sample_protocol`, which draws outcome strings from the
+    enumerated outcome tree and holds a pure state as its density matrix.
     """
-    resolved, phis = _resolve_steps(initial, steps)
-    if mode == "exact":
-        starts = _first_transfers(initial, resolved[:1])
-        (value,) = _transfer_values(starts, resolved[1:], 2**initial.n_qubits)
-        return _exact_estimate(value, phis)
     if mode == "sampled":
         if trials is None or seed is None:
             raise ValueError("sampled mode needs trials and seed")
-        return sample_protocol(initial, resolved, trials, seed)
-    raise ValueError(f"unknown mode {mode!r}")
+        return sample_protocol(initial, steps, trials, seed)
+    if mode != "exact":
+        raise ValueError(f"unknown mode {mode!r}")
+    resolved, phis = _resolve_steps(initial, steps)
+    starts = _first_transfers(initial, resolved[:1])
+    (value,) = _transfer_values(starts, resolved[1:], 2**initial.n_qubits)
+    return _exact_estimate(value, phis)
 
 
 def trial_uniforms(seed: int, trials: int, draws: int) -> np.ndarray:
@@ -628,27 +652,36 @@ def trial_uniforms(seed: int, trials: int, draws: int) -> np.ndarray:
 def sample_protocol(
     initial: DensityMatrix | PureState, steps, trials: int, seed: int
 ) -> CorrelatorEstimate:
-    """Monte Carlo estimate: average alpha products over sampled strings.
+    """Monte Carlo estimate: average alpha products over sampled strings
+    of the sequence ``steps``.  The steps are resolved once, the outcome
+    tree is enumerated and checked by :func:`_leaf_probabilities`, with its
+    limit of ``MAX_ENUMERATED_MEASUREMENTS`` measurements, and the trials
+    are drawn by :func:`_sampled_estimate`."""
+    return _sampled_estimate(*_distribution(initial, steps), trials, seed)
 
-    Trial k draws its outcome string from :func:`sequence_distribution`
-    with row k of :func:`trial_uniforms`: at measurement j it takes outcome
-    1 iff ``u[k, j] < P(prefix, 1) / P(prefix)``, where a prefix
-    probability sums the leaves below it (exact, as later steps preserve
-    the trace).  Sampled mode thus gets the distribution's invariant
-    checks and its limit of ``MAX_ENUMERATED_MEASUREMENTS`` measurements.
-    ``empirical_stderr`` is the sample standard error of the mean.
+
+def _sampled_estimate(resolved, probs, trials: int, seed: int) -> CorrelatorEstimate:
+    """Draw ``trials`` outcome strings of the resolved measurements
+    ``resolved``, whose strings have the probabilities ``probs`` (see
+    :func:`_leaf_probabilities`), and average their alpha products.
+
+    Trial k draws with row k of :func:`trial_uniforms`: at measurement j it
+    takes outcome 1 iff ``u[k, j] < P(prefix, 1) / P(prefix)``, where a
+    prefix probability sums the leaves below it (exact, as later steps
+    preserve the trace); every conditional probability must be finite and
+    lie in [0, 1] to 1e-12.  ``empirical_stderr`` is the sample standard
+    error of the mean.
     """
     trials = int(trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    resolved, phis = _resolve_steps(initial, steps)
-    records = sequence_distribution(initial, resolved)
-    m = len(phis)
+    m = len(resolved)
+    phis = tuple(s.phi for s in resolved)
 
     # Leaves come in lexicographic order, so leaf i is the outcome string
     # spelling i in binary; tree[j][i] is the probability of the j-outcome
     # prefix i.
-    tree = [np.array([r.probability for r in records])]
+    tree = [probs]
     for _ in range(m):
         tree.insert(0, tree[0].reshape(-1, 2).sum(axis=1))
     uniforms = trial_uniforms(seed, trials, m)
@@ -666,7 +699,7 @@ def sample_protocol(
     # over the leaves: each is exact (count * w as a Fraction) and rounded
     # once, as math.fsum over the trials rounds it, bit for bit.
     counts = np.bincount(leaf, minlength=2**m).tolist()
-    tally = [(c, r.weight) for c, r in zip(counts, records) if c]
+    tally = [(c, w) for c, w in zip(counts, _alpha_products(resolved)) if c]
     mean = float(sum(c * Fraction(w) for c, w in tally)) / trials
     if trials > 1:
         var = float(sum(c * Fraction((w - mean) ** 2) for c, w in tally)) / (trials - 1)
@@ -687,18 +720,14 @@ def sample_protocol(
 # Two-point and four-point correlator protocols.
 
 
-def _evolution_matrix(evolution, dim: int) -> np.ndarray:
-    """The evolution's matrix, checked once for shape and unitarity.  A
-    propagator's matrix is formed on a copy and not kept, as a time grid
-    holds all its propagators."""
+def _evolution_matrix(evolution) -> np.ndarray:
+    """The evolution's matrix, checked once for unitarity (its grid checked
+    the shape).  A propagator's matrix is formed on a copy and not kept, as
+    a time grid holds all its propagators."""
     if isinstance(evolution, Propagator):
         u = dataclasses.replace(evolution).matrix
     else:
         u = np.asarray(evolution, dtype=np.complex128)
-    if u.shape != (dim, dim):
-        raise ValueError(
-            f"evolution 'U_t' has shape {u.shape}, expected {(dim, dim)}"
-        )
     if not is_unitary(u, CHECK_TOL):
         raise ValueError("evolution 'U_t' is not unitary to 1e-10")
     return u
@@ -713,11 +742,6 @@ def _heisenberg_action(apply_b, u: Propagator, initial: PureState):
     psi||_inf <= 1e-10, once per time point for every part; a corrupted
     propagator fails here with :class:`NumericalInvariantError`.
     """
-    dim = 2**initial.n_qubits
-    if u.evecs.shape != (dim, dim):
-        raise ValueError(
-            f"evolution 'U_t' has shape {u.evecs.shape}, expected {(dim, dim)}"
-        )
 
     def apply(x):
         return u.apply(apply_b(u.apply(x)), adjoint=True)
@@ -755,13 +779,16 @@ def _heisenberg_protocol(
     of seeds per time point, one seed per part.
 
     Only B(t) depends on the time, and the parts differ only in their
-    first measurement.  So the route is picked once per grid, and every A
-    measurement, the route's frame and the exact first transfers are built
-    and checked once per grid, for all the parts.  A time point builds
-    B(t), resolves the steps after the first A and evaluates them: exact
-    values share one evaluation (:func:`_transfer_values`), sampled ones run
-    one outcome tree per part (:func:`sample_protocol`).  A value depends
-    on its time alone, not on the rest of the grid.  The routes:
+    first measurement.  So the route is picked and every evolution
+    shape-checked once per grid, and every A measurement, the route's frame
+    and the first measurements' states (the exact first transfers, or the
+    sampled children K_a rho K_a^dag) are built and checked once per grid,
+    for all the parts.  A time point builds its B(t) measurements and
+    evaluates the steps after the first A, for every part at once: exact
+    values in one evaluation (:func:`_transfer_values`), sampled leaf
+    probabilities in one walk (:func:`_leaf_probabilities`), and each part
+    is then drawn from its own seed (:func:`_sampled_estimate`).  A value
+    depends on its time alone, not on the rest of the grid.  The routes:
 
     * vector: an exact pure state psi on a grid of :class:`Propagator`
       objects.  The first transfers are factor pairs of E_1(psi psi^dag),
@@ -777,7 +804,7 @@ def _heisenberg_protocol(
       same in every basis).  A time point forms B~(t) = e^{iEt} B~ e^{-iEt}
       by one O(dim^2) phase scaling (:func:`heisenberg_phases`).
     * density: every other input; a pure state is converted to its
-      density matrix.  A time point checks U for shape and unitarity
+      density matrix.  A time point checks U for unitarity
       (:func:`_evolution_matrix`) and builds B(t) by :func:`heisenberg`.
 
     On the last two routes B(t) goes into one spec, which checks it
@@ -810,6 +837,9 @@ def _heisenberg_protocol(
         raise ValueError(f"unknown mode {mode!r}")
 
     dim = 2**initial.n_qubits
+    for shape in (np.shape(getattr(u, "evecs", u)) for u in evolutions):
+        if shape != (dim, dim):
+            raise ValueError(f"evolution 'U_t' has shape {shape}, expected {(dim, dim)}")
     propagators = all(isinstance(u, Propagator) for u in evolutions)
     vector = exact and isinstance(initial, PureState) and propagators
     frame = (
@@ -826,10 +856,6 @@ def _heisenberg_protocol(
         initial = initial.density()
     if frame:
         evecs = evolutions[0].evecs
-        if evecs.shape != (dim, dim):
-            raise ValueError(
-                f"evolution 'U_t' has shape {evecs.shape}, expected {(dim, dim)}"
-            )
         if not is_unitary(evecs, CHECK_TOL):
             raise NumericalInvariantError("eigenbasis of H is not unitary to 1e-10")
         b_frame = heisenberg(b, evecs)
@@ -853,6 +879,8 @@ def _heisenberg_protocol(
         starts = _first_transfers(initial, firsts)
         if frame:
             starts = [evecs.conj().T @ x @ evecs for x in starts]
+    else:
+        children = [x for s in firsts for x in s.maps(initial.matrix, s.weights)]
 
     def point(u, point_seeds):
         # Every array built here is freed when the point is done.
@@ -863,18 +891,19 @@ def _heisenberg_protocol(
             if frame:
                 b_t = heisenberg_phases(b_frame, u)
             else:
-                b_t = heisenberg(b, _evolution_matrix(u, dim))
+                b_t = heisenberg(b, _evolution_matrix(u))
             spec = MeasurementSpec(b_t, phis[1], INFORMATIVE)
             del b_t  # the spec keeps its own checked copy
-            b_steps = [MeasureStep(spec.with_phi(p)) for p in phis[1::2]]
+            specs = map(spec.with_phi, phis[1::2])
+            b_steps = [_DenseMeasurement(s, s.observable, s._square) for s in specs]
         # B(t) at the odd positions, the later A at the even ones.
-        later = [b_steps[k // 2] if k % 2 else a_steps[k // 2 - 1] for k in range(1, count)]
-        rest, _ = _resolve_steps(initial, later)
+        rest = [b_steps[k // 2] if k % 2 else a_steps[k // 2 - 1] for k in range(1, count)]
         if exact:
             return [_exact_estimate(v, phis) for v in _transfer_values(starts, rest, dim)]
+        rows = _leaf_probabilities(children, rest, dim)
         return [
-            sample_protocol(initial, [first, *rest], trials, seed)
-            for first, seed in zip(firsts, point_seeds)
+            _sampled_estimate([first, *rest], probs, trials, seed)
+            for first, probs, seed in zip(firsts, rows, point_seeds)
         ]
 
     return [point(u, point_seeds) for u, point_seeds in zip(evolutions, seeds)]

@@ -9,6 +9,7 @@ from seqmeas import (
     ClockPropagator,
     Hamiltonian,
     PauliString,
+    Propagator,
     build_mixed_field_ising,
     embed,
     heisenberg,
@@ -164,6 +165,26 @@ class TestPropagator:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             propagator(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
+
+    def test_rejects_malformed_spectrum(self):
+        # One phase would broadcast over the whole register and a U built
+        # from it would still be unitary, so the spectrum itself is checked.
+        evals, evecs = build_mixed_field_ising(3).spectrum
+        assert Propagator(evals, evecs, 0.9).evals is evals
+        bad = [
+            (np.array([0.37]), evecs, 0.9),
+            (evals[:4], evecs, 0.9),
+            (evals, evecs[:, :4], 0.9),
+            (evals, evecs[None], 0.9),
+            (evals[None], evecs, 0.9),
+            (evals + 0j, evecs, 0.9),
+            (0.37, 1.0, 0.9),
+            (evals, evecs, float("nan")),
+            (evals, evecs, float("inf")),
+        ]
+        for args in bad:
+            with pytest.raises(ValueError, match="propagator"):
+                Propagator(*args)
 
 
 class TestHeisenberg:

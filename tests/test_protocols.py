@@ -791,17 +791,18 @@ class TestBackwardDensityRoute:
         finally:
             gc.enable()
 
-    def test_prebuilt_measurement_after_evolution_is_rejected(self):
+    def test_engine_measurement_is_not_a_sequence_step(self):
+        # The public step API takes MeasureStep and EvolveStep only; the
+        # engine's resolved measurements do not pass through it.
         rho = DensityMatrix.from_label("01")
-        (prebuilt,), _ = protocols_mod._resolve_steps(
+        (resolved,), _ = protocols_mod._resolve_steps(
             rho, [meas(PauliString(("Z", "Z")), 0.7)]
         )
-        assert nested_estimate(rho, [prebuilt]).value == pytest.approx(-1.0, abs=1e-12)
-        with pytest.raises(ValueError, match="prebuilt measurement"):
-            nested_estimate(rho, [EvolveStep(np.eye(4)), prebuilt])
-        with pytest.raises(ValueError, match="prebuilt measurement"):
-            sequence_distribution(rho, [meas(PauliString(("X", "I")), 0.7),
-                                        EvolveStep(np.eye(4)), prebuilt])
+        for mode in ("exact", "sampled"):
+            with pytest.raises(TypeError, match="unknown sequence step"):
+                nested_estimate(rho, [resolved], mode=mode, trials=10, seed=1)
+        with pytest.raises(TypeError, match="unknown sequence step"):
+            sequence_distribution(rho, [meas(PauliString(("X", "I")), 0.7), resolved])
 
 
 class TestSharedParts:
@@ -885,6 +886,102 @@ class TestSharedParts:
                 rho, z, z, 2, [np.eye(2)] * 2, self.PARTS, [0.6] * 2,
                 mode="sampled", trials=10, seeds=[(1, 2)],
             )
+
+
+class TestSharedWalk:
+    PARTS = ("real", "imag")
+    SEEDS = [(1, 2), (3, 4), (5, 6)]
+
+    @pytest.mark.parametrize("count", [2, 4])
+    @pytest.mark.parametrize("state", ["label", "mixed"])
+    def test_one_walk_per_time_point(self, monkeypatch, count, state):
+        # The parts differ only in their first measurement: its children are
+        # built once per grid, and one walk per time point serves both parts,
+        # each drawn from its own stream.
+        rng = np.random.default_rng(75)
+        n = 3
+        if state == "label":
+            initial = PureState.from_label("010")
+        else:
+            initial = DensityMatrix.maximally_mixed(n)
+        grid = _grid_propagators(build_mixed_field_ising(n), [0.0, 0.5, 1.1])
+        a, b = random_pauli(rng, n), random_pauli(rng, n)
+        phis = [0.5, 0.6, 0.7, 0.8][:count]
+
+        def run(parts, seeds):
+            return protocols_mod._heisenberg_protocol(
+                initial, a, b, count, grid, parts, phis,
+                mode="sampled", trials=300, seeds=seeds,
+            )
+
+        walks = counting_patch(monkeypatch, protocols_mod, "_effects")
+        maps = counting_patch(monkeypatch, protocols_mod._Measurement, "maps")
+        both = run(self.PARTS, self.SEEDS)
+        # A walk calls itself with its node's effect; the top-level call
+        # takes the measurements, their branches and the dimension only.
+        assert sum(len(call) == 3 for call in walks) == len(grid)
+        first_maps = [call for call in maps if call[0].phi == phis[0]]
+        assert len(first_maps) == len(self.PARTS)
+        real = run(("real",), [(s,) for s, _ in self.SEEDS])
+        imag = run(("imag",), [(s,) for _, s in self.SEEDS])
+        assert [row[0] for row in both] == [row[0] for row in real]
+        assert [row[1] for row in both] == [row[0] for row in imag]
+
+
+class TestGridChecks:
+    @pytest.mark.parametrize("route", ["vector", "eigenbasis", "density", "sampled"])
+    def test_wrong_shape_fails_before_any_value(self, monkeypatch, route):
+        # Every evolution of the grid is shape-checked before the first
+        # time point is evaluated.
+        per_point = [
+            counting_patch(monkeypatch, protocols_mod, name)
+            for name in ("_heisenberg_action", "heisenberg_phases", "_evolution_matrix",
+                         "_transfer_values", "_leaf_probabilities")
+        ]
+        rng = np.random.default_rng(76)
+        n = 2
+        h = build_mixed_field_ising(n)
+        initial = random_pure_state(rng, n) if route == "vector" else random_density(rng, n)
+        grid = _grid_propagators(h, [0.3, 0.9, 1.4])
+        grid[2] = propagator(build_mixed_field_ising(n + 1), 1.4)
+        kwargs = {}
+        if route == "density":
+            grid = [u.matrix for u in grid]
+        elif route == "sampled":
+            kwargs = {"mode": "sampled", "trials": 50, "seeds": [(1, 2), (3, 4), (5, 6)]}
+        a, b = PauliString(("Z", "I")), PauliString(("I", "X"))
+        with pytest.raises(ValueError, match=r"evolution 'U_t' has shape \(8, 8\)"):
+            protocols_mod._heisenberg_protocol(
+                initial, a, b, 4, grid, ("real", "imag"), [0.6] * 4, **kwargs
+            )
+        assert all(calls == [] for calls in per_point)
+
+    @pytest.mark.parametrize("route", ["vector", "eigenbasis", "density"])
+    def test_malformed_propagator_never_reaches_a_value(self, route):
+        # A one-element spectrum would broadcast its phase over the register:
+        # B(t) = B would still square to 1 and U would still be unitary, and
+        # the OTOC would read its t = 0 value.
+        evals, evecs = build_mixed_field_ising(3).spectrum
+        rho = DensityMatrix.maximally_mixed(3)
+        initial = PureState.from_label("010") if route == "vector" else rho
+        a, b = PauliString.from_text("+ZII"), PauliString.from_text("+IIZ")
+        times = [0.3, 0.6, 0.9] if route == "eigenbasis" else [0.9]
+
+        def last_otoc(spectrum):
+            grid = [Propagator(*spectrum, t) for t in times]
+            rows = protocols_mod._heisenberg_protocol(
+                initial, a, b, 4, grid, ("real",), [PI / 2] * 4
+            )
+            return otoc_value("real", rows[-1][0].value), grid[-1]
+
+        value, u = last_otoc((evals, evecs))
+        if route == "vector":
+            rho = initial.density()
+        ref = oracle_otoc(rho.matrix, a.matrix(), b.matrix(), u.matrix)
+        assert abs(value - ref.real) <= 1e-12
+        assert abs(value - 1.0) > 1e-3
+        with pytest.raises(ValueError, match="propagator"):
+            last_otoc((np.array([0.37]), evecs))
 
 
 class TestOneBuildPerTimePoint:
@@ -1216,7 +1313,7 @@ class TestSampling:
     def test_rejects_bad_conditional_probability(self, monkeypatch, probs):
         rho = DensityMatrix.from_label("0")
         steps = [meas(PauliString(("Z",)), 0.5)]
-        leaves = [protocols_mod.OutcomeRecord((a,), 1.0, p) for a, p in enumerate(probs)]
-        monkeypatch.setattr(protocols_mod, "sequence_distribution", lambda *_: leaves)
+        leaves = np.array([probs])
+        monkeypatch.setattr(protocols_mod, "_leaf_probabilities", lambda *_: leaves)
         with pytest.raises(NumericalInvariantError, match="conditional"):
             sample_protocol(rho, steps, 10, seed=1)
