@@ -3,10 +3,11 @@
 Every Kraus operator has the form K_a = c0 1 + c1 B, so K_a X K_a^dag is
 w0 X + w1 X B + w2 B X + w3 B X B with per-outcome weights w.  For a
 Pauli-string observable P the terms come from P's signed permutation of
-rows and columns (O(dim^2), no dense Kraus matrix); for a raw observable
-matrix B they cost a product each.  A term is formed once for all the
-weight tuples a state is mapped with, and not at all if every weight of
-it is exactly zero.
+rows and columns (O(dim^2), no dense Kraus matrix).  For a raw observable
+matrix B, BX costs a product and BXB one more, while XB = (BX)^dag costs
+none, as every state and effect the engine maps is Hermitian.  A term is
+formed once for all the weight tuples a state is mapped with, and not at
+all if every weight of it is exactly zero.
 
 The engine sees measurements only.  An evolution is a change of the
 measured operator: a measurement of B after the evolutions V = u_k ... u_1
@@ -53,8 +54,11 @@ U^dag B U and the same outcome distribution, so their sequences hold only
 measurements.  Both are built by :func:`_heisenberg_protocol`, which
 takes a whole time grid and the requested parts, builds what does not
 depend on the time once per grid, and picks one of the routes its
-docstring lists.  The clock-ancilla OTOC runs there too, as the direct
-one with the clock's system propagator as U.
+docstring lists: an exact grid of at least ``_FRAME_MIN_POINTS``
+propagators of one spectrum runs in H's eigenbasis, pure or mixed; an
+exact pure state on any other grid of propagators travels as vectors; the
+rest run on density matrices.  The clock-ancilla OTOC runs there too, as
+the direct one with the clock's system propagator as U.
 """
 
 from __future__ import annotations
@@ -86,7 +90,7 @@ from .measurement import (
     kraus_coefficients,
     kraus_pair,  # noqa: F401  unused here; perfbench/spans.py traces it by this name
 )
-from .observables import PauliString
+from .observables import PauliString, SignedPermutation
 
 MAX_ENUMERATED_MEASUREMENTS = 16
 
@@ -289,15 +293,17 @@ def _check_scalar_completeness(weights) -> None:
 
 
 class _PauliMeasurement(_Measurement):
-    """B = P acts through its signed permutation ``(perm, d)``: O(dim^2)
-    per map term.  P^2 = 1, so completeness is checked in scalar form
-    (:func:`_check_scalar_completeness`).
+    """B = P acts through its signed permutation ``operator`` = (perm, d):
+    O(dim^2) per map term.  P^2 = 1, so completeness is checked in scalar
+    form (:func:`_check_scalar_completeness`).
     """
 
-    def __init__(self, spec: MeasurementSpec, perm, d):
+    def __init__(self, spec: MeasurementSpec, operator: SignedPermutation):
         super().__init__(spec)
         _check_scalar_completeness(self.weights)
-        self.perm, self.d, self.d_conj = perm, d, d.conj()
+        self.operator = operator
+        self.perm, self.d = operator
+        self.d_conj = self.d.conj()
 
     def dense(self):
         """P as a matrix, and P^2 = 1."""
@@ -313,8 +319,10 @@ class _PauliMeasurement(_Measurement):
 
 
 class _DenseMeasurement(_Measurement):
-    """B is a raw observable matrix on the register: one product per map
-    term XB, BX and BXB, each formed once for all the maps of a state.
+    """B is a raw observable matrix ``operator`` on the register.  Every
+    state and effect the engine maps is Hermitian, so XB = (BX)^dag and a
+    map costs one product for the XB, BX pair and one more for BXB, each
+    formed once for all the maps of a state (:meth:`maps`).
 
     Completeness, sum_a K_a^dag K_a = sum_a w0 1 + (w1 + w2) B + w3 B^2
     = 1, is checked to 1e-12 from the square ``b_sq`` = B B, without
@@ -332,11 +340,33 @@ class _DenseMeasurement(_Measurement):
             raise NumericalInvariantError(
                 f"Kraus operators violate completeness by {dev:.3e}"
             )
-        self.b = b
+        self.b = self.operator = b
         self.b_sq = b_sq
 
     def dense(self):
         return self.b, self.b_sq
+
+    def maps(self, x, weights):
+        """As :meth:`_Measurement.maps`, for the Hermitian X and the weight
+        tuples with w2 = conj(w1) that the engine maps (each K_a X K_a^dag
+        preserves Hermiticity, and so do their real-weighted sums and
+        adjoints): XB = (BX)^dag, so w1 XB + w2 BX = M + M^dag with M =
+        w2 BX, one product for the pair and one more for BXB.  A tuple
+        without that symmetry raises ``ValueError``."""
+        need = [any(w[j] != 0.0 for w in weights) for j in range(4)]
+        bx = self.left(x) if any(need[1:]) else None
+        bxb = self.right(bx) if need[3] else None
+        mapped = []
+        for w in weights:
+            if w[1] != w[2].conjugate():
+                raise ValueError(f"weights {w} do not map a Hermitian X to one")
+            total = self._combine((x, None, None, bxb), (w[0], 0.0, 0.0, w[3]))
+            if w[2] != 0.0:
+                m = w[2] * bx
+                total += m
+                total += np.conjugate(m, out=m).T
+            mapped.append(total)
+        return mapped
 
     def left(self, x):
         return self.b @ x
@@ -347,12 +377,12 @@ class _DenseMeasurement(_Measurement):
 
 class _HeisenbergMeasurement(_Measurement):
     """Measure B(t) = U^dag B U, where ``spec`` gives B, the strength and
-    the kind, and ``apply`` maps a dim x k block x to B(t) x by U's
-    spectrum (see :func:`_heisenberg_action`), O(dim^2 k) per block;
-    neither U nor B(t) is formed.  It acts on the factor pairs of a pure
-    state only, so it has ``left`` and no ``right`` or ``dense``, and never
-    meets a density matrix.  B(t)^2 = 1 is checked where ``apply`` is
-    built, so completeness takes the scalar form.
+    the kind, and ``apply`` maps a dim x k block x to B(t) x (see
+    :func:`_heisenberg_action`), O(dim^2 k) per block; neither U nor B(t)
+    is formed.  It acts on the factor pairs of a pure state only, so it has
+    ``left`` and no ``right`` or ``dense``, and never meets a density
+    matrix.  B(t)^2 = 1 is checked where ``apply`` is built, so
+    completeness takes the scalar form.
     Built by :func:`_heisenberg_protocol` for a pure initial state only."""
 
     def __init__(self, spec: MeasurementSpec, apply):
@@ -404,7 +434,7 @@ def _resolve_steps(initial: DensityMatrix | PureState, steps):
                 key = (spec.observable, targets)
                 if key not in actions:
                     actions[key] = spec.observable.action(n, targets)
-                resolved.append(_PauliMeasurement(spec, *actions[key]))
+                resolved.append(_PauliMeasurement(spec, actions[key]))
             else:
                 b, b_sq = spec.matrix(), spec._square
                 if step.targets is not None:
@@ -733,20 +763,23 @@ def _evolution_matrix(evolution) -> np.ndarray:
     return u
 
 
-def _heisenberg_action(apply_b, u: Propagator, initial: PureState):
+def _heisenberg_action(apply_b, apply_u, psi):
     """x -> B(t) x = U^dag (B (U x)) for dim x k blocks x, with ``apply_b``
-    the map y -> B y on the whole register and U applied by its spectrum:
-    V e^{iEt} V^dag B V e^{-iEt} V^dag x.
+    the map y -> B y and ``apply_u(y, adjoint)`` the map y -> U y (U^dag y
+    if ``adjoint``), both in one basis of the whole register.  In the
+    computational basis U acts through its spectrum (:meth:`Propagator.apply`,
+    two products); in H's eigenbasis U is diagonal (:func:`_phase_action`)
+    and ``apply_b`` is one product with B~ = V^dag B V.
 
-    B(t)^2 = 1 is checked on the initial vector, ||B(t) (B(t) psi) -
-    psi||_inf <= 1e-10, once per time point for every part; a corrupted
-    propagator fails here with :class:`NumericalInvariantError`.
+    B(t)^2 = 1 is checked on ``psi``, the initial vector in that basis,
+    ||B(t) (B(t) psi) - psi||_inf <= 1e-10, once per time point for every
+    part; a corrupted propagator fails here with
+    :class:`NumericalInvariantError`.
     """
 
     def apply(x):
-        return u.apply(apply_b(u.apply(x)), adjoint=True)
+        return apply_u(apply_b(apply_u(x)), adjoint=True)
 
-    psi = initial.amplitudes[:, None]
     dev = float(np.max(np.abs(apply(apply(psi)) - psi)))
     if not dev <= CHECK_TOL:
         raise NumericalInvariantError(
@@ -756,14 +789,44 @@ def _heisenberg_action(apply_b, u: Propagator, initial: PureState):
     return apply
 
 
+def _phase_action(u: Propagator):
+    """y -> U y, or U^dag y if ``adjoint``, in the eigenbasis of H, where U
+    is the diagonal e^{-iEt}: an O(dim k) scaling of the rows of y."""
+    phases = u.phases[:, None]
+
+    def apply(y, adjoint=False):
+        return (phases.conj() if adjoint else phases) * y
+
+    return apply
+
+
+def _dense_steps(b, phis):
+    """Informative measurements of the raw observable ``b``, one at each
+    strength in ``phis``; their one spec checks b Hermitian with b^2 = 1
+    to 1e-10 and forms the square that every step shares, and each step
+    checks completeness."""
+    spec = MeasurementSpec(b, phis[0], INFORMATIVE)
+    return [_DenseMeasurement(s, s.observable, s._square) for s in map(spec.with_phi, phis)]
+
+
 _FIRST_KINDS = {"real": INFORMATIVE, "imag": NONINFORMATIVE}
 
-# The eigenbasis route pays for its frame (about 8 products) once per grid
-# and saves about a third of each time point.  Medians for an exact
-# maximally mixed OTOC with both parts (2-core VM, BLAS pinned to 1
-# thread), density route against eigenbasis route: one point 0.70 vs
-# 0.78 ms at n = 3, 1.5 vs 2.1 ms at n = 6 and 7.9 vs 11.5 ms at n = 7;
-# at n = 7, two points 12.1 vs 12.7 ms and three points 24.5 vs 22.5 ms.
+# The eigenbasis route pays for its frame once per grid: V checked unitary
+# and B~ formed (two dim^3 products), and for the OTOC A~ with its checked
+# square (two more).  A time point then costs one phase scaling of B~ for a
+# density matrix, and one product instead of four per B(t) application
+# for a pure state.  Medians of `_heisenberg_protocol` for the Ising chain
+# with both parts (2-core VM, BLAS pinned to 1 thread), other route against
+# eigenbasis route:
+# * label state, vector route, 3 points: TOC 0.78 vs 0.57 ms at n = 3, 1.05
+#   vs 0.87 ms at n = 6, 1.64 vs 2.01 ms at n = 7 and 4.1 vs 9.1 ms at
+#   n = 8; OTOC 1.52 vs 1.11, 2.42 vs 1.97, 4.2 vs 5.2 and 12.1 vs 25.5 ms.
+#   The frame pays back from 2 points at n <= 6, from about 4 (TOC) and 8
+#   (OTOC) at n = 7 and from about 10 at n = 8 (n = 8, 32 points: TOC 37.3
+#   vs 19.1 ms, OTOC 108.9 vs 60.7 ms).
+# * maximally mixed state, density route, 3 points: TOC 0.96 vs 0.83 ms at
+#   n = 3, 1.63 vs 1.37 ms at n = 6 and 9.4 vs 8.9 ms at n = 7; OTOC 1.32
+#   vs 1.19, 2.35 vs 2.36 and 14.5 vs 15.2 ms (4 points: 18.4 vs 16.7 ms).
 _FRAME_MIN_POINTS = 3
 
 
@@ -790,26 +853,36 @@ def _heisenberg_protocol(
     is then drawn from its own seed (:func:`_sampled_estimate`).  A value
     depends on its time alone, not on the rest of the grid.  The routes:
 
-    * vector: an exact pure state psi on a grid of :class:`Propagator`
-      objects.  The first transfers are factor pairs of E_1(psi psi^dag),
-      and B's spec and signed action are built once.  A time point applies
-      B(t) through the propagator's spectrum (:func:`_heisenberg_action`,
-      which checks B(t)^2 = 1 on psi), so neither U nor B(t) is formed.
-    * eigenbasis: an exact density matrix on a grid of at least
-      ``_FRAME_MIN_POINTS`` propagators of one spectrum (E, V).  V is
-      checked unitary to 1e-10 once, which stands in for the check of U,
-      as U is never formed.  B~ = V^dag B V and the later A~ = V^dag A V
-      (with A~^2) are built by :func:`heisenberg` with V in place of U, and
-      the first transfers are taken as V^dag E_1(rho) V (a trace is the
-      same in every basis).  A time point forms B~(t) = e^{iEt} B~ e^{-iEt}
-      by one O(dim^2) phase scaling (:func:`heisenberg_phases`).
-    * density: every other input; a pure state is converted to its
-      density matrix.  A time point checks U for unitarity
-      (:func:`_evolution_matrix`) and builds B(t) by :func:`heisenberg`.
+    The rule: an exact grid of at least ``_FRAME_MIN_POINTS``
+    :class:`Propagator` objects that share one spectrum (E, V) takes the
+    eigenbasis route, pure or mixed; any other exact grid of propagators
+    takes the vector route for a pure state; everything else, sampled mode
+    included, takes the density route.  A Pauli string is gathered once per
+    grid (``operator``), and :func:`heisenberg` takes that gather.  The
+    routes:
 
-    On the last two routes B(t) goes into one spec, which checks it
-    Hermitian with B(t)^2 = 1 to 1e-10; the B(t)^2 it forms serves every
-    B(t) step, and each dense B(t) measurement checks completeness.
+    * eigenbasis: V is checked unitary to 1e-10 once, which stands in for
+      the check of U, as U is never formed.  B~ = V^dag B V and the later
+      A~ = V^dag A V (with A~^2) are built by :func:`heisenberg` with V in
+      place of U, and the first transfers are carried into the frame (a
+      trace is the same in every basis): V^dag E_1(rho) V for a density
+      matrix, the factor pair (V^dag L, V^dag R) for a pure state.  A time
+      point forms B~(t) = e^{iEt} B~ e^{-iEt} by one O(dim^2) phase scaling
+      (:func:`heisenberg_phases`) for a density matrix; for a pure state it
+      applies x -> e^{iEt} (B~ (e^{-iEt} x)), one product
+      (:func:`_heisenberg_action`, which checks B~(t)^2 = 1 on V^dag psi).
+    * vector: a pure state psi on a shorter grid, or on propagators of
+      several spectra.  The first transfers are factor pairs of
+      E_1(psi psi^dag).  A time point applies B(t) through the propagator's
+      spectrum, four products (:func:`_heisenberg_action`, which checks
+      B(t)^2 = 1 on psi), so neither U nor B(t) is formed.
+    * density: a pure state is converted to its density matrix.  A time
+      point checks U for unitarity (:func:`_evolution_matrix`) and builds
+      B(t) by :func:`heisenberg`.
+
+    A dense B(t) or B~(t) goes into one spec, which checks it Hermitian
+    with B(t)^2 = 1 to 1e-10; the B(t)^2 it forms serves every B(t) step,
+    and each dense B(t) measurement checks completeness.
     """
     phis = tuple(float(p) for p in phis)
     if len(phis) != count:
@@ -841,10 +914,8 @@ def _heisenberg_protocol(
         if shape != (dim, dim):
             raise ValueError(f"evolution 'U_t' has shape {shape}, expected {(dim, dim)}")
     propagators = all(isinstance(u, Propagator) for u in evolutions)
-    vector = exact and isinstance(initial, PureState) and propagators
     frame = (
         exact
-        and isinstance(initial, DensityMatrix)
         and len(evolutions) >= _FRAME_MIN_POINTS
         and propagators
         and all(
@@ -852,50 +923,60 @@ def _heisenberg_protocol(
             for u in evolutions
         )
     )
-    if isinstance(initial, PureState) and not vector:
+    pure = exact and isinstance(initial, PureState) and propagators
+    if isinstance(initial, PureState) and not pure:
         initial = initial.density()
+
+    # Each Pauli string is gathered once per grid, and its signed
+    # permutation serves every later use: A's by one resolve of the first
+    # measurements and, off the eigenbasis route, the later ones (their
+    # ``operator``); B's by that resolve too on the pure routes, which
+    # apply B to vectors, and directly on the others.
+    steps = [MeasureStep(MeasurementSpec(a, phis[0], _FIRST_KINDS[p])) for p in parts]
+    if not frame:
+        steps += [MeasureStep(MeasurementSpec(a, p, INFORMATIVE)) for p in phis[2::2]]
+    if pure:
+        spec_b = MeasurementSpec(b, phis[1], INFORMATIVE)
+        steps.append(MeasureStep(spec_b))
+    resolved, _ = _resolve_steps(initial, steps)
+    if pure:
+        b_meas = resolved.pop()
+        b_op = b_meas.operator
+        b_specs = [spec_b.with_phi(p) for p in phis[1::2]]
+        psi = initial.amplitudes[:, None]
+    else:
+        b_op = b.action(initial.n_qubits) if isinstance(b, PauliString) else b
+    firsts, a_steps = resolved[: len(parts)], resolved[len(parts) :]
+    if exact:
+        starts = _first_transfers(initial, firsts)
+    else:
+        children = [x for s in firsts for x in s.maps(initial.matrix, s.weights)]
     if frame:
         evecs = evolutions[0].evecs
         if not is_unitary(evecs, CHECK_TOL):
             raise NumericalInvariantError("eigenbasis of H is not unitary to 1e-10")
-        b_frame = heisenberg(b, evecs)
-
-    # One resolve for every A measurement, and for B's on the vector route,
-    # so that measurements of one Pauli string share its signed permutation.
-    steps = [MeasureStep(MeasurementSpec(a, phis[0], _FIRST_KINDS[p])) for p in parts]
-    steps += [
-        MeasureStep(MeasurementSpec(heisenberg(a, evecs) if frame else a, p, INFORMATIVE))
-        for p in phis[2::2]
-    ]
-    if vector:
-        spec_b = MeasurementSpec(b, phis[1], INFORMATIVE)
-        b_specs = [spec_b.with_phi(p) for p in phis[1::2]]
-        steps.append(MeasureStep(spec_b))
-    resolved, _ = _resolve_steps(initial, steps)
-    if vector:
-        apply_b = resolved.pop().left
-    firsts, a_steps = resolved[: len(parts)], resolved[len(parts) :]
-    if exact:
-        starts = _first_transfers(initial, firsts)
-        if frame:
-            starts = [evecs.conj().T @ x @ evecs for x in starts]
-    else:
-        children = [x for s in firsts for x in s.maps(initial.matrix, s.weights)]
+        b_frame = heisenberg(b_op, evecs)
+        if count > 2:
+            a_steps = _dense_steps(heisenberg(firsts[0].operator, evecs), phis[2::2])
+        evecs_h = evecs.conj().T
+        if pure:
+            starts = [(evecs_h @ l, evecs_h @ r) for l, r in starts]
+            psi = evecs_h @ psi
+        else:
+            starts = [evecs_h @ x @ evecs for x in starts]
 
     def point(u, point_seeds):
         # Every array built here is freed when the point is done.
-        if vector:
-            apply = _heisenberg_action(apply_b, u, initial)
-            b_steps = [_HeisenbergMeasurement(s, apply) for s in b_specs]
-        else:
+        if pure:
             if frame:
-                b_t = heisenberg_phases(b_frame, u)
+                apply = _heisenberg_action(lambda y: b_frame @ y, _phase_action(u), psi)
             else:
-                b_t = heisenberg(b, _evolution_matrix(u))
-            spec = MeasurementSpec(b_t, phis[1], INFORMATIVE)
-            del b_t  # the spec keeps its own checked copy
-            specs = map(spec.with_phi, phis[1::2])
-            b_steps = [_DenseMeasurement(s, s.observable, s._square) for s in specs]
+                apply = _heisenberg_action(b_meas.left, u.apply, psi)
+            b_steps = [_HeisenbergMeasurement(s, apply) for s in b_specs]
+        elif frame:
+            b_steps = _dense_steps(heisenberg_phases(b_frame, u), phis[1::2])
+        else:
+            b_steps = _dense_steps(heisenberg(b_op, _evolution_matrix(u)), phis[1::2])
         # B(t) at the odd positions, the later A at the even ones.
         rest = [b_steps[k // 2] if k % 2 else a_steps[k // 2 - 1] for k in range(1, count)]
         if exact:

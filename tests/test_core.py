@@ -14,7 +14,7 @@ from seqmeas import (
     partial_trace,
     tensor,
 )
-from seqmeas.core import identity_deviation
+from seqmeas.core import identity_deviation, is_unitary
 from seqmeas.observables import PAULI_X, PAULI_Y, PAULI_Z, basis_ket
 from seqmeas.observables import entangling_gate
 
@@ -62,6 +62,24 @@ class TestIdentityDeviation:
                     before = x.copy()
                     assert identity_deviation(x) == np.max(np.abs(x - np.eye(dim)))
                     assert np.array_equal(x, before)
+
+
+class TestIsUnitary:
+    def test_real_matrices_take_real_arithmetic_with_the_same_verdict(self):
+        # A matrix without an imaginary part is checked as a real one; the
+        # verdict must match the complex check on either side of the bound.
+        rng = np.random.default_rng(6)
+        for dim in (1, 2, 8, 64):
+            q = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+            for scale, unitary in ((0.0, True), (1e-12, True), (1e-9, False)):
+                m = (q * (1 + scale)).astype(np.complex128)
+                assert is_unitary(m) is unitary
+                assert is_unitary(m.real) is unitary
+                complex_dev = identity_deviation(m.conj().T @ m)
+                real_dev = identity_deviation(m.real.T @ m.real)
+                assert abs(complex_dev - real_dev) <= 1e-15
+        assert is_unitary(np.array([[0, 1j], [1j, 0]]))
+        assert not is_unitary(np.array([[1, 1j], [0, 1]]))
 
 
 class TestEmbedAndApply:

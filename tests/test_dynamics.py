@@ -5,14 +5,19 @@ import pytest
 from helpers import max_abs, random_density, random_hermitian, random_pauli, random_unitary
 from scipy.linalg import expm
 
+import seqmeas.dynamics as dynamics_mod
 from seqmeas import (
     ClockPropagator,
+    DensityMatrix,
     Hamiltonian,
     PauliString,
     Propagator,
     build_mixed_field_ising,
     embed,
     heisenberg,
+    oracle_otoc,
+    otoc,
+    otoc_value,
     propagator,
     time_reversed_evolution,
 )
@@ -187,6 +192,55 @@ class TestPropagator:
                 Propagator(*args)
 
 
+class TestRealSpectrum:
+    @staticmethod
+    def _spy_eigh(monkeypatch):
+        dtypes = []
+        original = np.linalg.eigh
+
+        def spy(m):
+            dtypes.append(np.asarray(m).dtype)
+            return original(m)
+
+        monkeypatch.setattr(dynamics_mod.np.linalg, "eigh", spy)
+        return dtypes
+
+    def test_real_h_takes_the_real_path(self, monkeypatch):
+        # A Y-free Pauli sum has a real matrix: eigh runs in real arithmetic
+        # and the eigenbasis comes back as complex128.
+        dtypes = self._spy_eigh(monkeypatch)
+        rng = np.random.default_rng(13)
+        for n in (2, 3, 4, 5):
+            ham = build_mixed_field_ising(n)
+            evals, evecs = ham.spectrum
+            assert evals.dtype == np.float64 and evecs.dtype == np.complex128
+            m = kron_hamiltonian(ham)
+            rho = random_density(rng, n).matrix
+            a, b = random_pauli(rng, n), random_pauli(rng, n)
+            for t in (0.4, 1.7):
+                u = propagator(ham, t)
+                exact = expm(-1j * t * m)
+                assert max_abs(u.matrix - exact) <= 1e-12
+                value = otoc(DensityMatrix(n, rho), a, b, u).value
+                ref = oracle_otoc(rho, a.matrix(), b.matrix(), exact)
+                assert abs(otoc_value("real", value) - ref.real) <= 1e-12
+        assert dtypes == [np.dtype(np.float64)] * 4
+
+    def test_y_term_keeps_the_complex_path(self, monkeypatch):
+        dtypes = self._spy_eigh(monkeypatch)
+        ham = Hamiltonian(
+            2,
+            (
+                (0.8, PauliString(("Y", "Z"))),
+                (-0.5, PauliString(("X", "I"))),
+                (0.3, PauliString(("I", "Z"))),
+            ),
+        )
+        u = propagator(ham, 0.9)
+        assert dtypes == [np.dtype(np.complex128)]
+        assert max_abs(u.matrix - expm(-0.9j * kron_hamiltonian(ham))) <= 1e-12
+
+
 class TestHeisenberg:
     def test_identity_evolution(self):
         p = PauliString(("X", "Z"))
@@ -208,6 +262,19 @@ class TestHeisenberg:
         np.testing.assert_allclose(
             heisenberg(p, u), u.matrix.conj().T @ p.matrix() @ u.matrix, atol=0
         )
+
+    def test_takes_a_gathered_signed_permutation(self):
+        rng = np.random.default_rng(5)
+        u = propagator(build_mixed_field_ising(3), 0.8)
+        for _ in range(5):
+            p = random_pauli(rng, 2)
+            targets = tuple(int(q) for q in rng.permutation(3)[:2])
+            action = p.action(3, targets)
+            np.testing.assert_array_equal(heisenberg(action, u), heisenberg(p, u, targets))
+        with pytest.raises(ValueError, match="whole"):
+            heisenberg(action, u, targets)
+        with pytest.raises(ValueError, match="whole"):
+            heisenberg(p.action(2), u)
 
     def test_preserves_commutation_with_symmetries(self):
         # an operator commuting with H keeps commuting with everything it did

@@ -838,21 +838,29 @@ class TestSharedParts:
                         assert est == one
 
     @pytest.mark.parametrize("count", [2, 4])
-    @pytest.mark.parametrize("route", ["vector", "eigenbasis", "density", "sampled"])
+    @pytest.mark.parametrize(
+        "route", ["vector", "pure eigenbasis", "eigenbasis", "density", "sampled"]
+    )
     def test_gathers_each_action_once(self, monkeypatch, route, count):
-        # Only B(t) depends on the time, so A's signed permutation and each
-        # part's first transfer are built once per grid on every route.
+        # Only B(t) depends on the time, so each Pauli string is gathered
+        # once per grid on every route, and each part's first transfer is
+        # built once: heisenberg takes the grid's gathers for B(t), B~ and
+        # A~ instead of gathering again.
         gathers = counting_patch(monkeypatch, PauliString, "action")
         transfers = [
             counting_patch(monkeypatch, protocols_mod._Measurement, name)
             for name in ("transfer", "transfer_factors")
         ]
+        phase_maps = counting_patch(monkeypatch, protocols_mod, "_phase_action")
+        phase_scalings = counting_patch(monkeypatch, protocols_mod, "heisenberg_phases")
         rng = np.random.default_rng(74)
         n = 3
-        pure = route in ("vector", "sampled")
+        pure = route in ("vector", "pure eigenbasis", "sampled")
         initial = random_pure_state(rng, n) if pure else random_density(rng, n)
         grid = _grid_propagators(random_hermitian(rng, 2**n), [0.3, 0.9, 1.4])
-        if route == "density":
+        if route == "vector":
+            grid = grid[:2]
+        elif route == "density":
             grid = [u.matrix for u in grid]
         kwargs = {}
         if route == "sampled":
@@ -863,13 +871,10 @@ class TestSharedParts:
             initial, a, b, count, grid, self.PARTS, phis, **kwargs
         )
         assert len(rows) == len(grid)
-        a_gathers = sum(call[0] is a for call in gathers)
-        b_gathers = sum(call[0] is b for call in gathers)
-        # The eigenbasis route carries the later A into the frame by a
-        # second gather; the density route forms B(t) = (BU)^dag U from the
-        # gather BU at every point (dynamics.heisenberg).
-        assert a_gathers == (2 if route == "eigenbasis" and count == 4 else 1)
-        assert b_gathers == (1 if route in ("vector", "eigenbasis") else len(grid))
+        assert len(phase_maps) == (len(grid) if route == "pure eigenbasis" else 0)
+        assert len(phase_scalings) == (len(grid) if route == "eigenbasis" else 0)
+        assert sum(call[0] is a for call in gathers) == 1
+        assert sum(call[0] is b for call in gathers) == 1
         firsts = [call for calls in transfers for call in calls if call[0].phi == phis[0]]
         assert len(firsts) == (0 if route == "sampled" else len(self.PARTS))
 
@@ -1015,7 +1020,14 @@ class TestOneBuildPerTimePoint:
         assert len(phase_calls) == len(self.TIMES)
 
     def test_label_state_toc(self, monkeypatch):
+        # A label-state grid runs in H's eigenbasis too: V is checked once
+        # and B is carried into it once per run; a time point applies B~(t)
+        # by a phase scaling around one product with B~, and checks its
+        # square on the initial vector.
         calls = counting_patch(monkeypatch, protocols_mod, "_heisenberg_action")
+        phase_maps = counting_patch(monkeypatch, protocols_mod, "_phase_action")
+        heisenberg_calls = counting_patch(monkeypatch, protocols_mod, "heisenberg")
+        unitary_calls = counting_patch(monkeypatch, protocols_mod, "is_unitary")
         cfg = config_from_dict(
             {
                 "system_size": 3,
@@ -1029,7 +1041,10 @@ class TestOneBuildPerTimePoint:
         )
         rows = run_experiment(cfg)
         assert all(r.re_value is not None and r.im_value is not None for r in rows)
-        assert len(calls) == len(self.TIMES)
+        assert len(calls) == len(phase_maps) == len(self.TIMES)
+        assert len(unitary_calls) == 1
+        assert len(heisenberg_calls) == 1
+        assert heisenberg_calls[0][1] is unitary_calls[0][0]
 
 
 def _grid_propagators(h, times):
@@ -1144,6 +1159,7 @@ class TestEigenbasisGrid:
     )
     def test_other_inputs_keep_their_route(self, monkeypatch, case):
         phase_calls = counting_patch(monkeypatch, protocols_mod, "heisenberg_phases")
+        phase_maps = counting_patch(monkeypatch, protocols_mod, "_phase_action")
         density_points = counting_patch(monkeypatch, protocols_mod, "_evolution_matrix")
         rng = np.random.default_rng(93)
         n = 2
@@ -1157,7 +1173,9 @@ class TestEigenbasisGrid:
         elif case == "sampled":
             kwargs = {"mode": "sampled", "trials": 50, "seeds": [(1, 2), (3, 4), (5, 6)]}
         elif case == "pure":
+            # On two points; three would run in H's eigenbasis.
             rho = random_pure_state(rng, n)
+            grid = grid[:2]
         elif case == "pure, mixed grid":
             # The route is picked per grid: one raw matrix sends a pure
             # state to the density route at every point.
@@ -1171,8 +1189,125 @@ class TestEigenbasisGrid:
             rho, a, b, 4, grid, self.PARTS, [0.6] * 4, **kwargs
         )
         assert len(rows) == len(grid)
-        assert phase_calls == []
+        assert phase_calls == phase_maps == []
         assert len(density_points) == (0 if case == "pure" else len(grid))
+
+
+class TestPureEigenbasisGrid:
+    PARTS = ("real", "imag")
+    TIMES = [0.0, 0.35, 0.9, 1.6]
+
+    @staticmethod
+    def _hamiltonian_with_y(rng, n):
+        """Random real-weighted Pauli sum with a Y term, so H is complex."""
+        terms = [(float(rng.normal()), random_pauli(rng, n)) for _ in range(3 * n)]
+        terms.append((0.7, PauliString(("Y",) + ("I",) * (n - 1))))
+        return Hamiltonian(n, tuple(terms))
+
+    @pytest.mark.parametrize("reversal", ["direct", "clock"])
+    def test_matches_oracle_and_single_points(self, monkeypatch, reversal):
+        # A pure state on a grid of one spectrum runs in H's eigenbasis:
+        # one phase-scaled product per B(t) application.  Its values agree
+        # with the dense oracle and with one-point calls (vector route).
+        phase_maps = counting_patch(monkeypatch, protocols_mod, "_phase_action")
+        rng = np.random.default_rng([94, len(reversal)])
+        for n in range(3, 6):
+            if reversal == "direct":
+                grid = _grid_propagators(random_hermitian(rng, 2**n), self.TIMES)
+                counts = (2, 4)
+            else:
+                ham = self._hamiltonian_with_y(rng, n)
+                grid = [time_reversed_evolution(ham, t).system for t in self.TIMES]
+                counts = (4,)
+            psi = random_pure_state(rng, n)
+            rho = psi.density().matrix
+            a, b = random_pauli(rng, n), random_pauli(rng, n)
+            for count in counts:
+                phis = [float(rng.uniform(0.2, PI / 2)) for _ in range(count)]
+                before = len(phase_maps)
+                rows = protocols_mod._heisenberg_protocol(
+                    psi, a, b, count, grid, self.PARTS, phis
+                )
+                assert len(phase_maps) - before == len(self.TIMES)
+                for u, (re_est, im_est) in zip(grid, rows):
+                    if count == 2:
+                        ref = oracle_toc(rho, a.matrix(), b.matrix(), u.matrix)
+                        got = complex(re_est.value, im_est.value)
+                        single = [toc(psi, a, b, u, p, phis).value for p in self.PARTS]
+                    else:
+                        ref = oracle_otoc(rho, a.matrix(), b.matrix(), u.matrix)
+                        got = complex(
+                            otoc_value("real", re_est.value),
+                            otoc_value("imag", im_est.value),
+                        )
+                        single = [
+                            otoc(psi, a, b, u, part=p, phis=phis).value for p in self.PARTS
+                        ]
+                    assert abs(got - ref) <= 1e-12
+                    assert abs(re_est.value - single[0]) <= 1e-12
+                    assert abs(im_est.value - single[1]) <= 1e-12
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_non_unitary_eigenbasis_fails_before_any_value(self, monkeypatch, count):
+        per_point = [
+            counting_patch(monkeypatch, protocols_mod, name)
+            for name in ("_heisenberg_action", "_phase_action", "_transfer_values")
+        ]
+        evals, evecs = build_mixed_field_ising(3).spectrum
+        scaled = 1.001 * evecs
+        bad = [Propagator(evals, scaled, t) for t in self.TIMES]
+        psi = PureState.from_label("010")
+        a, b = PauliString.from_text("+ZII"), PauliString.from_text("+IIX")
+        with pytest.raises(NumericalInvariantError, match="eigenbasis"):
+            protocols_mod._heisenberg_protocol(
+                psi, a, b, count, bad, self.PARTS, [0.6] * count
+            )
+        assert all(calls == [] for calls in per_point)
+
+    def test_b_of_t_square_is_checked_at_every_point(self, monkeypatch):
+        # A phase map that is off by 1e-9 breaks B~(t)^2 psi~ = psi~.
+        original = protocols_mod._phase_action
+
+        def skewed(u):
+            apply = original(u)
+            return lambda y, adjoint=False: (1 + 1e-9) * apply(y, adjoint)
+
+        monkeypatch.setattr(protocols_mod, "_phase_action", skewed)
+        grid = _grid_propagators(build_mixed_field_ising(3), self.TIMES)
+        psi = PureState.from_label("010")
+        a, b = PauliString.from_text("+ZII"), PauliString.from_text("+IIX")
+        with pytest.raises(NumericalInvariantError, match="square"):
+            protocols_mod._heisenberg_protocol(psi, a, b, 2, grid, self.PARTS, [0.6] * 2)
+
+
+class TestDenseMaps:
+    def test_one_product_per_xb_bx_pair(self, monkeypatch):
+        # Every X the engine maps is Hermitian, so XB = (BX)^dag: the pair
+        # costs one product, and ``right`` is called for BXB alone.
+        rights = counting_patch(monkeypatch, protocols_mod._DenseMeasurement, "right")
+        rng = np.random.default_rng(95)
+        for n in range(1, 5):
+            b = random_involution(rng, n)
+            for kind in ("informative", "noninformative"):
+                spec = MeasurementSpec(b, float(rng.uniform(0.2, PI / 2)), kind)
+                m = protocols_mod._DenseMeasurement(spec, spec.observable, spec._square)
+                x = random_density(rng, n).matrix
+                weights = [
+                    *m.weights,
+                    *map(protocols_mod._adjoint, m.weights),
+                    m.transfer_weights,
+                ]
+                rights.clear()
+                got = m.maps(x, weights)
+                assert len(rights) == 1 and rights[0][1] is not x
+                for w, g in zip(weights, got):
+                    ref = w[0] * x + w[1] * (x @ b) + w[2] * (b @ x) + w[3] * (b @ x @ b)
+                    assert float(np.max(np.abs(g - ref))) <= 1e-14
+                rights.clear()
+                m.maps(x, [(w[0], w[1], w[2], 0.0) for w in weights])
+                assert rights == []
+        with pytest.raises(ValueError, match="Hermitian"):
+            m.maps(x, [(0.5, 0.1j, 0.1j, 0.2)])
 
 
 class TestRmsBound:

@@ -204,6 +204,9 @@ class TestOtherRoutesUnchanged:
 class TestChecks:
     @pytest.mark.parametrize("protocol", ["toc", "otoc"])
     def test_label_run_forms_no_propagator_matrix(self, monkeypatch, protocol):
+        # Two points take the vector route, three H's eigenbasis; neither
+        # forms U.  The spectrum checks V unitary, and the eigenbasis route
+        # checks it once more for its grid.
         def forbidden(self):
             raise AssertionError("propagator matrix formed")
 
@@ -217,19 +220,21 @@ class TestChecks:
         monkeypatch.setattr(Propagator, "matrix", property(forbidden))
         monkeypatch.setattr(dynamics_mod, "is_unitary", counting)
         monkeypatch.setattr(protocols_mod, "is_unitary", counting)
-        cfg = config_from_dict(
-            {
-                "system_size": 4,
-                "observable_a": "+ZIII",
-                "observable_b": "+IIXZ",
-                "times": [0.0, 0.5, 1.0],
-                "protocol": protocol,
-                "initial_state": "0110",
-            }
-        )
-        rows = run_experiment(cfg)
-        assert len(rows) == 3
-        assert len(calls) == 1
+        for times, checks in (([0.0, 0.5], 1), ([0.0, 0.5, 1.0], 2)):
+            cfg = config_from_dict(
+                {
+                    "system_size": 4,
+                    "observable_a": "+ZIII",
+                    "observable_b": "+IIXZ",
+                    "times": times,
+                    "protocol": protocol,
+                    "initial_state": "0110",
+                }
+            )
+            calls.clear()
+            rows = run_experiment(cfg)
+            assert len(rows) == len(times)
+            assert len(calls) == checks
 
     def test_label_clock_otoc_takes_the_vector_route(self, monkeypatch):
         def forbidden(*args):
