@@ -14,8 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CHECK_TOL, NumericalInvariantError, embed, is_hermitian, is_unitary
-from .observables import PauliString, SignedPermutation
+from .core import (
+    CHECK_TOL,
+    NumericalInvariantError,
+    _as_real_or_complex,
+    embed,
+    is_hermitian,
+    is_unitary,
+    matmul,
+)
+from .observables import PauliString
 
 # A standard nonintegrable point of the mixed-field Ising chain; an
 # artifact default, overridable via configuration.
@@ -124,13 +132,15 @@ class Propagator:
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        return (self.evecs * self.phases) @ self.evecs.conj().T
+        return matmul(self.evecs * self.phases, self.evecs.conj().T)
 
     def apply(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """U x, or U^dag x, for a dim x k block ``x``: two O(dim^2 k)
         products, with V^dag x taken as conj(V^T conj(x)) so that V^dag is
-        not formed either."""
+        not formed either (a real V is applied in real arithmetic)."""
         phases = self.phases.conj() if adjoint else self.phases
+        if self.evecs.dtype.kind == "f":
+            return matmul(self.evecs, phases[:, None] * matmul(self.evecs.T, x))
         y = np.conj(self.evecs.T @ np.conj(x))
         return self.evecs @ (phases[:, None] * y)
 
@@ -146,13 +156,10 @@ def _checked_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``eigh`` of a Hermitian matrix; the eigenbasis must be unitary to
     1e-10, since every propagator built from it inherits its error.  A
     matrix with no imaginary part (every H without Y-type terms) is
-    diagonalized in real arithmetic, about 3x faster, and its real
-    eigenbasis is returned as complex128 like any other."""
-    if m.imag.any():
-        evals, evecs = np.linalg.eigh(m)
-    else:
-        evals, evecs = np.linalg.eigh(m.real)
-        evecs = evecs.astype(np.complex128)
+    diagonalized in real arithmetic, about 3x faster, and keeps its real
+    eigenbasis: the propagators and the eigenbasis route then multiply by
+    V in real arithmetic (:func:`~seqmeas.core.matmul`)."""
+    evals, evecs = np.linalg.eigh(m if m.imag.any() else m.real)
     if not is_unitary(evecs, CHECK_TOL):
         raise NumericalInvariantError("eigenbasis of H is not unitary to 1e-10")
     return evals, evecs
@@ -176,24 +183,27 @@ def heisenberg(obs, u, targets=None) -> np.ndarray:
 
     A Pauli string forms B U by its signed row gather and B(t) as
     (B U)^dag U, one product that equals the triple product bit for bit;
-    a :class:`SignedPermutation` already gathered on the whole register
-    (``targets`` must then be None) skips the gather.  A raw observable
-    matrix is embedded on ``targets`` first.
+    a raw observable matrix is embedded on ``targets`` first.  A real U
+    with a real B (a Pauli string with an even number of Y factors) gives
+    a real B(t), formed in real arithmetic.
     """
-    um = np.asarray(getattr(u, "matrix", u), dtype=np.complex128)
+    um = _as_real_or_complex(getattr(u, "matrix", u))
+    real = um.dtype == np.float64
     dim = um.shape[0]
     n = dim.bit_length() - 1
     if um.shape != (dim, dim) or dim != 2**n:
         raise ValueError(f"evolution shape {um.shape} is not 2^n x 2^n")
+    if targets is None:
+        targets = range(n)
     if isinstance(obs, PauliString):
-        obs, targets = obs.action(n, targets), None
-    if isinstance(obs, SignedPermutation):
-        perm, d = obs
-        if targets is not None or len(perm) != dim:
-            raise ValueError(f"a signed permutation must act on the whole {n}-qubit register")
-        return (d[:, None] * um[perm]).conj().T @ um
-    b = embed(np.asarray(obs, dtype=np.complex128), n, range(n) if targets is None else targets)
-    return um.conj().T @ b @ um
+        perm, d = obs.action(n, targets)
+        if real and not d.imag.any():
+            d = d.real
+        return matmul((d[:, None] * um[perm]).conj().T, um)
+    b = embed(np.asarray(obs, dtype=np.complex128), n, targets)
+    if real and not b.imag.any():
+        b = b.real
+    return matmul(matmul(um.conj().T, b), um)
 
 
 def heisenberg_phases(b_frame: np.ndarray, u: Propagator) -> np.ndarray:

@@ -25,6 +25,7 @@ from .core import (
     CHECK_TOL,
     DensityMatrix,
     PureState,
+    _as_real_or_complex,
     embed,
     identity_deviation,
     is_hermitian,
@@ -58,9 +59,12 @@ def _validate_phi(phi: float) -> float:
 
 
 def _raw_observable(obs) -> tuple[np.ndarray, np.ndarray]:
-    """A raw observable matrix and its square, checked 2^n x 2^n with
-    n >= 1, Hermitian and with A^2 = 1 to 1e-10."""
-    m = np.asarray(obs, dtype=np.complex128)
+    """A raw observable matrix, as ``complex128``, and its square, checked
+    2^n x 2^n with n >= 1, Hermitian and with A^2 = 1 to 1e-10.  A real
+    matrix (such as a real observable carried into the eigenbasis of a
+    real H) is checked and squared in real arithmetic, and its square is
+    returned real."""
+    m = _as_real_or_complex(obs)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("observable must be a square matrix or PauliString")
     dim = m.shape[0]
@@ -71,7 +75,7 @@ def _raw_observable(obs) -> tuple[np.ndarray, np.ndarray]:
     square = m @ m
     if identity_deviation(square) > CHECK_TOL:
         raise ValueError("observable does not square to the identity to 1e-10")
-    return m, square
+    return m.astype(np.complex128, copy=False), square
 
 
 def _observable_matrix(obs) -> np.ndarray:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -24,14 +23,6 @@ PAULI_Z = np.array([[-1, 0], [0, 1]], dtype=np.complex128)
 PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 _SQRT2 = math.sqrt(2.0)
-
-
-class SignedPermutation(NamedTuple):
-    """The action of a Pauli string P embedded on a whole register,
-    ``(P X)[i] = d[i] X[perm[i]]``, as :meth:`PauliString.action` builds it."""
-
-    perm: np.ndarray
-    d: np.ndarray
 
 # Eigenstates in the (|0>, |1>) amplitude ordering.
 _KETS = {
@@ -107,7 +98,7 @@ class PauliString:
             m = tensor(m, PAULIS[f])
         return self.sign * m
 
-    def action(self, n_qubits: int, targets=None) -> SignedPermutation:
+    def action(self, n_qubits: int, targets=None) -> tuple[np.ndarray, np.ndarray]:
         """Signed-permutation action on an ``n_qubits`` register.
 
         Returns ``(perm, d)`` such that, with the string embedded on
@@ -133,7 +124,7 @@ class PauliString:
                 d *= 1j - 2j * bit
             elif f == "Z":  # Z = diag(-1, +1)
                 d *= 2 * bit - 1
-        return SignedPermutation(index ^ flip, d)
+        return index ^ flip, d
 
     def commutes_with(self, other: "PauliString") -> bool:
         """True iff the two strings commute (they otherwise anticommute)."""

@@ -54,16 +54,17 @@ U^dag B U and the same outcome distribution, so their sequences hold only
 measurements.  Both are built by :func:`_heisenberg_protocol`, which
 takes a whole time grid and the requested parts, builds what does not
 depend on the time once per grid, and picks one of the routes its
-docstring lists: an exact grid of at least ``_FRAME_MIN_POINTS``
-propagators of one spectrum runs in H's eigenbasis, pure or mixed; an
-exact pure state on any other grid of propagators travels as vectors; the
-rest run on density matrices.  The clock-ancilla OTOC runs there too, as
+docstring lists: an exact grid of propagators of one spectrum that is
+long enough to pay for the frame runs in H's eigenbasis, pure or mixed;
+an exact pure state on any other grid of propagators travels as vectors;
+the rest run on density matrices.  The clock-ancilla OTOC runs there too, as
 the direct one with the clock's system propagator as U.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -79,8 +80,14 @@ from .core import (
     PureState,
     embed,
     is_unitary,
+    matmul,
 )
-from .dynamics import ClockPropagator, Propagator, heisenberg, heisenberg_phases
+from .dynamics import (
+    ClockPropagator,
+    Propagator,
+    heisenberg,
+    heisenberg_phases,
+)
 from .measurement import (
     INFORMATIVE,
     NONINFORMATIVE,
@@ -90,7 +97,7 @@ from .measurement import (
     kraus_coefficients,
     kraus_pair,  # noqa: F401  unused here; perfbench/spans.py traces it by this name
 )
-from .observables import PauliString, SignedPermutation
+from .observables import PauliString
 
 MAX_ENUMERATED_MEASUREMENTS = 16
 
@@ -293,17 +300,15 @@ def _check_scalar_completeness(weights) -> None:
 
 
 class _PauliMeasurement(_Measurement):
-    """B = P acts through its signed permutation ``operator`` = (perm, d):
-    O(dim^2) per map term.  P^2 = 1, so completeness is checked in scalar
-    form (:func:`_check_scalar_completeness`).
+    """B = P acts through its signed permutation ``(perm, d)``: O(dim^2)
+    per map term.  P^2 = 1, so completeness is checked in scalar form
+    (:func:`_check_scalar_completeness`).
     """
 
-    def __init__(self, spec: MeasurementSpec, operator: SignedPermutation):
+    def __init__(self, spec: MeasurementSpec, perm, d):
         super().__init__(spec)
         _check_scalar_completeness(self.weights)
-        self.operator = operator
-        self.perm, self.d = operator
-        self.d_conj = self.d.conj()
+        self.perm, self.d, self.d_conj = perm, d, d.conj()
 
     def dense(self):
         """P as a matrix, and P^2 = 1."""
@@ -319,14 +324,16 @@ class _PauliMeasurement(_Measurement):
 
 
 class _DenseMeasurement(_Measurement):
-    """B is a raw observable matrix ``operator`` on the register.  Every
-    state and effect the engine maps is Hermitian, so XB = (BX)^dag and a
-    map costs one product for the XB, BX pair and one more for BXB, each
-    formed once for all the maps of a state (:meth:`maps`).
+    """B is a raw observable matrix ``b`` on the register.  Every state and
+    effect the engine maps is Hermitian, so XB = (BX)^dag and a map costs
+    one product for the XB, BX pair and one more for BXB, each formed once
+    for all the maps of a state (:meth:`maps`).
 
     Completeness, sum_a K_a^dag K_a = sum_a w0 1 + (w1 + w2) B + w3 B^2
     = 1, is checked to 1e-12 from the square ``b_sq`` = B B, without
-    assuming B^2 = 1.
+    assuming B^2 = 1.  A real ``b_sq`` is the square of a real B (its
+    spec checked B in real arithmetic), so B is kept as its real part and
+    its products with a complex X run in real arithmetic (``matmul``).
     """
 
     def __init__(self, spec: MeasurementSpec, b, b_sq):
@@ -340,7 +347,7 @@ class _DenseMeasurement(_Measurement):
             raise NumericalInvariantError(
                 f"Kraus operators violate completeness by {dev:.3e}"
             )
-        self.b = self.operator = b
+        self.b = np.ascontiguousarray(b.real) if b_sq.dtype.kind == "f" else b
         self.b_sq = b_sq
 
     def dense(self):
@@ -369,10 +376,10 @@ class _DenseMeasurement(_Measurement):
         return mapped
 
     def left(self, x):
-        return self.b @ x
+        return matmul(self.b, x)
 
     def right(self, x):
-        return x @ self.b
+        return matmul(x, self.b)
 
 
 class _HeisenbergMeasurement(_Measurement):
@@ -434,7 +441,7 @@ def _resolve_steps(initial: DensityMatrix | PureState, steps):
                 key = (spec.observable, targets)
                 if key not in actions:
                     actions[key] = spec.observable.action(n, targets)
-                resolved.append(_PauliMeasurement(spec, actions[key]))
+                resolved.append(_PauliMeasurement(spec, *actions[key]))
             else:
                 b, b_sq = spec.matrix(), spec._square
                 if step.targets is not None:
@@ -800,34 +807,32 @@ def _phase_action(u: Propagator):
     return apply
 
 
-def _dense_steps(b, phis):
-    """Informative measurements of the raw observable ``b``, one at each
-    strength in ``phis``; their one spec checks b Hermitian with b^2 = 1
-    to 1e-10 and forms the square that every step shares, and each step
-    checks completeness."""
-    spec = MeasurementSpec(b, phis[0], INFORMATIVE)
-    return [_DenseMeasurement(s, s.observable, s._square) for s in map(spec.with_phi, phis)]
-
-
 _FIRST_KINDS = {"real": INFORMATIVE, "imag": NONINFORMATIVE}
 
 # The eigenbasis route pays for its frame once per grid: V checked unitary
-# and B~ formed (two dim^3 products), and for the OTOC A~ with its checked
-# square (two more).  A time point then costs one phase scaling of B~ for a
-# density matrix, and one product instead of four per B(t) application
-# for a pure state.  Medians of `_heisenberg_protocol` for the Ising chain
-# with both parts (2-core VM, BLAS pinned to 1 thread), other route against
-# eigenbasis route:
-# * label state, vector route, 3 points: TOC 0.78 vs 0.57 ms at n = 3, 1.05
-#   vs 0.87 ms at n = 6, 1.64 vs 2.01 ms at n = 7 and 4.1 vs 9.1 ms at
-#   n = 8; OTOC 1.52 vs 1.11, 2.42 vs 1.97, 4.2 vs 5.2 and 12.1 vs 25.5 ms.
-#   The frame pays back from 2 points at n <= 6, from about 4 (TOC) and 8
-#   (OTOC) at n = 7 and from about 10 at n = 8 (n = 8, 32 points: TOC 37.3
-#   vs 19.1 ms, OTOC 108.9 vs 60.7 ms).
-# * maximally mixed state, density route, 3 points: TOC 0.96 vs 0.83 ms at
-#   n = 3, 1.63 vs 1.37 ms at n = 6 and 9.4 vs 8.9 ms at n = 7; OTOC 1.32
-#   vs 1.19, 2.35 vs 2.36 and 14.5 vs 15.2 ms (4 points: 18.4 vs 16.7 ms).
+# and B~ formed, and for the OTOC A~ with its checked square, each one
+# dim^3 product (a real one for a real H, whose V and whose strings without
+# Y factors are real).  A time point of a density matrix then costs one
+# O(dim^2) phase scaling of B~, where the density route forms and checks U
+# and B(t) by dim^3 products, so a mixed grid earns the frame back from
+# _FRAME_MIN_POINTS points at every size.  A time point of a pure state
+# saves only O(dim^2 k) work on its dim x k blocks (one product with B~ per
+# B(t) application instead of four through the spectrum), so the points it
+# needs grow with dim: _FRAME_MIN_POINTS per _PURE_FRAME_DIM basis states.
+# Eigenbasis over other route, medians of alternating in-process runs of
+# `_heisenberg_protocol` with both parts (2-core VM, BLAS pinned to 1
+# thread), for a label state or the maximally mixed state of the Ising
+# chain (real H) / the chain with a Y term (complex H):
+# * label state, vector route: below 1 from 3 points at n <= 6 (0.69 to
+#   0.89); at n = 7, TOC 1.13 / 1.23 at 3 points and 0.87 / 0.85 at 6, OTOC
+#   1.34 / 1.38 and 0.98 / 0.93; at n = 8, TOC 1.67 / 2.68 at 3 points,
+#   0.97 / 1.33 at 8 and 0.76 / 1.02 at 12, OTOC 1.85 / 2.38, 0.99 / 1.14
+#   and 0.83 / 0.93.
+# * maximally mixed state, density route: below 1 from 3 points at n = 3
+#   to 8 for both H (TOC 0.67 to 0.79, OTOC 0.79 to 0.98); at 2 points the
+#   OTOC is 0.89 to 1.11.
 _FRAME_MIN_POINTS = 3
+_PURE_FRAME_DIM = 64
 
 
 def _heisenberg_protocol(
@@ -851,15 +856,15 @@ def _heisenberg_protocol(
     values in one evaluation (:func:`_transfer_values`), sampled leaf
     probabilities in one walk (:func:`_leaf_probabilities`), and each part
     is then drawn from its own seed (:func:`_sampled_estimate`).  A value
-    depends on its time alone, not on the rest of the grid.  The routes:
+    depends on its time alone, not on the rest of the grid.
 
-    The rule: an exact grid of at least ``_FRAME_MIN_POINTS``
-    :class:`Propagator` objects that share one spectrum (E, V) takes the
-    eigenbasis route, pure or mixed; any other exact grid of propagators
-    takes the vector route for a pure state; everything else, sampled mode
-    included, takes the density route.  A Pauli string is gathered once per
-    grid (``operator``), and :func:`heisenberg` takes that gather.  The
-    routes:
+    The rule: an exact grid of :class:`Propagator` objects that share one
+    spectrum (E, V) takes the eigenbasis route if it is long enough to pay
+    for the frame, ``_FRAME_MIN_POINTS`` points for a density matrix and
+    as many per ``_PURE_FRAME_DIM`` basis states for a pure state; any
+    other exact grid of propagators takes the vector route for a pure
+    state; everything else, sampled mode included, takes the density
+    route.  The routes:
 
     * eigenbasis: V is checked unitary to 1e-10 once, which stands in for
       the check of U, as U is never formed.  B~ = V^dag B V and the later
@@ -871,8 +876,12 @@ def _heisenberg_protocol(
       (:func:`heisenberg_phases`) for a density matrix; for a pure state it
       applies x -> e^{iEt} (B~ (e^{-iEt} x)), one product
       (:func:`_heisenberg_action`, which checks B~(t)^2 = 1 on V^dag psi).
-    * vector: a pure state psi on a shorter grid, or on propagators of
-      several spectra.  The first transfers are factor pairs of
+      A real H has a real V, and B~ and A~ are then real too for strings
+      with an even number of Y factors: their products run in real
+      arithmetic (:func:`~seqmeas.core.matmul`).
+    * vector: a pure state psi on a shorter grid (every one-point
+      :func:`toc` and :func:`otoc` call), or on propagators of several
+      spectra.  The first transfers are factor pairs of
       E_1(psi psi^dag).  A time point applies B(t) through the propagator's
       spectrum, four products (:func:`_heisenberg_action`, which checks
       B(t)^2 = 1 on psi), so neither U nor B(t) is formed.
@@ -914,69 +923,75 @@ def _heisenberg_protocol(
         if shape != (dim, dim):
             raise ValueError(f"evolution 'U_t' has shape {shape}, expected {(dim, dim)}")
     propagators = all(isinstance(u, Propagator) for u in evolutions)
+    pure = exact and isinstance(initial, PureState) and propagators
+    min_points = _FRAME_MIN_POINTS * (max(1, dim // _PURE_FRAME_DIM) if pure else 1)
     frame = (
         exact
-        and len(evolutions) >= _FRAME_MIN_POINTS
+        and len(evolutions) >= min_points
         and propagators
         and all(
             u.evals is evolutions[0].evals and u.evecs is evolutions[0].evecs
             for u in evolutions
         )
     )
-    pure = exact and isinstance(initial, PureState) and propagators
+    vector = pure and not frame
     if isinstance(initial, PureState) and not pure:
         initial = initial.density()
-
-    # Each Pauli string is gathered once per grid, and its signed
-    # permutation serves every later use: A's by one resolve of the first
-    # measurements and, off the eigenbasis route, the later ones (their
-    # ``operator``); B's by that resolve too on the pure routes, which
-    # apply B to vectors, and directly on the others.
-    steps = [MeasureStep(MeasurementSpec(a, phis[0], _FIRST_KINDS[p])) for p in parts]
-    if not frame:
-        steps += [MeasureStep(MeasurementSpec(a, p, INFORMATIVE)) for p in phis[2::2]]
-    if pure:
-        spec_b = MeasurementSpec(b, phis[1], INFORMATIVE)
-        steps.append(MeasureStep(spec_b))
-    resolved, _ = _resolve_steps(initial, steps)
-    if pure:
-        b_meas = resolved.pop()
-        b_op = b_meas.operator
-        b_specs = [spec_b.with_phi(p) for p in phis[1::2]]
-        psi = initial.amplitudes[:, None]
-    else:
-        b_op = b.action(initial.n_qubits) if isinstance(b, PauliString) else b
-    firsts, a_steps = resolved[: len(parts)], resolved[len(parts) :]
-    if exact:
-        starts = _first_transfers(initial, firsts)
-    else:
-        children = [x for s in firsts for x in s.maps(initial.matrix, s.weights)]
     if frame:
         evecs = evolutions[0].evecs
         if not is_unitary(evecs, CHECK_TOL):
             raise NumericalInvariantError("eigenbasis of H is not unitary to 1e-10")
-        b_frame = heisenberg(b_op, evecs)
-        if count > 2:
-            a_steps = _dense_steps(heisenberg(firsts[0].operator, evecs), phis[2::2])
-        evecs_h = evecs.conj().T
+        b_frame = heisenberg(b, evecs)
+
+    # One resolve for every A measurement, and for B's on the vector route,
+    # so that measurements of one Pauli string share its signed permutation.
+    steps = [MeasureStep(MeasurementSpec(a, phis[0], _FIRST_KINDS[p])) for p in parts]
+    steps += [
+        MeasureStep(MeasurementSpec(heisenberg(a, evecs) if frame else a, p, INFORMATIVE))
+        for p in phis[2::2]
+    ]
+    if pure:
+        spec_b = MeasurementSpec(b, phis[1], INFORMATIVE)
+        b_specs = [spec_b.with_phi(p) for p in phis[1::2]]
+    if vector:
+        steps.append(MeasureStep(spec_b))
+    resolved, _ = _resolve_steps(initial, steps)
+    if vector:
+        apply_b = resolved.pop().left
+    firsts, a_steps = resolved[: len(parts)], resolved[len(parts) :]
+    if exact:
+        starts = _first_transfers(initial, firsts)
         if pure:
-            starts = [(evecs_h @ l, evecs_h @ r) for l, r in starts]
-            psi = evecs_h @ psi
-        else:
-            starts = [evecs_h @ x @ evecs for x in starts]
+            psi = initial.amplitudes[:, None]
+        if frame:
+            # A trace is the same in every basis.
+            v_dag = evecs.conj().T
+            if pure:
+                starts = [(matmul(v_dag, l), matmul(v_dag, r)) for l, r in starts]
+                psi = matmul(v_dag, psi)
+            else:
+                starts = [matmul(matmul(v_dag, x), evecs) for x in starts]
+    else:
+        children = [x for s in firsts for x in s.maps(initial.matrix, s.weights)]
 
     def point(u, point_seeds):
         # Every array built here is freed when the point is done.
         if pure:
             if frame:
-                apply = _heisenberg_action(lambda y: b_frame @ y, _phase_action(u), psi)
+                apply_u, apply_b_t = _phase_action(u), functools.partial(matmul, b_frame)
             else:
-                apply = _heisenberg_action(b_meas.left, u.apply, psi)
+                apply_u, apply_b_t = u.apply, apply_b
+            apply = _heisenberg_action(apply_b_t, apply_u, psi)
             b_steps = [_HeisenbergMeasurement(s, apply) for s in b_specs]
-        elif frame:
-            b_steps = _dense_steps(heisenberg_phases(b_frame, u), phis[1::2])
         else:
-            b_steps = _dense_steps(heisenberg(b_op, _evolution_matrix(u)), phis[1::2])
+            if frame:
+                b_t = heisenberg_phases(b_frame, u)
+            else:
+                b_t = heisenberg(b, _evolution_matrix(u))
+            spec = MeasurementSpec(b_t, phis[1], INFORMATIVE)
+            del b_t  # the spec keeps its own checked copy
+            specs = map(spec.with_phi, phis[1::2])
+            b_steps = [_DenseMeasurement(s, s.observable, s._square) for s in specs]
         # B(t) at the odd positions, the later A at the even ones.
         rest = [b_steps[k // 2] if k % 2 else a_steps[k // 2 - 1] for k in range(1, count)]
         if exact:

@@ -14,7 +14,7 @@ from seqmeas import (
     partial_trace,
     tensor,
 )
-from seqmeas.core import identity_deviation, is_unitary
+from seqmeas.core import identity_deviation, is_unitary, matmul
 from seqmeas.observables import PAULI_X, PAULI_Y, PAULI_Z, basis_ket
 from seqmeas.observables import entangling_gate
 
@@ -80,6 +80,26 @@ class TestIsUnitary:
                 assert abs(complex_dev - real_dev) <= 1e-15
         assert is_unitary(np.array([[0, 1j], [1j, 0]]))
         assert not is_unitary(np.array([[1, 1j], [0, 1]]))
+
+
+class TestMatmul:
+    def test_real_factor_stays_real(self):
+        # A real factor times a complex one runs in real arithmetic and
+        # matches numpy's complex product; equal kinds are numpy's own.
+        rng = np.random.default_rng(7)
+        for dim, k in ((2, 1), (8, 3), (64, 64)):
+            r = rng.normal(size=(dim, dim))
+            x = rng.normal(size=(dim, k)) + 1j * rng.normal(size=(dim, k))
+            y = rng.normal(size=(k, dim)) + 1j * rng.normal(size=(k, dim))
+            for got, ref in (
+                (matmul(r, x), r.astype(np.complex128) @ x),
+                (matmul(r, x[:, ::-1]), r.astype(np.complex128) @ x[:, ::-1]),
+                (matmul(y, r), y @ r.astype(np.complex128)),
+            ):
+                assert got.dtype == np.complex128 and got.shape == ref.shape
+                assert float(np.max(np.abs(got - ref))) <= 1e-12
+            assert np.array_equal(matmul(x.T, x), x.T @ x)
+            assert np.array_equal(matmul(r, r), r @ r)
 
 
 class TestEmbedAndApply:

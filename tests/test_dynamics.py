@@ -207,13 +207,13 @@ class TestRealSpectrum:
 
     def test_real_h_takes_the_real_path(self, monkeypatch):
         # A Y-free Pauli sum has a real matrix: eigh runs in real arithmetic
-        # and the eigenbasis comes back as complex128.
+        # and the eigenbasis stays real.
         dtypes = self._spy_eigh(monkeypatch)
         rng = np.random.default_rng(13)
         for n in (2, 3, 4, 5):
             ham = build_mixed_field_ising(n)
             evals, evecs = ham.spectrum
-            assert evals.dtype == np.float64 and evecs.dtype == np.complex128
+            assert evals.dtype == evecs.dtype == np.float64
             m = kron_hamiltonian(ham)
             rho = random_density(rng, n).matrix
             a, b = random_pauli(rng, n), random_pauli(rng, n)
@@ -263,18 +263,19 @@ class TestHeisenberg:
             heisenberg(p, u), u.matrix.conj().T @ p.matrix() @ u.matrix, atol=0
         )
 
-    def test_takes_a_gathered_signed_permutation(self):
+    def test_real_evolution_stays_real(self):
+        # A real U with a real B (no Y factor, or two) gives a real B(t),
+        # equal to the complex triple product; a Y factor keeps it complex.
         rng = np.random.default_rng(5)
-        u = propagator(build_mixed_field_ising(3), 0.8)
-        for _ in range(5):
-            p = random_pauli(rng, 2)
-            targets = tuple(int(q) for q in rng.permutation(3)[:2])
-            action = p.action(3, targets)
-            np.testing.assert_array_equal(heisenberg(action, u), heisenberg(p, u, targets))
-        with pytest.raises(ValueError, match="whole"):
-            heisenberg(action, u, targets)
-        with pytest.raises(ValueError, match="whole"):
-            heisenberg(p.action(2), u)
+        v = np.linalg.qr(rng.normal(size=(8, 8)))[0]
+        for text in ("+XZI", "-ZZX", "+YYI", "+IYZ"):
+            p = PauliString.from_text(text)
+            ref = v.T @ p.matrix() @ v
+            for obs in (p, p.matrix(), p.matrix().real if "Y" not in text else p.matrix()):
+                bt = heisenberg(obs, v)
+                assert max_abs(bt - ref) <= 1e-14
+            assert np.isrealobj(heisenberg(p, v)) == (text.count("Y") % 2 == 0)
+            assert np.iscomplexobj(heisenberg(p, v.astype(np.complex128)))
 
     def test_preserves_commutation_with_symmetries(self):
         # an operator commuting with H keeps commuting with everything it did

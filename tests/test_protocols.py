@@ -842,10 +842,8 @@ class TestSharedParts:
         "route", ["vector", "pure eigenbasis", "eigenbasis", "density", "sampled"]
     )
     def test_gathers_each_action_once(self, monkeypatch, route, count):
-        # Only B(t) depends on the time, so each Pauli string is gathered
-        # once per grid on every route, and each part's first transfer is
-        # built once: heisenberg takes the grid's gathers for B(t), B~ and
-        # A~ instead of gathering again.
+        # Only B(t) depends on the time, so A's signed permutation and each
+        # part's first transfer are built once per grid on every route.
         gathers = counting_patch(monkeypatch, PauliString, "action")
         transfers = [
             counting_patch(monkeypatch, protocols_mod._Measurement, name)
@@ -873,8 +871,14 @@ class TestSharedParts:
         assert len(rows) == len(grid)
         assert len(phase_maps) == (len(grid) if route == "pure eigenbasis" else 0)
         assert len(phase_scalings) == (len(grid) if route == "eigenbasis" else 0)
-        assert sum(call[0] is a for call in gathers) == 1
-        assert sum(call[0] is b for call in gathers) == 1
+        a_gathers = sum(call[0] is a for call in gathers)
+        b_gathers = sum(call[0] is b for call in gathers)
+        # The eigenbasis routes carry the later A into the frame by a
+        # second gather; the density route forms B(t) = (BU)^dag U from the
+        # gather BU at every point (dynamics.heisenberg).
+        frame = route in ("eigenbasis", "pure eigenbasis")
+        assert a_gathers == (2 if frame and count == 4 else 1)
+        assert b_gathers == (len(grid) if route in ("density", "sampled") else 1)
         firsts = [call for calls in transfers for call in calls if call[0].phi == phis[0]]
         assert len(firsts) == (0 if route == "sampled" else len(self.PARTS))
 
@@ -1204,16 +1208,22 @@ class TestPureEigenbasisGrid:
         terms.append((0.7, PauliString(("Y",) + ("I",) * (n - 1))))
         return Hamiltonian(n, tuple(terms))
 
-    @pytest.mark.parametrize("reversal", ["direct", "clock"])
+    @pytest.mark.parametrize("reversal", ["direct", "ising", "clock"])
     def test_matches_oracle_and_single_points(self, monkeypatch, reversal):
         # A pure state on a grid of one spectrum runs in H's eigenbasis:
         # one phase-scaled product per B(t) application.  Its values agree
-        # with the dense oracle and with one-point calls (vector route).
+        # with the dense oracle and with one-point calls (vector route), for
+        # a complex H and for the Ising chain, whose real V, B~ and A~ are
+        # multiplied in real arithmetic.
         phase_maps = counting_patch(monkeypatch, protocols_mod, "_phase_action")
         rng = np.random.default_rng([94, len(reversal)])
         for n in range(3, 6):
             if reversal == "direct":
                 grid = _grid_propagators(random_hermitian(rng, 2**n), self.TIMES)
+                counts = (2, 4)
+            elif reversal == "ising":
+                grid = _grid_propagators(build_mixed_field_ising(n), self.TIMES)
+                assert np.isrealobj(grid[0].evecs)
                 counts = (2, 4)
             else:
                 ham = self._hamiltonian_with_y(rng, n)
@@ -1264,6 +1274,35 @@ class TestPureEigenbasisGrid:
             )
         assert all(calls == [] for calls in per_point)
 
+    def test_pure_grids_need_more_points_on_larger_registers(self, monkeypatch):
+        # A pure point saves O(dim^2) work against the frame's O(dim^3):
+        # a grid needs _FRAME_MIN_POINTS points per _PURE_FRAME_DIM basis
+        # states before it runs in H's eigenbasis.  A density matrix needs
+        # _FRAME_MIN_POINTS at every size.
+        phase_maps = counting_patch(monkeypatch, protocols_mod, "_phase_action")
+        phase_scalings = counting_patch(monkeypatch, protocols_mod, "heisenberg_phases")
+        n = 7
+        per_dim = 2**n // protocols_mod._PURE_FRAME_DIM
+        assert per_dim == 2
+        ham = build_mixed_field_ising(n)
+        a = PauliString.from_text("+Z" + "I" * (n - 1))
+        b = PauliString.from_text("+" + "I" * (n - 1) + "X")
+        psi = PureState.from_label("0" * n)
+        rho = DensityMatrix.maximally_mixed(n)
+        needed = protocols_mod._FRAME_MIN_POINTS * per_dim
+        for initial, calls, points, framed in (
+            (psi, phase_maps, needed - 1, False),
+            (psi, phase_maps, needed, True),
+            (rho, phase_scalings, protocols_mod._FRAME_MIN_POINTS, True),
+        ):
+            grid = _grid_propagators(ham, [0.2 * (k + 1) for k in range(points)])
+            calls.clear()
+            rows = protocols_mod._heisenberg_protocol(
+                initial, a, b, 2, grid, self.PARTS, [0.6] * 2
+            )
+            assert len(rows) == points
+            assert len(calls) == (points if framed else 0)
+
     def test_b_of_t_square_is_checked_at_every_point(self, monkeypatch):
         # A phase map that is off by 1e-9 breaks B~(t)^2 psi~ = psi~.
         original = protocols_mod._phase_action
@@ -1308,6 +1347,27 @@ class TestDenseMaps:
                 assert rights == []
         with pytest.raises(ValueError, match="Hermitian"):
             m.maps(x, [(0.5, 0.1j, 0.1j, 0.2)])
+
+    def test_real_observable_stays_real(self):
+        # A real B (such as A~ for the Ising chain) is checked and squared
+        # in real arithmetic; its measurement keeps B real and maps complex
+        # states, effects and factor blocks to the complex reference.
+        rng = np.random.default_rng(96)
+        for n in range(1, 5):
+            q = np.linalg.qr(rng.normal(size=(2**n, 2**n)))[0]
+            b = (q * rng.choice([-1.0, 1.0], size=2**n)) @ q.T
+            spec = MeasurementSpec(b, float(rng.uniform(0.2, PI / 2)), "informative")
+            assert spec.observable.dtype == np.complex128
+            assert spec._square.dtype == np.float64
+            m = protocols_mod._DenseMeasurement(spec, spec.observable, spec._square)
+            assert m.b.dtype == np.float64 and m.b.flags.c_contiguous
+            x = random_density(rng, n).matrix
+            weights = [*m.weights, m.transfer_weights]
+            for w, g in zip(weights, m.maps(x, weights)):
+                ref = w[0] * x + w[1] * (x @ b) + w[2] * (b @ x) + w[3] * (b @ x @ b)
+                assert float(np.max(np.abs(g - ref))) <= 1e-14
+            block = rng.normal(size=(2**n, 3)) + 1j * rng.normal(size=(2**n, 3))
+            assert float(np.max(np.abs(m.left(block) - b @ block))) <= 1e-14
 
 
 class TestRmsBound:
