@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 1 for configuration/usage errors, 2 when a
-numerical invariant fails (including failing verify suites).
+Exit codes: 0 on success, 1 for configuration/usage errors and output
+files that cannot be written, 2 when a numerical invariant fails
+(including failing verify suites).
 """
 
 from __future__ import annotations
@@ -61,13 +62,17 @@ def main(argv=None) -> int:
         try:
             cfg = load_config(args.config, overrides)
             rows = run_experiment(cfg)
-            csv_path, sidecar = write_outputs(cfg, rows, args.out)
         except ConfigError as exc:
             print(f"seqmeas: config error: {exc}", file=sys.stderr)
             return 1
         except NumericalInvariantError as exc:
             print(f"seqmeas: numerical invariant failed: {exc}", file=sys.stderr)
             return 2
+        try:
+            csv_path, sidecar = write_outputs(cfg, rows, args.out)
+        except OSError as exc:
+            print(f"seqmeas: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 1
         print(f"wrote {csv_path} ({len(rows)} rows) and {sidecar}")
         return 0
 

@@ -11,10 +11,12 @@ Conventions, fixed once and used everywhere in this package:
   opposite to the usual quantum-computing convention (where Z|0> = +|0>);
   to convert an operator between the two conventions, conjugate it by X
   on every qubit.
-* Everything is a dense ``complex128`` array, except that the eigenbasis
-  of a real H, and what it carries into its frame, stays ``float64``
-  (:func:`matmul` keeps it real).  Registers are limited to 10 qubits
-  (system plus ancillas); exactness is preferred over scale.
+* Arrays are dense.  States are ``complex128``.  An operator is
+  ``float64`` when it is real and ``complex128`` otherwise, decided once
+  where it enters the engine (:func:`_as_real_or_complex`); it then keeps
+  its dtype, and :func:`matmul` is where real meets complex.  Registers
+  are limited to 10 qubits (system plus ancillas); exactness is
+  preferred over scale.
 
 Tolerances: preconditions are checked at ``CHECK_TOL = 1e-10``; stored
 states are re-symmetrized on construction so their invariants hold to
@@ -44,9 +46,13 @@ def _as_complex(m) -> np.ndarray:
 
 
 def _as_real_or_complex(m) -> np.ndarray:
-    """``m`` as ``complex128`` if it is complex, else as ``float64``, so
-    that a real matrix keeps real arithmetic (see :func:`matmul`)."""
+    """``m`` as ``float64`` if no entry has an imaginary part, else as
+    ``complex128``: the one test of whether an operator is real, so that a
+    real one keeps real arithmetic (see :func:`matmul`).  A complex array
+    with an all-zero imaginary part comes out as a contiguous real copy."""
     m = np.asarray(m)
+    if m.dtype.kind == "c" and not np.count_nonzero(m.imag):
+        m = np.ascontiguousarray(m.real)
     return m.astype(np.complex128 if m.dtype.kind == "c" else np.float64, copy=False)
 
 
@@ -232,11 +238,12 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def embed(op: np.ndarray, n_qubits: int, targets) -> np.ndarray:
     """Extend ``op`` (acting on ``targets``, in that order) by identity.
 
-    ``targets[0]`` is the most significant slot of ``op``.
+    ``targets[0]`` is the most significant slot of ``op``.  A real ``op``
+    gives a ``float64`` result, any other a ``complex128`` one.
     """
     _check_register(n_qubits)
     targets = _check_targets(n_qubits, targets)
-    op = _as_complex(op)
+    op = _as_real_or_complex(op)
     k = len(targets)
     if op.shape != (2**k, 2**k):
         raise ValueError(
@@ -245,7 +252,7 @@ def embed(op: np.ndarray, n_qubits: int, targets) -> np.ndarray:
     if targets == tuple(range(n_qubits)):
         return op
     rest = [q for q in range(n_qubits) if q not in targets]
-    full = np.kron(op, np.eye(2 ** len(rest), dtype=np.complex128))
+    full = np.kron(op, np.eye(2 ** len(rest), dtype=op.dtype))
     order = list(targets) + rest
     pos = {q: i for i, q in enumerate(order)}
     perm = [pos[q] for q in range(n_qubits)]

@@ -127,7 +127,12 @@ class Propagator:
 
     @functools.cached_property
     def phases(self) -> np.ndarray:
-        """exp(-i t E), the propagator in the eigenbasis of H."""
+        """exp(-i t E), the propagator in the eigenbasis of H.  A phase
+        t E_k that is not finite (a duration so long that it overflows)
+        raises :class:`NumericalInvariantError`."""
+        largest = abs(self.duration) * float(np.abs(self.evals).max(initial=0.0))
+        if not largest < np.inf:
+            raise NumericalInvariantError(f"phase t*E of duration {self.duration!r} is not finite")
         return np.exp(-1j * self.duration * self.evals)
 
     @functools.cached_property
@@ -139,14 +144,13 @@ class Propagator:
         products, with V^dag x taken as conj(V^T conj(x)) so that V^dag is
         not formed either (a real V is applied in real arithmetic)."""
         phases = self.phases.conj() if adjoint else self.phases
-        if self.evecs.dtype.kind == "f":
-            return matmul(self.evecs, phases[:, None] * matmul(self.evecs.T, x))
-        y = np.conj(self.evecs.T @ np.conj(x))
-        return self.evecs @ (phases[:, None] * y)
+        y = np.conj(matmul(self.evecs.T, np.conj(x)))
+        return matmul(self.evecs, phases[:, None] * y)
 
 
 def _check_hermitian_matrix(h) -> np.ndarray:
-    m = h.matrix() if isinstance(h, Hamiltonian) else np.asarray(h, dtype=np.complex128)
+    """The matrix of H, ``float64`` if it is real, checked Hermitian."""
+    m = _as_real_or_complex(h.matrix() if isinstance(h, Hamiltonian) else h)
     if not is_hermitian(m, CHECK_TOL):
         raise ValueError("Hamiltonian is not Hermitian to 1e-10")
     return m
@@ -155,11 +159,11 @@ def _check_hermitian_matrix(h) -> np.ndarray:
 def _checked_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``eigh`` of a Hermitian matrix; the eigenbasis must be unitary to
     1e-10, since every propagator built from it inherits its error.  A
-    matrix with no imaginary part (every H without Y-type terms) is
-    diagonalized in real arithmetic, about 3x faster, and keeps its real
-    eigenbasis: the propagators and the eigenbasis route then multiply by
-    V in real arithmetic (:func:`~seqmeas.core.matmul`)."""
-    evals, evecs = np.linalg.eigh(m if m.imag.any() else m.real)
+    real matrix (every H without Y-type terms) is diagonalized in real
+    arithmetic, about 3x faster, and keeps its real eigenbasis: the
+    propagators and the eigenbasis route then multiply by V in real
+    arithmetic (:func:`~seqmeas.core.matmul`)."""
+    evals, evecs = np.linalg.eigh(m)
     if not is_unitary(evecs, CHECK_TOL):
         raise NumericalInvariantError("eigenbasis of H is not unitary to 1e-10")
     return evals, evecs
@@ -183,12 +187,12 @@ def heisenberg(obs, u, targets=None) -> np.ndarray:
 
     A Pauli string forms B U by its signed row gather and B(t) as
     (B U)^dag U, one product that equals the triple product bit for bit;
-    a raw observable matrix is embedded on ``targets`` first.  A real U
-    with a real B (a Pauli string with an even number of Y factors) gives
-    a real B(t), formed in real arithmetic.
+    a raw observable matrix is embedded on ``targets`` first.  U and B
+    keep the dtypes :func:`~seqmeas.core._as_real_or_complex` gives them,
+    so a real U with a real B (a Pauli string with an even number of Y
+    factors) gives a real B(t), formed in real arithmetic.
     """
     um = _as_real_or_complex(getattr(u, "matrix", u))
-    real = um.dtype == np.float64
     dim = um.shape[0]
     n = dim.bit_length() - 1
     if um.shape != (dim, dim) or dim != 2**n:
@@ -197,13 +201,8 @@ def heisenberg(obs, u, targets=None) -> np.ndarray:
         targets = range(n)
     if isinstance(obs, PauliString):
         perm, d = obs.action(n, targets)
-        if real and not d.imag.any():
-            d = d.real
         return matmul((d[:, None] * um[perm]).conj().T, um)
-    b = embed(np.asarray(obs, dtype=np.complex128), n, targets)
-    if real and not b.imag.any():
-        b = b.real
-    return matmul(matmul(um.conj().T, b), um)
+    return matmul(matmul(um.conj().T, embed(obs, n, targets)), um)
 
 
 def heisenberg_phases(b_frame: np.ndarray, u: Propagator) -> np.ndarray:

@@ -59,11 +59,12 @@ def _validate_phi(phi: float) -> float:
 
 
 def _raw_observable(obs) -> tuple[np.ndarray, np.ndarray]:
-    """A raw observable matrix, as ``complex128``, and its square, checked
-    2^n x 2^n with n >= 1, Hermitian and with A^2 = 1 to 1e-10.  A real
-    matrix (such as a real observable carried into the eigenbasis of a
-    real H) is checked and squared in real arithmetic, and its square is
-    returned real."""
+    """A raw observable matrix and its square, checked 2^n x 2^n with
+    n >= 1, Hermitian and with A^2 = 1 to 1e-10.  Both are ``float64``
+    for a real matrix (such as a Pauli string without Y factors, or a
+    real observable carried into the eigenbasis of a real H), which is
+    checked and squared in real arithmetic, and ``complex128`` otherwise
+    (:func:`~seqmeas.core._as_real_or_complex`)."""
     m = _as_real_or_complex(obs)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("observable must be a square matrix or PauliString")
@@ -75,7 +76,7 @@ def _raw_observable(obs) -> tuple[np.ndarray, np.ndarray]:
     square = m @ m
     if identity_deviation(square) > CHECK_TOL:
         raise ValueError("observable does not square to the identity to 1e-10")
-    return m.astype(np.complex128, copy=False), square
+    return m, square
 
 
 def _observable_matrix(obs) -> np.ndarray:
@@ -89,7 +90,8 @@ class MeasurementSpec:
     """One generalized measurement: observable, strength angle, kind.
 
     ``observable`` is normally a PauliString; a raw Hermitian matrix with
-    A^2 = 1 (e.g. a Heisenberg-evolved Pauli) is accepted too.
+    A^2 = 1 (e.g. a Heisenberg-evolved Pauli) is accepted too, and stored
+    as ``float64`` if it is real, else as ``complex128``.
     """
 
     observable: PauliString | np.ndarray

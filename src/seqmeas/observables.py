@@ -105,7 +105,8 @@ class PauliString:
         ``targets`` (default: the whole register), ``(P X)[i] =
         d[i] X[perm[i]]`` and, P being Hermitian, ``(X P)[:, j] =
         conj(d[j]) X[:, perm[j]]``.  Built per factor in O(n 2^n) without
-        forming the matrix.
+        forming the matrix.  The signs ``d`` are ``float64`` for a string
+        with an even number of Y factors, and ``complex128`` otherwise.
         """
         targets = _check_targets(n_qubits, range(n_qubits) if targets is None else targets)
         if len(targets) != self.n_qubits:
@@ -114,14 +115,17 @@ class PauliString:
             )
         index = np.arange(2**n_qubits)
         flip = 0
-        d = np.full(index.shape, complex(self.sign))
+        y_count = self.factors.count("Y")
+        # Each Y contributes a factor i, and i^y_count is real for an even count.
+        phase = (-1) ** (y_count // 2) * (1j if y_count % 2 else 1.0)
+        d = np.full(index.shape, self.sign * phase)
         for f, q in zip(self.factors, targets):
             shift = n_qubits - 1 - q
             bit = (index >> shift) & 1
             if f in "XY":
                 flip |= 1 << shift
-            if f == "Y":  # Y[0, 1] = i, Y[1, 0] = -i
-                d *= 1j - 2j * bit
+            if f == "Y":  # Y[0, 1] = i, Y[1, 0] = -i: i (1 - 2 bit)
+                d *= 1 - 2 * bit
             elif f == "Z":  # Z = diag(-1, +1)
                 d *= 2 * bit - 1
         return index ^ flip, d

@@ -331,9 +331,9 @@ class _DenseMeasurement(_Measurement):
 
     Completeness, sum_a K_a^dag K_a = sum_a w0 1 + (w1 + w2) B + w3 B^2
     = 1, is checked to 1e-12 from the square ``b_sq`` = B B, without
-    assuming B^2 = 1.  A real ``b_sq`` is the square of a real B (its
-    spec checked B in real arithmetic), so B is kept as its real part and
-    its products with a complex X run in real arithmetic (``matmul``).
+    assuming B^2 = 1.  ``b`` keeps the dtype its spec gave it, so the
+    products of a real B with a complex X run in real arithmetic
+    (``matmul``).
     """
 
     def __init__(self, spec: MeasurementSpec, b, b_sq):
@@ -347,8 +347,7 @@ class _DenseMeasurement(_Measurement):
             raise NumericalInvariantError(
                 f"Kraus operators violate completeness by {dev:.3e}"
             )
-        self.b = np.ascontiguousarray(b.real) if b_sq.dtype.kind == "f" else b
-        self.b_sq = b_sq
+        self.b, self.b_sq = b, b_sq
 
     def dense(self):
         return self.b, self.b_sq
@@ -760,11 +759,9 @@ def _sampled_estimate(resolved, probs, trials: int, seed: int) -> CorrelatorEsti
 def _evolution_matrix(evolution) -> np.ndarray:
     """The evolution's matrix, checked once for unitarity (its grid checked
     the shape).  A propagator's matrix is formed on a copy and not kept, as
-    a time grid holds all its propagators."""
-    if isinstance(evolution, Propagator):
-        u = dataclasses.replace(evolution).matrix
-    else:
-        u = np.asarray(evolution, dtype=np.complex128)
+    a time grid holds all its propagators.  A raw matrix is returned as
+    given: :func:`heisenberg`, its reader, decides its dtype."""
+    u = dataclasses.replace(evolution).matrix if isinstance(evolution, Propagator) else evolution
     if not is_unitary(u, CHECK_TOL):
         raise ValueError("evolution 'U_t' is not unitary to 1e-10")
     return u

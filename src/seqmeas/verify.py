@@ -72,7 +72,7 @@ def _random_phi(rng) -> float:
     return math.pi / 2 - float(rng.uniform(0.0, math.pi / 2))
 
 
-def povm_identity_suite(samples: int, rng, alpha_fn=generalized_eigenvalue) -> SuiteResult:
+def povm_identity_suite(samples: int, rng) -> SuiteResult:
     """sum_a alpha_a K_a^dag K_a = A for informative pairs, any strength."""
     worst = 0.0
     for _ in range(samples):
@@ -81,7 +81,7 @@ def povm_identity_suite(samples: int, rng, alpha_fn=generalized_eigenvalue) -> S
         phi = _random_phi(rng)
         pair = informative_kraus(MeasurementSpec(p, phi, INFORMATIVE))
         e0, e1 = pair.effects()
-        total = alpha_fn(phi, 0) * e0 + alpha_fn(phi, 1) * e1
+        total = generalized_eigenvalue(phi, 0) * e0 + generalized_eigenvalue(phi, 1) * e1
         worst = max(worst, float(np.max(np.abs(total - p.matrix()))))
     return SuiteResult("povm-identity", samples, worst, 1e-10)
 
@@ -249,16 +249,12 @@ _SUITES = (
 )
 
 
-def run_suites(samples: int = 100, seed: int = 0, alpha_fn=None) -> list[SuiteResult]:
+def run_suites(samples: int = 100, seed: int = 0) -> list[SuiteResult]:
     """Run every suite on deterministic per-suite random streams."""
-    results = []
-    for index, suite in enumerate(_SUITES):
-        rng = np.random.default_rng([seed, index])
-        if suite is povm_identity_suite and alpha_fn is not None:
-            results.append(suite(samples, rng, alpha_fn=alpha_fn))
-        else:
-            results.append(suite(samples, rng))
-    return results
+    return [
+        suite(samples, np.random.default_rng([seed, index]))
+        for index, suite in enumerate(_SUITES)
+    ]
 
 
 def format_report(results, samples: int, seed: int) -> str:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,39 @@ class TestConfigValidation:
             config_from_dict(base_config(initial_state=state))
         with pytest.raises(ConfigError, match="initial_state': state vector norm"):
             config_from_dict(base_config(initial_state=[1.0, 1.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "raw, field",
+        [
+            (base_config(system_size=True), "system_size"),
+            (base_config(system_size="2"), "system_size"),
+            (base_config(trials=0), "trials"),
+            (base_config(observable_a=3), "observable_a"),
+            (base_config(observable_b="+"), "observable_b"),
+            (base_config(observable_b="+ZQ"), "observable_b"),
+            ([base_config()], None),
+            (base_config(parts=[]), "parts"),
+            (base_config(initial_state=[1.0, 0.0]), "initial_state"),
+            (base_config(initial_state=3), "initial_state"),
+            (base_config(hamiltonian="ising"), "hamiltonian"),
+            (base_config(hamiltonian={"terms": [[1.0, "+ZZ"]], "J": 1.0}), "hamiltonian"),
+            (base_config(hamiltonian={"terms": []}), "hamiltonian"),
+            (base_config(hamiltonian={"terms": [[1.0, "+ZZ", 2]]}), "hamiltonian"),
+            (base_config(hamiltonian={"model": "mixed-field-ising", "k": 1.0}), "hamiltonian"),
+            (base_config(system_size=1, observable_a="+Z", observable_b="+Z"), "system_size"),
+        ],
+    )
+    def test_rejection_names_its_field(self, tmp_path, capsys, raw, field):
+        # A non-object config names no field: it is rejected as a whole,
+        # by config_from_dict and, with the CLI's overrides, by load_config.
+        expected = f"field '{field}'" if field else "configuration must be a JSON object"
+        with pytest.raises(ConfigError, match=re.escape(expected)):
+            config_from_dict(raw)
+        cfg_path = write_config(tmp_path, raw)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("seqmeas: config error: ") and expected in err
+        assert err.count("\n") == 1
 
     def test_hamiltonian_terms(self):
         cfg = config_from_dict(
@@ -386,6 +420,38 @@ class TestCliProcess:
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert "probabilities" in capsys.readouterr().err
 
+    def test_unwritable_out_exits_1(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, base_config())
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"seqmeas: cannot write {out}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "route",
+        [
+            {"initial_state": "00"},
+            {"initial_state": "00", "times": [0.0, 0.5, 1e308]},
+            {"initial_state": "maximally-mixed", "times": [0.0, 0.5, 1e308]},
+            {"initial_state": "maximally-mixed"},
+            {"initial_state": "00", "reversal": "clock-ancilla"},
+            {"mode": "sampled", "trials": 10},
+        ],
+        ids=["vector", "eigenbasis-pure", "eigenbasis-mixed", "density", "clock", "sampled"],
+    )
+    def test_overflowing_phase_exits_2_on_every_route(self, tmp_path, capsys, route):
+        # A finite time whose phase t*E overflows fails where the phases
+        # are formed, with one line and no numpy warning.
+        cfg_path = write_config(tmp_path, base_config(**{"times": [1e308], **route}))
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("seqmeas: numerical invariant failed: phase t*E")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_all_suites_pass(self, capsys):
@@ -398,19 +464,21 @@ class TestVerifyCommand:
         r2 = format_report(run_suites(samples=10, seed=2), 10, 2)
         assert r1 == r2
 
-    def test_corrupted_alpha_fails_povm_suite(self):
+    def test_corrupted_alpha_fails_povm_suite(self, monkeypatch):
         def corrupted(phi, outcome):
             return 1.0 / math.sin(phi)  # drops the alternating sign
 
+        monkeypatch.setattr(verify_mod, "generalized_eigenvalue", corrupted)
         rng = np.random.default_rng(0)
-        result = povm_identity_suite(20, rng, alpha_fn=corrupted)
+        result = povm_identity_suite(20, rng)
         assert not result.passed
 
-    def test_corrupted_alpha_fails_overall(self, capsys):
+    def test_corrupted_alpha_fails_overall(self, monkeypatch):
         def corrupted(phi, outcome):
             return -((-1.0) ** outcome) / math.sin(phi) * 1.001
 
-        results = run_suites(samples=10, seed=0, alpha_fn=corrupted)
+        monkeypatch.setattr(verify_mod, "generalized_eigenvalue", corrupted)
+        results = run_suites(samples=10, seed=0)
         assert not all(r.passed for r in results)
 
     def test_bad_samples_exits_1(self, capsys):

@@ -125,6 +125,16 @@ class TestEmbedAndApply:
         direct = entangling_gate("cz") @ np.outer(psi, psi.conj()) @ entangling_gate("cz").conj().T
         np.testing.assert_allclose(out.matrix, direct, atol=1e-14)
 
+    def test_embed_keeps_a_real_operator_real(self):
+        # Realness follows the values: a complex128 array with no imaginary
+        # part embeds as float64, and Y stays complex.
+        z = np.diag([-1.0, 1.0])
+        for op in (z, z.astype(np.complex128)):
+            full = embed(op, 3, [1])
+            assert full.dtype == np.float64
+            np.testing.assert_array_equal(full, np.kron(np.kron(np.eye(2), z), np.eye(2)))
+        assert embed(PAULI_Y, 3, [1]).dtype == np.complex128
+
     def test_embedding_matches_manual_kron(self):
         rng = np.random.default_rng(2)
         u = random_unitary(rng, 2)

@@ -1,5 +1,7 @@
 """Hamiltonians, propagators, Heisenberg evolution, time-reversal ancilla."""
 
+import warnings
+
 import numpy as np
 import pytest
 from helpers import max_abs, random_density, random_hermitian, random_pauli, random_unitary
@@ -10,6 +12,7 @@ from seqmeas import (
     ClockPropagator,
     DensityMatrix,
     Hamiltonian,
+    NumericalInvariantError,
     PauliString,
     Propagator,
     build_mixed_field_ising,
@@ -21,6 +24,7 @@ from seqmeas import (
     propagator,
     time_reversed_evolution,
 )
+from seqmeas.core import matmul
 from seqmeas.observables import PAULI_Z
 
 KRON_FACTORS = {
@@ -113,6 +117,27 @@ class TestPropagator:
         assert max_abs(u.apply(x) - u.matrix @ x) < 1e-13
         assert max_abs(u.apply(x, adjoint=True) - u.matrix.conj().T @ x) < 1e-13
         assert max_abs(u.apply(u.apply(x), adjoint=True) - x) < 1e-13
+
+    def test_apply_on_a_real_basis_is_the_real_product(self):
+        # conj(V^T conj(x)) serves both dtypes: for a real V it equals the
+        # real product V^T x bit for bit.
+        rng = np.random.default_rng(14)
+        u = propagator(build_mixed_field_ising(3), 0.8)
+        v = u.evecs
+        assert v.dtype == np.float64
+        x = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+        for phases, adjoint in ((u.phases, False), (u.phases.conj(), True)):
+            ref = matmul(v, phases[:, None] * matmul(v.T, x))
+            np.testing.assert_array_equal(u.apply(x, adjoint=adjoint), ref)
+
+    def test_overflowing_phase_is_an_invariant_error(self):
+        u = propagator(build_mixed_field_ising(2), 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalInvariantError, match="not finite"):
+                u.phases
+            with pytest.raises(NumericalInvariantError, match="not finite"):
+                u.apply(np.eye(4)[:, :1])
 
     def test_zero_time(self):
         ham = build_mixed_field_ising(2)
@@ -266,16 +291,23 @@ class TestHeisenberg:
     def test_real_evolution_stays_real(self):
         # A real U with a real B (no Y factor, or two) gives a real B(t),
         # equal to the complex triple product; a Y factor keeps it complex.
+        # Realness follows the values, not the storage: U stored as
+        # complex128 with no imaginary part counts as real, and a U with
+        # one does not.
         rng = np.random.default_rng(5)
         v = np.linalg.qr(rng.normal(size=(8, 8)))[0]
+        w = propagator(np.diag(rng.normal(size=8)), 0.7).matrix
         for text in ("+XZI", "-ZZX", "+YYI", "+IYZ"):
             p = PauliString.from_text(text)
             ref = v.T @ p.matrix() @ v
             for obs in (p, p.matrix(), p.matrix().real if "Y" not in text else p.matrix()):
                 bt = heisenberg(obs, v)
                 assert max_abs(bt - ref) <= 1e-14
-            assert np.isrealobj(heisenberg(p, v)) == (text.count("Y") % 2 == 0)
-            assert np.iscomplexobj(heisenberg(p, v.astype(np.complex128)))
+            real = text.count("Y") % 2 == 0
+            for obs in (p, p.matrix()):
+                assert np.isrealobj(heisenberg(obs, v)) == real
+                assert np.isrealobj(heisenberg(obs, v.astype(np.complex128))) == real
+                assert np.iscomplexobj(heisenberg(obs, w))
 
     def test_preserves_commutation_with_symmetries(self):
         # an operator commuting with H keeps commuting with everything it did

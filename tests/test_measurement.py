@@ -415,10 +415,32 @@ class TestKrausPairType:
         spec = MeasurementSpec(z, 0.5, "informative")
         z[0, 0] = 5.0  # the caller's array changes after the check
         np.testing.assert_array_equal(spec.matrix(), np.diag([-1.0, 1.0]))
-        assert spec.matrix().dtype == np.complex128
+        assert spec.matrix().dtype == np.float64  # a real observable stays real
         assert not spec.matrix().flags.writeable
         e0, e1 = kraus_pair(spec).effects()
         assert max_abs(e0 + e1 - np.eye(2)) < 1e-12
+
+    def test_y_free_pauli_matrix_is_stored_real(self):
+        # A Pauli string without Y factors has a real matrix, which its spec
+        # stores as float64; its Kraus pairs are still complex and match
+        # the Pauli spec's.
+        for text in ("+XZ", "-ZI", "+XXZ"):
+            p = PauliString.from_text(text)
+            for kind in ("informative", "noninformative"):
+                raw = MeasurementSpec(p.matrix(), 0.9, kind)
+                assert raw.observable.dtype == np.float64
+                detector = canonical_detector(kind)
+                pairs = (
+                    (kraus_pair(raw), kraus_pair(MeasurementSpec(p, 0.9, kind))),
+                    (
+                        kraus_from_detector(raw.observable, 0.9, detector),
+                        kraus_from_detector(p, 0.9, detector),
+                    ),
+                )
+                for got, ref in pairs:
+                    for a in (0, 1):
+                        assert got[a].dtype == np.complex128
+                        assert max_abs(got[a] - ref[a]) <= 1e-15
 
     def test_rejects_non_involutory_observable(self):
         with pytest.raises(ValueError, match="identity"):

@@ -101,6 +101,10 @@ class TestPauliString:
             seen_minus += p.sign < 0
         assert seen_y and seen_minus
 
+    def test_action_signs_are_real_for_an_even_number_of_y(self):
+        for text, dtype in (("+XZI", np.float64), ("+YYI", np.float64), ("+IYZ", np.complex128)):
+            assert PauliString.from_text(text).action(3)[1].dtype == dtype
+
     def test_action_target_validation(self):
         p = PauliString(("X", "Z"))
         with pytest.raises(ValueError, match="target"):

@@ -1357,7 +1357,7 @@ class TestDenseMaps:
             q = np.linalg.qr(rng.normal(size=(2**n, 2**n)))[0]
             b = (q * rng.choice([-1.0, 1.0], size=2**n)) @ q.T
             spec = MeasurementSpec(b, float(rng.uniform(0.2, PI / 2)), "informative")
-            assert spec.observable.dtype == np.complex128
+            assert spec.observable.dtype == np.float64
             assert spec._square.dtype == np.float64
             m = protocols_mod._DenseMeasurement(spec, spec.observable, spec._square)
             assert m.b.dtype == np.float64 and m.b.flags.c_contiguous
