@@ -156,6 +156,7 @@ class PureState:
         if not label or any(c not in "01" for c in label):
             raise ValueError(f"basis label must be a nonempty bit string, got {label!r}")
         n = len(label)
+        _check_register(n)  # before the 2^n amplitudes are allocated
         amps = np.zeros(2**n, dtype=np.complex128)
         amps[int(label, 2)] = 1.0
         return cls(n, amps)
@@ -212,6 +213,7 @@ class DensityMatrix:
 
     @classmethod
     def maximally_mixed(cls, n_qubits: int) -> "DensityMatrix":
+        _check_register(n_qubits)  # before the 4^n entries are allocated
         dim = 2**n_qubits
         return cls(n_qubits, np.eye(dim) / dim)
 

@@ -1,13 +1,15 @@
 """Sequential-measurement engine: exact values and sampled outcome strings.
 
 Every Kraus operator has the form K_a = c0 1 + c1 B, so K_a X K_a^dag is
-w0 X + w1 X B + w2 B X + w3 B X B with per-outcome weights w.  For a
-Pauli-string observable P the terms come from P's signed permutation of
-rows and columns (O(dim^2), no dense Kraus matrix).  For a raw observable
-matrix B, BX costs a product and BXB one more, while XB = (BX)^dag costs
-none, as every state and effect the engine maps is Hermitian.  A term is
-formed once for all the weight tuples a state is mapped with, and not at
-all if every weight of it is exactly zero.
+w0 X + w1 X B + w2 B X + w3 B X B with per-outcome weights w.  So the
+engine needs B only by its action x -> B x on dim x k blocks: a signed row
+gather for a Pauli string P (O(dim k), no dense Kraus matrix), a product
+for a raw observable matrix, and for B(t) on the pure-state routes a map
+through the propagator.  Every state and effect the engine maps is
+Hermitian, so XB = (BX)^dag and BXB = B (BX)^dag: BX costs one action and
+BXB one more, and one formula (:meth:`_Measurement.maps`) serves every
+observable.  A term is formed once for all the weight tuples a state is
+mapped with, and not at all if every weight of it is exactly zero.
 
 The engine sees measurements only.  An evolution is a change of the
 measured operator: a measurement of B after the evolutions V = u_k ... u_1
@@ -164,7 +166,8 @@ def rms_bound(phis, trials) -> float:
     """Statistical upper bound 1/sqrt(prod n_k * prod sin^2 phi_k).
 
     ``trials`` carries one count per sequence stage; the product is the
-    total data volume of the estimator.
+    total data volume of the estimator.  A product that underflows to 0
+    (angles near 1e-160 and below) raises :class:`NumericalInvariantError`.
     """
     phis = [float(p) for p in phis]
     counts = [int(n) for n in trials]
@@ -177,6 +180,10 @@ def rms_bound(phis, trials) -> float:
     for p in phis:
         _validate_phi(p)
     denom = math.prod(counts) * math.prod(math.sin(p) ** 2 for p in phis)
+    if not denom > 0.0:
+        raise NumericalInvariantError(
+            f"rms bound is not finite: prod n_k sin^2 phi_k underflows to {denom!r}"
+        )
     return 1.0 / math.sqrt(denom)
 
 
@@ -199,22 +206,45 @@ def _adjoint(w):
 
 
 class _Measurement:
-    """The two Kraus operators K_a = c0 1 + c1 B of one measure step.
+    """The two Kraus operators K_a = c0 1 + c1 B of one measure step, with B
+    known by its action alone: ``left`` maps a dim x k block x to B x.
 
     ``alphas`` holds the generalized eigenvalues of the two outcomes,
     ``weights`` the per-outcome weights of X, XB, BX, BXB and
     ``transfer_weights`` their alpha-weighted sum W = sum_a alpha_a w_a,
-    the weights of the transfer map.  Subclasses supply B X (``left``),
-    X B (``right``) and the matrices B and B^2 (``dense``).
+    the weights of the transfer map.  ``left`` is a signed row gather for a
+    Pauli string (:func:`_signed_rows`), a product for a raw observable
+    matrix (:func:`_dense_measurement`) and, on the pure-state routes, the
+    action of B(t) (:func:`_heisenberg_action`).
+
+    ``dense`` = (B, B^2) is given for a raw observable matrix only: then
+    completeness, sum_a K_a^dag K_a = sum_a w0 1 + (w1 + w2) B + w3 B^2
+    = 1, is checked to 1e-12 without assuming B^2 = 1.  Without it B^2 = 1
+    holds (a Pauli string, or a B(t) checked where its action is built),
+    and the check takes the scalar form (:func:`_check_scalar_completeness`).
     """
 
-    def __init__(self, spec: MeasurementSpec):
+    def __init__(self, spec: MeasurementSpec, left, dense=None):
         self.phi = spec.phi
         self.weights = _kraus_weights(spec)
         self.alphas = tuple(generalized_eigenvalue(spec.phi, a) for a in (0, 1))
         self.transfer_weights = tuple(
             sum(a * w[j] for a, w in zip(self.alphas, self.weights)) for j in range(4)
         )
+        if dense is None:
+            _check_scalar_completeness(self.weights)
+        else:
+            b, b_sq = dense
+            w0, w1, w2, w3 = (sum(w[k] for w in self.weights) for k in range(4))
+            residual = (w1 + w2) * b
+            residual += w3 * b_sq
+            residual.flat[:: len(b) + 1] += w0 - 1.0
+            dev = float(np.max(np.abs(residual)))
+            if not dev <= 1e-12:
+                raise NumericalInvariantError(
+                    f"Kraus operators violate completeness by {dev:.3e}"
+                )
+        self.left, self.dense = left, dense
 
     @staticmethod
     def _combine(terms, w):
@@ -232,29 +262,44 @@ class _Measurement:
 
     def maps(self, x, weights):
         """w0 X + w1 XB + w2 BX + w3 BXB for each weight tuple w in
-        ``weights``, with each term formed once for all of them and only
-        if some w needs it.  The per-outcome ``weights`` give the children
-        K_a X K_a^dag; the adjoint of a map is the map with its XB and BX
-        weights swapped (:func:`_adjoint`)."""
+        ``weights``.  Every X the engine maps is Hermitian, and so is every
+        map of it (each K_a X K_a^dag preserves Hermiticity, and so do their
+        real-weighted sums and adjoints), so every tuple has w2 = conj(w1)
+        and XB = (BX)^dag: w1 XB + w2 BX = M + M^dag with M = w2 BX, and
+        BXB = B (BX)^dag.  B acts by ``left`` alone, once for the XB, BX
+        pair and once more for BXB, each term formed once for all the tuples
+        and only if some tuple needs it.  The per-outcome ``weights`` give
+        the children K_a X K_a^dag; the adjoint of a map is the map with its
+        XB and BX weights swapped (:func:`_adjoint`).  A tuple without that
+        symmetry raises :class:`NumericalInvariantError`."""
+        for w in weights:
+            if w[1] != w[2].conjugate():
+                raise NumericalInvariantError(
+                    f"weights {w} do not map a Hermitian X to a Hermitian one"
+                )
         need = [any(w[j] != 0.0 for w in weights) for j in range(4)]
-        bx = self.left(x) if need[2] or need[3] else None
-        terms = (
-            x,
-            self.right(x) if need[1] else None,
-            bx,
-            self.right(bx) if need[3] else None,
-        )
-        return [self._combine(terms, w) for w in weights]
+        bx = self.left(x) if any(need[1:]) else None
+        bxb = self.left(bx.conj().T) if need[3] else None
+        mapped = []
+        for w in weights:
+            total = self._combine((x, None, None, bxb), (w[0], 0.0, 0.0, w[3]))
+            if w[2] != 0.0:
+                m = w[2] * bx
+                total += m
+                total += np.conjugate(m, out=m).T
+            mapped.append(total)
+        return mapped
 
     def transfer(self, x):
         """E(X) = sum_a alpha_a K_a X K_a^dag."""
         return self.maps(x, (self.transfer_weights,))[0]
 
-    def effect(self, w):
+    def effect(self, w, dim):
         """E_w^dag(1) = w0 1 + (w1 + w2) B + w3 B^2 for the map with weights
-        ``w``, formed from B and B^2 (``dense``) without a product."""
-        b, b_sq = self.dense()
-        eye = np.identity(len(b), dtype=np.complex128)
+        ``w``, formed from B and B^2 (``dense``) without a product, or from
+        B = B 1 (``left``) and B^2 = 1."""
+        eye = np.identity(dim, dtype=np.complex128)
+        b, b_sq = self.dense or (self.left(eye), eye)
         return self._combine((eye, b, b, b_sq), _adjoint(w))
 
     # A pure initial state travels as a factor pair (L, R), dim x k blocks
@@ -299,118 +344,45 @@ def _check_scalar_completeness(weights) -> None:
         )
 
 
-class _PauliMeasurement(_Measurement):
-    """B = P acts through its signed permutation ``(perm, d)``: O(dim^2)
-    per map term.  P^2 = 1, so completeness is checked in scalar form
-    (:func:`_check_scalar_completeness`).
-    """
+def _signed_rows(perm, d):
+    """x -> P x for the Pauli string P with the signed permutation ``(perm,
+    d)`` of :meth:`~seqmeas.observables.PauliString.action`: (P x)[i] =
+    d[i] x[perm[i]], O(dim k) for a dim x k block and no dense P."""
+    d = d[:, None]
 
-    def __init__(self, spec: MeasurementSpec, perm, d):
-        super().__init__(spec)
-        _check_scalar_completeness(self.weights)
-        self.perm, self.d, self.d_conj = perm, d, d.conj()
+    def left(x):
+        return d * x[perm]
 
-    def dense(self):
-        """P as a matrix, and P^2 = 1."""
-        p = np.zeros((len(self.perm),) * 2, dtype=np.complex128)
-        p[np.arange(len(self.perm)), self.perm] = self.d
-        return p, np.identity(len(p), dtype=np.complex128)
-
-    def left(self, x):
-        return self.d[:, None] * x[self.perm]
-
-    def right(self, x):
-        return x[:, self.perm] * self.d_conj
+    return left
 
 
-class _DenseMeasurement(_Measurement):
-    """B is a raw observable matrix ``b`` on the register.  Every state and
-    effect the engine maps is Hermitian, so XB = (BX)^dag and a map costs
-    one product for the XB, BX pair and one more for BXB, each formed once
-    for all the maps of a state (:meth:`maps`).
-
-    Completeness, sum_a K_a^dag K_a = sum_a w0 1 + (w1 + w2) B + w3 B^2
-    = 1, is checked to 1e-12 from the square ``b_sq`` = B B, without
-    assuming B^2 = 1.  ``b`` keeps the dtype its spec gave it, so the
+def _dense_measurement(spec: MeasurementSpec, b=None, b_sq=None) -> _Measurement:
+    """The measurement of a raw observable matrix: B and B^2 are ``spec``'s
+    checked observable and square, or ``b`` and ``b_sq``, the two embedded
+    on the register.  B keeps the dtype its spec gave it, so the
     products of a real B with a complex X run in real arithmetic
-    (``matmul``).
-    """
-
-    def __init__(self, spec: MeasurementSpec, b, b_sq):
-        super().__init__(spec)
-        w0, w1, w2, w3 = (sum(w[k] for w in self.weights) for k in range(4))
-        residual = (w1 + w2) * b
-        residual += w3 * b_sq
-        residual.flat[:: len(b) + 1] += w0 - 1.0
-        dev = float(np.max(np.abs(residual)))
-        if not dev <= 1e-12:
-            raise NumericalInvariantError(
-                f"Kraus operators violate completeness by {dev:.3e}"
-            )
-        self.b, self.b_sq = b, b_sq
-
-    def dense(self):
-        return self.b, self.b_sq
-
-    def maps(self, x, weights):
-        """As :meth:`_Measurement.maps`, for the Hermitian X and the weight
-        tuples with w2 = conj(w1) that the engine maps (each K_a X K_a^dag
-        preserves Hermiticity, and so do their real-weighted sums and
-        adjoints): XB = (BX)^dag, so w1 XB + w2 BX = M + M^dag with M =
-        w2 BX, one product for the pair and one more for BXB.  A tuple
-        without that symmetry raises ``ValueError``."""
-        need = [any(w[j] != 0.0 for w in weights) for j in range(4)]
-        bx = self.left(x) if any(need[1:]) else None
-        bxb = self.right(bx) if need[3] else None
-        mapped = []
-        for w in weights:
-            if w[1] != w[2].conjugate():
-                raise ValueError(f"weights {w} do not map a Hermitian X to one")
-            total = self._combine((x, None, None, bxb), (w[0], 0.0, 0.0, w[3]))
-            if w[2] != 0.0:
-                m = w[2] * bx
-                total += m
-                total += np.conjugate(m, out=m).T
-            mapped.append(total)
-        return mapped
-
-    def left(self, x):
-        return matmul(self.b, x)
-
-    def right(self, x):
-        return matmul(x, self.b)
-
-
-class _HeisenbergMeasurement(_Measurement):
-    """Measure B(t) = U^dag B U, where ``spec`` gives B, the strength and
-    the kind, and ``apply`` maps a dim x k block x to B(t) x (see
-    :func:`_heisenberg_action`), O(dim^2 k) per block; neither U nor B(t)
-    is formed.  It acts on the factor pairs of a pure state only, so it has
-    ``left`` and no ``right`` or ``dense``, and never meets a density
-    matrix.  B(t)^2 = 1 is checked where ``apply`` is built, so
-    completeness takes the scalar form.
-    Built by :func:`_heisenberg_protocol` for a pure initial state only."""
-
-    def __init__(self, spec: MeasurementSpec, apply):
-        super().__init__(spec)
-        _check_scalar_completeness(self.weights)
-        self.left = apply
+    (``matmul``)."""
+    if b is None:
+        b, b_sq = spec.observable, spec._square
+    return _Measurement(spec, functools.partial(matmul, b), (b, b_sq))
 
 
 def _resolve_steps(initial: DensityMatrix | PureState, steps):
     """Resolve the sequence to the measurements that act on the register.
 
-    A measurement becomes a :class:`_PauliMeasurement` or, for a raw
-    observable matrix, a :class:`_DenseMeasurement` (the matrix and the
-    square its spec formed when it was checked, embedded on the targets).
-    Measurements of the same Pauli string on the same targets share one
-    signed permutation.  After an evolution it measures B(t) = V^dag B V
-    instead, with V the product of the evolutions so far:
-    :func:`heisenberg` builds B(t) into a new spec, which checks it, for a
-    :class:`_DenseMeasurement`.  Both map a density matrix with any list of
-    weight tuples (``maps``), which gives the children K_a X K_a^dag, the
-    transfer map and their adjoints, and form the effect E^dag(1) of the
-    last measurement from B and B^2.  Evolutions after the last
+    A measurement becomes a :class:`_Measurement` whose ``left`` is the
+    signed row gather of a Pauli string (:func:`_signed_rows`) or, for a
+    raw observable matrix, a product with the matrix, which is kept with
+    the square its spec formed when it was checked, both embedded on the
+    targets (:func:`_dense_measurement`).  Measurements of the same Pauli
+    string on the same targets share one gather.  After an evolution it
+    measures B(t) = V^dag B V instead, with V the product of the evolutions
+    so far: :func:`heisenberg` builds B(t) into a new spec, which checks
+    it, for a raw observable's measurement.  Every measurement maps a
+    density matrix with any list of weight tuples (``maps``), which gives
+    the children K_a X K_a^dag, the transfer map and their adjoints, and
+    forms the effect E^dag(1) of the last measurement from B and B^2.
+    Evolutions after the last
     measurement are shape-checked and dropped, as they preserve every
     trace.  A sequence without measurements is rejected, and so is any
     step that is neither a :class:`MeasureStep` nor an :class:`EvolveStep`.
@@ -435,17 +407,17 @@ def _resolve_steps(initial: DensityMatrix | PureState, steps):
                 spec = MeasurementSpec(
                     heisenberg(spec.observable, v, targets), spec.phi, spec.kind
                 )
-                resolved.append(_DenseMeasurement(spec, spec.observable, spec._square))
+                resolved.append(_dense_measurement(spec))
             elif isinstance(spec.observable, PauliString):
                 key = (spec.observable, targets)
                 if key not in actions:
-                    actions[key] = spec.observable.action(n, targets)
-                resolved.append(_PauliMeasurement(spec, *actions[key]))
+                    actions[key] = _signed_rows(*spec.observable.action(n, targets))
+                resolved.append(_Measurement(spec, actions[key]))
             else:
                 b, b_sq = spec.matrix(), spec._square
                 if step.targets is not None:
                     b, b_sq = embed(b, n, targets), embed(b_sq, n, targets)
-                resolved.append(_DenseMeasurement(spec, b, b_sq))
+                resolved.append(_dense_measurement(spec, b, b_sq))
         elif isinstance(step, EvolveStep):
             if step.unitary.shape != (dim, dim):
                 raise ValueError(
@@ -479,7 +451,7 @@ def _effects(rest, branches, dim, z=None, index=0, stride=1):
         return
     step, weights = rest[-1], branches[-1]
     if z is None:
-        zs = [step.effect(w) for w in weights]
+        zs = [step.effect(w, dim) for w in weights]
     else:
         zs = step.maps(z, [_adjoint(w) for w in weights])
         del z
@@ -707,12 +679,23 @@ def _sampled_estimate(resolved, probs, trials: int, seed: int) -> CorrelatorEsti
     preserve the trace); every conditional probability must be finite and
     lie in [0, 1] to 1e-12.  ``empirical_stderr`` is the sample standard
     error of the mean.
+
+    Every weight is +-w_max with w_max = prod 1/sin phi_k, so a squared
+    deviation from the mean is at most (2 w_max)^2 and the sum of the N
+    squared deviations at most N w_max^2.  Both must be finite floats, else
+    :class:`NumericalInvariantError` is raised before any trial is drawn.
     """
     trials = int(trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     m = len(resolved)
     phis = tuple(s.phi for s in resolved)
+    top = math.prod(s.alphas[1] for s in resolved)
+    if not math.isfinite(max(4, trials) * top * top):
+        raise NumericalInvariantError(
+            f"sampled weight prod 1/sin(phi_k) = {top:.3e} is too large for a "
+            f"finite variance over {trials} trials"
+        )
 
     # Leaves come in lexicographic order, so leaf i is the outcome string
     # spelling i in binary; tree[j][i] is the probability of the j-outcome
@@ -979,7 +962,7 @@ def _heisenberg_protocol(
             else:
                 apply_u, apply_b_t = u.apply, apply_b
             apply = _heisenberg_action(apply_b_t, apply_u, psi)
-            b_steps = [_HeisenbergMeasurement(s, apply) for s in b_specs]
+            b_steps = [_Measurement(s, apply) for s in b_specs]
         else:
             if frame:
                 b_t = heisenberg_phases(b_frame, u)
@@ -988,7 +971,7 @@ def _heisenberg_protocol(
             spec = MeasurementSpec(b_t, phis[1], INFORMATIVE)
             del b_t  # the spec keeps its own checked copy
             specs = map(spec.with_phi, phis[1::2])
-            b_steps = [_DenseMeasurement(s, s.observable, s._square) for s in specs]
+            b_steps = [_dense_measurement(s) for s in specs]
         # B(t) at the odd positions, the later A at the even ones.
         rest = [b_steps[k // 2] if k % 2 else a_steps[k // 2 - 1] for k in range(1, count)]
         if exact:

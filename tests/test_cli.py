@@ -452,6 +452,27 @@ class TestCliProcess:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "phis, code",
+        [([1e-160, 1, 1, 1], 2), ([1e-80] * 4, 2), ([1e-150, 1, 1, 1], 0)],
+        ids=["variance-overflow", "weight-overflow", "largest-finite"],
+    )
+    def test_tiny_strength_angle_in_sampled_mode(self, tmp_path, capsys, phis, code):
+        # A sampled weight prod 1/sin(phi_k) whose variance overflows fails
+        # with one line; 1e-150 still runs.
+        cfg = base_config(phis=phis, mode="sampled", trials=100, times=[0.5])
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("seqmeas: numerical invariant failed: sampled weight")
+            assert err.count("\n") == 1 and "Traceback" not in err
+            assert not out.exists()
+        else:
+            assert err == "" and out.exists()
+
 
 class TestVerifyCommand:
     def test_all_suites_pass(self, capsys):

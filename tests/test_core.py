@@ -1,5 +1,7 @@
 """Core register algebra: tensor, embedding, expectation, partial trace."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import kron_loop, max_abs, random_density, random_unitary
@@ -292,6 +294,24 @@ class TestStateValidation:
     def test_pure_state_norm(self):
         with pytest.raises(NumericalInvariantError, match="norm"):
             PureState(1, np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("n", [11, 20])
+    @pytest.mark.parametrize(
+        "build",
+        [DensityMatrix.maximally_mixed, lambda n: PureState.from_label("0" * n)],
+        ids=["maximally_mixed", "from_label"],
+    )
+    def test_oversized_register_fails_before_allocating(self, build, n):
+        # The register is checked before the 2^n amplitudes or the 4^n
+        # entries are allocated (32 MiB at n = 11 for the mixed state).
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds the dense-representation limit"):
+                build(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_positivity_check(self):
         m = np.diag([1.5, -0.5]).astype(complex)

@@ -405,12 +405,16 @@ class TestTransferMap:
 
     @pytest.mark.parametrize("alpha", [2.0, 1j, float("nan")])
     def test_rejects_value_out_of_bounds(self, monkeypatch, alpha):
+        # A doubled alpha gives a value past 1.  A complex or NaN alpha gives
+        # transfer weights without w2 = conj(w1), which no map accepts, so
+        # the first transfer fails before any value is formed.
         rho = DensityMatrix.from_label("1")  # Z = +1
         steps = [meas(PauliString(("Z",)), phi) for phi in (0.5, 0.7, 1.1)]
         assert nested_estimate(rho, steps).value == pytest.approx(1.0, abs=1e-12)
         scaled = lambda phi, a: alpha * generalized_eigenvalue(phi, a)  # noqa: E731
         monkeypatch.setattr(protocols_mod, "generalized_eigenvalue", scaled)
-        with pytest.raises(NumericalInvariantError, match="exact value"):
+        match = "exact value" if alpha == 2.0 else "Hermitian"
+        with pytest.raises(NumericalInvariantError, match=match):
             nested_estimate(rho, steps)
 
     def test_needs_a_measurement(self):
@@ -1319,33 +1323,41 @@ class TestPureEigenbasisGrid:
             protocols_mod._heisenberg_protocol(psi, a, b, 2, grid, self.PARTS, [0.6] * 2)
 
 
+def four_term_reference(x, b, w):
+    """w0 X + w1 XB + w2 BX + w3 BXB by dense products."""
+    return w[0] * x + w[1] * (x @ b) + w[2] * (b @ x) + w[3] * (b @ x @ b)
+
+
 class TestDenseMaps:
     def test_one_product_per_xb_bx_pair(self, monkeypatch):
-        # Every X the engine maps is Hermitian, so XB = (BX)^dag: the pair
-        # costs one product, and ``right`` is called for BXB alone.
-        rights = counting_patch(monkeypatch, protocols_mod._DenseMeasurement, "right")
+        # Every X the engine maps is Hermitian, so XB = (BX)^dag and BXB =
+        # B (BX)^dag: B acts by ``left`` alone, once for the XB, BX pair and
+        # once more for a BXB term.
         rng = np.random.default_rng(95)
         for n in range(1, 5):
             b = random_involution(rng, n)
             for kind in ("informative", "noninformative"):
                 spec = MeasurementSpec(b, float(rng.uniform(0.2, PI / 2)), kind)
-                m = protocols_mod._DenseMeasurement(spec, spec.observable, spec._square)
+                m = protocols_mod._dense_measurement(spec)
+                lefts = counting_patch(monkeypatch, m, "left")
                 x = random_density(rng, n).matrix
                 weights = [
                     *m.weights,
                     *map(protocols_mod._adjoint, m.weights),
                     m.transfer_weights,
                 ]
-                rights.clear()
                 got = m.maps(x, weights)
-                assert len(rights) == 1 and rights[0][1] is not x
+                assert len(lefts) == 2 and lefts[0][0] is x and lefts[1][0] is not x
                 for w, g in zip(weights, got):
-                    ref = w[0] * x + w[1] * (x @ b) + w[2] * (b @ x) + w[3] * (b @ x @ b)
+                    ref = four_term_reference(x, b, w)
                     assert float(np.max(np.abs(g - ref))) <= 1e-14
-                rights.clear()
+                lefts.clear()
                 m.maps(x, [(w[0], w[1], w[2], 0.0) for w in weights])
-                assert rights == []
-        with pytest.raises(ValueError, match="Hermitian"):
+                assert len(lefts) == 1 and lefts[0][0] is x
+                lefts.clear()
+                m.maps(x, [(0.5, 0.0, 0.0, 0.0)])
+                assert lefts == []
+        with pytest.raises(NumericalInvariantError, match="Hermitian"):
             m.maps(x, [(0.5, 0.1j, 0.1j, 0.2)])
 
     def test_real_observable_stays_real(self):
@@ -1359,15 +1371,60 @@ class TestDenseMaps:
             spec = MeasurementSpec(b, float(rng.uniform(0.2, PI / 2)), "informative")
             assert spec.observable.dtype == np.float64
             assert spec._square.dtype == np.float64
-            m = protocols_mod._DenseMeasurement(spec, spec.observable, spec._square)
-            assert m.b.dtype == np.float64 and m.b.flags.c_contiguous
+            m = protocols_mod._dense_measurement(spec)
+            b_dense, b_sq = m.dense
+            assert b_dense.dtype == np.float64 and b_dense.flags.c_contiguous
+            assert b_sq.dtype == np.float64
             x = random_density(rng, n).matrix
             weights = [*m.weights, m.transfer_weights]
             for w, g in zip(weights, m.maps(x, weights)):
-                ref = w[0] * x + w[1] * (x @ b) + w[2] * (b @ x) + w[3] * (b @ x @ b)
+                ref = four_term_reference(x, b, w)
                 assert float(np.max(np.abs(g - ref))) <= 1e-14
             block = rng.normal(size=(2**n, 3)) + 1j * rng.normal(size=(2**n, 3))
             assert float(np.max(np.abs(m.left(block) - b @ block))) <= 1e-14
+
+
+class TestUnifiedMeasurement:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_three_ways_to_act_agree(self, n):
+        # A Pauli string acts through its signed rows, as a dense matrix or
+        # through a bare left action; each gives the four-term map, its
+        # effect and its factor-pair forms.
+        rng = np.random.default_rng(97 + n)
+        dim = 2**n
+        for kind in ("informative", "noninformative"):
+            p = random_pauli(rng, n)
+            phi = float(rng.uniform(0.2, PI / 2))
+            spec = MeasurementSpec(p, phi, kind)
+            pm = p.matrix()
+            ways = {
+                "signed rows": protocols_mod._Measurement(
+                    spec, protocols_mod._signed_rows(*p.action(n))
+                ),
+                "dense": protocols_mod._dense_measurement(MeasurementSpec(pm, phi, kind)),
+                "left": protocols_mod._Measurement(spec, lambda y: pm @ y),
+            }
+            x = random_hermitian(rng, dim)
+            l, r = (rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2)) for _ in "lr")
+            for name, m in ways.items():
+                weights = [
+                    *m.weights,
+                    *map(protocols_mod._adjoint, m.weights),
+                    m.transfer_weights,
+                ]
+                for w, g in zip(weights, m.maps(x, weights)):
+                    assert np.max(np.abs(g - four_term_reference(x, pm, w))) <= 1e-14, name
+                for w in weights:
+                    ref = four_term_reference(np.eye(dim), pm, protocols_mod._adjoint(w))
+                    assert np.max(np.abs(m.effect(w, dim) - ref)) <= 1e-14, name
+                ref = four_term_reference(l @ r.conj().T, pm, m.transfer_weights)
+                tl, tr = m.transfer_factors((l, r))
+                assert np.max(np.abs(tl @ tr.conj().T - ref)) <= 1e-14, name
+                assert abs(m.factor_trace((l, r)) - np.trace(ref)) <= 1e-14, name
+            # B^2 = 1 without ``dense``: the effect reads P as P 1, exactly.
+            rows = ways["signed rows"]
+            assert np.array_equal(rows.left(np.identity(dim, dtype=complex)), pm)
+            assert rows.dense is None and ways["dense"].dense is not None
 
 
 class TestRmsBound:
@@ -1386,6 +1443,12 @@ class TestRmsBound:
         with pytest.raises(ValueError):
             rms_bound([0.0], [10])
 
+    def test_underflow_raises(self):
+        # sin^2(1e-300) underflows to 0: the bound is not finite as a float.
+        with pytest.raises(NumericalInvariantError, match="underflows"):
+            rms_bound([1e-300], [10])
+        assert rms_bound([1e-150], [10]) == pytest.approx(1e150 / math.sqrt(10))
+
 
 class TestSampling:
     def test_projective_eigenstate_has_zero_stderr(self):
@@ -1394,6 +1457,21 @@ class TestSampling:
         assert est.value == pytest.approx(1.0)
         assert est.empirical_stderr == 0.0
         assert est.trials == (200,)
+
+    def test_one_trial_has_zero_stderr(self):
+        rng = np.random.default_rng(12)
+        rho = random_density(rng, 1)
+        steps = [meas(PauliString(("X",)), 0.7), meas(PauliString(("Z",)), 1.0)]
+        est = sample_protocol(rho, steps, 1, seed=3)
+        assert est.empirical_stderr == 0.0 and est.trials == (1, 1)
+        assert abs(est.value) == pytest.approx(1 / (math.sin(0.7) * math.sin(1.0)))
+
+    @pytest.mark.parametrize("phis", [[1e-160, 1.0, 1.0, 1.0], [1e-80] * 4])
+    def test_weight_too_large_for_the_variance(self, phis):
+        rho = DensityMatrix.maximally_mixed(2)
+        steps = [meas(PauliString(("Z", "I")), p) for p in phis]
+        with pytest.raises(NumericalInvariantError, match="finite variance"):
+            sample_protocol(rho, steps, 10, seed=0)
 
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(11)
