@@ -17,10 +17,11 @@ Optional (defaults in parentheses):
   hamiltonian     {"model": "mixed-field-ising", "J":, "g":, "h":}
                   or {"terms": [[coeff, pauli-text], ...]}
                                                      (model with J=1, g=1.05, h=0.5)
-  phis            strength angle(s) in (0, pi/2]; a scalar broadcasts to
+  phis            strength angle(s) in (0, pi/2] with 1/sin(phi) finite
+                  (so not below about 5.6e-309); a scalar broadcasts to
                   every measurement (2 for toc, 4 for otoc)   (pi/2)
   mode            "exact" | "sampled"                ("exact")
-  trials          int >= 1, sampled mode only        (10000)
+  trials          int in [1, 2^53], sampled mode only (10000)
   seed            int >= 0                           (0)
   parts           nonempty subset of ["real","imag"] (both)
   reversal        "direct-dagger" | "clock-ancilla"  ("direct-dagger")
@@ -42,6 +43,7 @@ from .core import MAX_QUBITS, DensityMatrix, NumericalInvariantError, PureState
 from .dynamics import DEFAULT_ISING, Hamiltonian, build_mixed_field_ising
 from .measurement import _validate_phi
 from .observables import PauliString
+from .protocols import MAX_TRIALS
 
 PROTOCOLS = ("toc", "otoc")
 MODES = ("exact", "sampled")
@@ -192,6 +194,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     mode = _require_enum("mode", raw.get("mode", "exact"), MODES)
     trials = _require_int("trials", raw.get("trials", 10000), 1)
+    if trials > MAX_TRIALS:
+        _fail("trials", f"must be <= 2**53, got {trials}")
     seed = _require_int("seed", raw.get("seed", 0), 0)
 
     parts_raw = raw.get("parts", list(PARTS))

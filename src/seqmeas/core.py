@@ -143,6 +143,11 @@ class PureState:
             )
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise ValueError("state vector contains non-finite amplitudes")
+        # A unit vector has no amplitude above 1; rejecting one first keeps
+        # the norm's sum of squares from overflowing.
+        top = float(np.max(np.abs(amps)))
+        if top > 1.0 + CHECK_TOL:
+            raise NumericalInvariantError(f"state vector amplitude of magnitude {top} exceeds 1")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > CHECK_TOL:
             raise NumericalInvariantError(f"state vector norm {norm} is not 1")

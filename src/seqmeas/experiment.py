@@ -15,7 +15,7 @@ stream, also for seeds of 2^32 and beyond.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +27,11 @@ from .protocols import _heisenberg_protocol, otoc_value
 # Unused here; perfbench/spans.py traces toc and otoc by these names.
 from .protocols import otoc, toc  # noqa: F401
 
-CSV_HEADER = "t,re_value,im_value,re_stderr,im_stderr,rms_bound,mode,trials,seed"
-
 
 @dataclass(frozen=True)
 class ResultRow:
+    """One CSV line; the fields, in order, are the CSV columns."""
+
     t: float
     re_value: float | None
     im_value: float | None
@@ -43,30 +43,23 @@ class ResultRow:
     seed: int
 
 
+_COLUMNS = tuple(f.name for f in fields(ResultRow))
+CSV_HEADER = ",".join(_COLUMNS)
+
+
 def _fmt(x) -> str:
+    """A missing part is empty, a float has 17 significant digits and a
+    string or integer is written as it is."""
     if x is None:
         return ""
-    return f"{x:.17g}"
+    if isinstance(x, float):
+        return f"{x:.17g}"
+    return str(x)
 
 
 def rows_to_csv(rows) -> str:
     lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.t),
-                    _fmt(r.re_value),
-                    _fmt(r.im_value),
-                    _fmt(r.re_stderr),
-                    _fmt(r.im_stderr),
-                    _fmt(r.rms_bound),
-                    r.mode,
-                    str(r.trials),
-                    str(r.seed),
-                ]
-            )
-        )
+    lines += [",".join(_fmt(getattr(r, c)) for c in _COLUMNS) for r in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -94,11 +87,11 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     b = cfg.pauli_b()
     ham = cfg.hamiltonian_obj()
     sampled = cfg.mode == "sampled"
-    scale = 1.0 if cfg.protocol == "toc" else 2.0
-    count = 2 if cfg.protocol == "toc" else 4
+    otoc_protocol = cfg.protocol == "otoc"
+    scale = 2.0 if otoc_protocol else 1.0
     parts = tuple(p for p in PARTS if p in cfg.parts)
 
-    if cfg.protocol == "otoc" and cfg.reversal == "clock-ancilla":
+    if otoc_protocol and cfg.reversal == "clock-ancilla":
         # The clock OTOC runs on its system propagator (see otoc).
         evolutions = [time_reversed_evolution(ham, t).system for t in cfg.times]
     else:
@@ -113,7 +106,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
         initial,
         a,
         b,
-        count,
+        len(cfg.phis),
         evolutions,
         parts,
         cfg.phis,
@@ -124,23 +117,19 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
 
     rows = []
     for t, estimates in zip(cfg.times, grid):
-        values = {"real": None, "imag": None}
-        errors = {"real": None, "imag": None}
-        for part, est in zip(parts, estimates):
-            values[part] = otoc_value(part, est.value) if count == 4 else est.value
-            errors[part] = scale * est.empirical_stderr
-
+        by_part = {
+            part: (
+                otoc_value(part, est.value) if otoc_protocol else est.value,
+                scale * est.empirical_stderr,
+            )
+            for part, est in zip(parts, estimates)
+        }
+        # (re, im) values, then (re, im) stderrs, as ResultRow orders them.
+        values, errors = zip(*(by_part.get(p, (None, None)) for p in PARTS))
+        est = estimates[-1]
         rows.append(
             ResultRow(
-                t=t,
-                re_value=values["real"],
-                im_value=values["imag"],
-                re_stderr=errors["real"],
-                im_stderr=errors["imag"],
-                rms_bound=scale * est.rms_bound,
-                mode=cfg.mode,
-                trials=est.trials[0],
-                seed=cfg.seed,
+                t, *values, *errors, scale * est.rms_bound, cfg.mode, est.trials[0], cfg.seed
             )
         )
     return rows

@@ -55,6 +55,8 @@ def _validate_phi(phi: float) -> float:
     phi = float(phi)
     if not 0.0 < phi <= math.pi / 2:
         raise ValueError(f"phi must lie in (0, pi/2], got {phi}")
+    if math.isinf(1.0 / math.sin(phi)):  # below about 5.6e-309
+        raise ValueError(f"phi = {phi} is so small that 1/sin(phi) overflows")
     return phi
 
 

@@ -102,6 +102,9 @@ from .measurement import (
 from .observables import PauliString
 
 MAX_ENUMERATED_MEASUREMENTS = 16
+# Past 2^53 a trial count is no longer exact as a float, and the draw of
+# trials x measurements uniforms could never be allocated anyway.
+MAX_TRIALS = 2**53
 
 
 @dataclass(frozen=True)
@@ -683,11 +686,12 @@ def _sampled_estimate(resolved, probs, trials: int, seed: int) -> CorrelatorEsti
     Every weight is +-w_max with w_max = prod 1/sin phi_k, so a squared
     deviation from the mean is at most (2 w_max)^2 and the sum of the N
     squared deviations at most N w_max^2.  Both must be finite floats, else
-    :class:`NumericalInvariantError` is raised before any trial is drawn.
+    :class:`NumericalInvariantError` is raised before any trial is drawn;
+    so is ``ValueError`` for ``trials`` outside [1, ``MAX_TRIALS``].
     """
     trials = int(trials)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must lie in [1, 2**53], got {trials}")
     m = len(resolved)
     phis = tuple(s.phi for s in resolved)
     top = math.prod(s.alphas[1] for s in resolved)

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -472,6 +473,49 @@ class TestCliProcess:
             assert not out.exists()
         else:
             assert err == "" and out.exists()
+
+
+class TestOutOfRangeNumbers:
+    """Numbers past what the engine can carry in a float fail as config
+    errors, with one line, no numpy warning and no large allocation."""
+
+    def _run(self, tmp_path, args):
+        out = tmp_path / "x.csv"
+        tracemalloc.start()
+        try:
+            code = main(["run", *args, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not out.exists() and peak < 2**20
+        return code
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "extra, field",
+        [
+            (dict(mode="sampled", trials=10**30), "trials"),
+            (dict(mode="sampled", trials=2**53 + 1), "trials"),
+            (dict(initial_state="01", phis=[1e-310, 1, 1, 1]), "phis"),
+            (dict(initial_state="maximally-mixed", phis=[1e-310, 1, 1, 1]), "phis"),
+            (dict(initial_state=[1e200, 0, 0, 0]), "initial_state"),
+        ],
+        ids=["trials-1e30", "trials-2^53+1", "phi-label", "phi-mixed", "amplitude-1e200"],
+    )
+    def test_exits_1_naming_its_field(self, tmp_path, capsys, extra, field):
+        cfg_path = write_config(tmp_path, base_config(**extra))
+        assert self._run(tmp_path, ["--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"seqmeas: config error: field '{field}'")
+        assert err.count("\n") == 1
+
+    def test_trials_override_takes_the_same_check(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, base_config(mode="sampled"))
+        args = ["--config", str(cfg_path), "--trials", str(10**30)]
+        assert self._run(tmp_path, args) == 1
+        err = capsys.readouterr().err
+        assert err == f"seqmeas: config error: field 'trials': must be <= 2**53, got {10**30}\n"
+        assert load_config(str(cfg_path), {"trials": 2**53}).trials == 2**53
 
 
 class TestVerifyCommand:

@@ -295,6 +295,13 @@ class TestStateValidation:
         with pytest.raises(NumericalInvariantError, match="norm"):
             PureState(1, np.array([1.0, 1.0]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("amps", [[1e200, 0.0], [1e-200, 1e200j], [1.7e308 + 1.7e308j, 0.0]])
+    def test_huge_amplitude_fails_before_the_norm(self, amps):
+        # The norm's sum of squares would overflow (a numpy RuntimeWarning).
+        with pytest.raises(NumericalInvariantError, match="amplitude of magnitude .* exceeds 1"):
+            PureState(1, np.array(amps))
+
     @pytest.mark.parametrize("n", [11, 20])
     @pytest.mark.parametrize(
         "build",

@@ -148,6 +148,16 @@ class TestGeneralizedEigenvalues:
         with pytest.raises(ValueError):
             MeasurementSpec(PauliString(("Z",)), 0.0, "informative")
 
+    @pytest.mark.filterwarnings("error")
+    def test_phi_whose_inverse_sine_overflows(self):
+        # 1/sin(phi) overflows below about 5.6e-309; 1e-300 stays legal.
+        assert generalized_eigenvalue(1e-300, 1) == pytest.approx(1e300)
+        for phi in (1e-310, 5e-324):
+            with pytest.raises(ValueError, match="1/sin\\(phi\\) overflows"):
+                generalized_eigenvalue(phi, 1)
+            with pytest.raises(ValueError, match="1/sin\\(phi\\) overflows"):
+                MeasurementSpec(PauliString(("Z",)), phi, "informative")
+
 
 class TestDetectorAlgebra:
     def test_modular_value_at_zero_strength(self):

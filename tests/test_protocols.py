@@ -2,6 +2,8 @@
 
 import gc
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1472,6 +1474,19 @@ class TestSampling:
         steps = [meas(PauliString(("Z", "I")), p) for p in phis]
         with pytest.raises(NumericalInvariantError, match="finite variance"):
             sample_protocol(rho, steps, 10, seed=0)
+
+    @pytest.mark.parametrize("trials", [2**53 + 1, 10**30])
+    def test_trial_count_past_2_to_53_fails_before_drawing(self, trials):
+        rho = DensityMatrix.maximally_mixed(1)
+        steps = [meas(PauliString(("Z",)), PI / 2)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape("trials must lie in [1, 2**53]")):
+                sample_protocol(rho, steps, trials, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(11)

@@ -15,6 +15,7 @@ from seqmeas import (
     KrausPair,
     MeasureStep,
     MeasurementSpec,
+    NumericalInvariantError,
     PauliString,
     PureState,
     calibrate_generalized_eigenvalues,
@@ -22,8 +23,10 @@ from seqmeas import (
     embed,
     heisenberg,
     nested_estimate,
+    oracle_nested,
     otoc_value,
     partial_trace,
+    rotation_gate,
     weak_value,
 )
 from seqmeas.measurement import outcome_sign
@@ -119,6 +122,33 @@ CASES = {
         lambda: Gate("custom", (0, 1), matrix_override=np.eye(2)),
         ValueError, "does not fit 2 qubits"),
     "Gate unknown name": (lambda: Gate("swap", (0, 1)), ValueError, "unknown gate 'swap'"),
+    "PauliString no factors": (
+        lambda: PauliString(()), ValueError, "needs at least one factor"),
+    "PauliString bad sign": (
+        lambda: PauliString(("Z",), 2), ValueError, "sign must be +1 or -1, got 2"),
+    "commutes_with across register sizes": (
+        lambda: Z.commutes_with(PauliString(("Z", "I"))),
+        ValueError, "act on different register sizes"),
+    "rotation_gate axis I": (
+        lambda: rotation_gate("I", 0.1), ValueError, "rotation axis must be x, y or z"),
+    "basis_ket unknown label": (
+        lambda: basis_ket("q+"), ValueError, "unknown basis ket 'q+'"),
+    "oracle_nested mismatched lengths": (
+        lambda: oracle_nested(RHO, [Z, Z], ["informative"]),
+        ValueError, "observables and kinds must have equal length"),
+    "oracle_nested unknown kind": (
+        lambda: oracle_nested(RHO, [Z], ["weak"]), ValueError, "unknown measurement kind 'weak'"),
+    "oracle_nested no observables": (
+        lambda: oracle_nested(RHO, [], []), ValueError, "need at least one observable"),
+    "PureState zero qubits": (
+        lambda: PureState(0, np.ones(1)), ValueError, "n_qubits must be a positive integer, got 0"),
+    "PureState fractional qubits": (
+        lambda: PureState(2.5, np.ones(4) / 2),
+        ValueError, "n_qubits must be a positive integer, got 2.5"),
+    "_leaf_probabilities sum below 1": (
+        lambda: protocols_mod._leaf_probabilities(
+            [np.diag([0.2, 0.2]), np.diag([0.25, 0.25])], [], 2),
+        NumericalInvariantError, "sequence probabilities sum to 0.9"),
 }
 
 
