@@ -15,7 +15,6 @@ is a hard error (alpha diverges), and the range is not extended past pi/2.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -119,8 +118,11 @@ class MeasurementSpec:
     def with_phi(self, phi: float) -> "MeasurementSpec":
         """The same measurement at strength ``phi``.  The copy shares the
         checked observable (and a raw matrix's square) instead of forming
-        and checking them again."""
-        spec = copy.copy(self)
+        and checking them again.  It is copied through its ``__dict__``:
+        ``copy.copy`` took about three times as long, and every B(t) step of
+        a sequence is one such copy."""
+        spec = object.__new__(type(self))
+        spec.__dict__.update(self.__dict__)
         object.__setattr__(spec, "phi", _validate_phi(phi))
         return spec
 

@@ -50,17 +50,26 @@ results do not depend on execution order, and the mean and variance
 are summed exactly over the leaves and rounded once, for bit-stable
 results.
 
-The TOC and OTOC protocols run in the Heisenberg frame: the interleaved
-sequence A, U, B, U^dag, A, U, B becomes A, B(t), A, B(t) with B(t) =
-U^dag B U and the same outcome distribution, so their sequences hold only
-measurements.  Both are built by :func:`_heisenberg_protocol`, which
-takes a whole time grid and the requested parts, builds what does not
-depend on the time once per grid, and picks one of the routes its
-docstring lists: an exact grid of propagators of one spectrum that is
-long enough to pay for the frame runs in H's eigenbasis, pure or mixed;
-an exact pure state on any other grid of propagators travels as vectors;
-the rest run on density matrices.  The clock-ancilla OTOC runs there too, as
-the direct one with the clock's system propagator as U.
+One builder, :func:`_sequence_grid`, evaluates every sequence.  It takes
+a whole time grid, the sequence's steps and the number of parts (the
+alternatives for the first measurement, which share everything after it).
+Its measure and evolve steps are the same at every point; an evolved step
+measures B(t) = U^dag B U after the grid's U(t), the one thing that depends
+on the time.  So it builds the rest once per grid and picks one of the
+routes its docstring lists: an exact grid of propagators of one spectrum
+that is long enough to pay for the frame runs in H's eigenbasis, pure or
+mixed; an exact pure state on any other grid of propagators travels as
+vectors; the rest run on density matrices.
+
+The TOC and OTOC protocols are its presets (:func:`_heisenberg_protocol`),
+in the Heisenberg frame: the interleaved sequence A, U, B, U^dag, A, U, B
+becomes A, B(t), A, B(t) with the same outcome distribution, so their
+sequences hold only measurements.  The clock-ancilla OTOC runs there too,
+as the direct one with the clock's system propagator as U.  The step API
+(:func:`nested_estimate`, :func:`sample_protocol`) makes one-point calls
+of the builder without a time grid, with :class:`EvolveStep` as its way
+to evolve; :func:`sequence_distribution` reads the same leaf
+probabilities.
 """
 
 from __future__ import annotations
@@ -135,6 +144,15 @@ class EvolveStep:
 
 
 SequenceStep = MeasureStep | EvolveStep
+
+
+@dataclass(frozen=True)
+class _EvolvedStep:
+    """Measure ``spec``'s observable B after the grid's evolution U(t), that
+    is B(t) = U^dag B U: the one step of :func:`_sequence_grid` that
+    depends on the time.  It is not a step of the public step API."""
+
+    spec: MeasurementSpec
 
 
 @dataclass(frozen=True)
@@ -230,9 +248,12 @@ class _Measurement:
     def __init__(self, spec: MeasurementSpec, left, dense=None):
         self.phi = spec.phi
         self.weights = _kraus_weights(spec)
-        self.alphas = tuple(generalized_eigenvalue(spec.phi, a) for a in (0, 1))
+        self.alphas = (generalized_eigenvalue(spec.phi, 0), generalized_eigenvalue(spec.phi, 1))
+        # W = sum_a alpha_a w_a by sum(), which starts from 0 and so drops a
+        # signed zero that a0 x0 + a1 x1 would keep.
+        a0, a1 = self.alphas
         self.transfer_weights = tuple(
-            sum(a * w[j] for a, w in zip(self.alphas, self.weights)) for j in range(4)
+            sum((a0 * x0, a1 * x1)) for x0, x1 in zip(*self.weights)
         )
         if dense is None:
             _check_scalar_completeness(self.weights)
@@ -388,7 +409,9 @@ def _resolve_steps(initial: DensityMatrix | PureState, steps):
     Evolutions after the last
     measurement are shape-checked and dropped, as they preserve every
     trace.  A sequence without measurements is rejected, and so is any
-    step that is neither a :class:`MeasureStep` nor an :class:`EvolveStep`.
+    step that is neither a :class:`MeasureStep` nor an :class:`EvolveStep`,
+    such as the builder's :class:`_EvolvedStep`: :func:`_sequence_grid`
+    takes those out and resolves the rest once per grid.
     """
     n = initial.n_qubits
     dim = 2**n
@@ -519,17 +542,6 @@ def _alpha_products(resolved) -> list[float]:
     return weights.tolist()
 
 
-def _distribution(initial: DensityMatrix | PureState, steps):
-    """The resolved measurements of the sequence ``steps`` and the
-    probabilities of their outcome strings (:func:`_leaf_probabilities`);
-    a pure state is held as its density matrix."""
-    rho = initial.density() if isinstance(initial, PureState) else initial
-    resolved, _ = _resolve_steps(rho, steps)
-    first, rest = resolved[0], resolved[1:]
-    (probs,) = _leaf_probabilities(first.maps(rho.matrix, first.weights), rest, rho.dim)
-    return resolved, probs
-
-
 def sequence_distribution(
     initial: DensityMatrix | PureState, steps
 ) -> list[OutcomeRecord]:
@@ -538,29 +550,25 @@ def sequence_distribution(
     Probabilities follow the sequential Born rule
     P(a_1..a_m) = Tr(K_m ... K_1 rho K_1^dag ... K_m^dag) with unitary
     steps interleaved (folded into the measurements by
-    :func:`_resolve_steps`) and are checked by
-    :func:`_leaf_probabilities`.  A string's weight is its alpha product
-    in forward order.
+    :func:`_resolve_steps`): they are read from the children
+    K_a rho K_a^dag of the first measurement, a pure state held as its
+    density matrix, and checked by :func:`_leaf_probabilities`, as a
+    sampled point of :func:`_sequence_grid` reads them.  A string's weight
+    is its alpha product in forward order.
     """
-    resolved, probs = _distribution(initial, steps)
+    rho = initial.density() if isinstance(initial, PureState) else initial
+    resolved, _ = _resolve_steps(rho, steps)
+    first, rest = resolved[0], resolved[1:]
+    (probs,) = _leaf_probabilities(first.maps(rho.matrix, first.weights), rest, rho.dim)
     outcomes = itertools.product((0, 1), repeat=len(resolved))
     return list(map(OutcomeRecord, outcomes, _alpha_products(resolved), probs.tolist()))
 
 
-def _first_transfers(initial: DensityMatrix | PureState, firsts):
-    """The exact first transfers E_1(rho), one for each first measurement
-    E_1 in ``firsts``.  A pure state psi gives the factor pair of
-    E_1(psi psi^dag), from (psi, psi), and no dim x dim state."""
-    if isinstance(initial, PureState):
-        psi = initial.amplitudes[:, None]
-        return [first.transfer_factors((psi, psi)) for first in firsts]
-    return [first.transfer(initial.matrix) for first in firsts]
-
-
 def _transfer_values(starts, rest, dim):
     """The exact weighted averages Tr(E_m ... E_2(X)), one for each first
-    transfer X = E_1(rho) in ``starts`` (see :func:`_first_transfers`),
-    all followed by the resolved measurements ``rest`` (see
+    transfer X = E_1(rho) in ``starts`` (a dim x dim matrix, or for a pure
+    state the factor pair of E_1(psi psi^dag); :func:`_sequence_grid`
+    builds them), all followed by the resolved measurements ``rest`` (see
     :func:`_resolve_steps`).  Every value is checked by
     :func:`_checked_values`.
 
@@ -603,17 +611,6 @@ def _checked_values(values):
     return [value.real for value in values]
 
 
-def _exact_estimate(value, phis) -> CorrelatorEstimate:
-    return CorrelatorEstimate(
-        value=value,
-        mode="exact",
-        trials=(0,) * len(phis),
-        phis=phis,
-        rms_bound=0.0,
-        empirical_stderr=0.0,
-    )
-
-
 def nested_estimate(
     initial: DensityMatrix | PureState,
     steps,
@@ -629,22 +626,16 @@ def nested_estimate(
     bracket into a commutator with normalization 2^(m-2) (2i).  The value
     does not depend on the strength angles.
 
-    Exact mode computes it by transfer maps (:func:`_transfer_values`), in
-    O(m) state updates and without a limit on the number of measurements;
-    a pure state travels there as vector factors.  Sampled mode hands the
-    steps to :func:`sample_protocol`, which draws outcome strings from the
-    enumerated outcome tree and holds a pure state as its density matrix.
+    A one-point call of :func:`_sequence_grid`, with one part and no time
+    grid.  Exact mode computes the value by transfer maps
+    (:func:`_transfer_values`), in O(m) state updates and without a limit
+    on the number of measurements; a pure state travels there as vector
+    factors.  Sampled mode draws outcome strings from the enumerated
+    outcome tree (:func:`_sampled_estimate`) and holds a pure state as its
+    density matrix.
     """
-    if mode == "sampled":
-        if trials is None or seed is None:
-            raise ValueError("sampled mode needs trials and seed")
-        return sample_protocol(initial, steps, trials, seed)
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
-    resolved, phis = _resolve_steps(initial, steps)
-    starts = _first_transfers(initial, resolved[:1])
-    (value,) = _transfer_values(starts, resolved[1:], 2**initial.n_qubits)
-    return _exact_estimate(value, phis)
+    ((estimate,),) = _sequence_grid(initial, steps, 1, [None], mode, trials, [(seed,)])
+    return estimate
 
 
 def trial_uniforms(seed: int, trials: int, draws: int) -> np.ndarray:
@@ -664,11 +655,12 @@ def sample_protocol(
     initial: DensityMatrix | PureState, steps, trials: int, seed: int
 ) -> CorrelatorEstimate:
     """Monte Carlo estimate: average alpha products over sampled strings
-    of the sequence ``steps``.  The steps are resolved once, the outcome
-    tree is enumerated and checked by :func:`_leaf_probabilities`, with its
-    limit of ``MAX_ENUMERATED_MEASUREMENTS`` measurements, and the trials
-    are drawn by :func:`_sampled_estimate`."""
-    return _sampled_estimate(*_distribution(initial, steps), trials, seed)
+    of the sequence ``steps``, :func:`nested_estimate` in sampled mode.
+    The outcome tree is enumerated and checked by
+    :func:`_leaf_probabilities`, with its limit of
+    ``MAX_ENUMERATED_MEASUREMENTS`` measurements, and the trials are drawn
+    by :func:`_sampled_estimate`."""
+    return nested_estimate(initial, steps, "sampled", trials, seed)
 
 
 def _sampled_estimate(resolved, probs, trials: int, seed: int) -> CorrelatorEstimate:
@@ -740,7 +732,7 @@ def _sampled_estimate(resolved, probs, trials: int, seed: int) -> CorrelatorEsti
 
 
 # ---------------------------------------------------------------------------
-# Two-point and four-point correlator protocols.
+# The sequence builder and its two presets, the TOC and the OTOC.
 
 
 def _evolution_matrix(evolution) -> np.ndarray:
@@ -819,44 +811,52 @@ _FRAME_MIN_POINTS = 3
 _PURE_FRAME_DIM = 64
 
 
-def _heisenberg_protocol(
-    initial, a, b, count, evolutions, parts, phis, mode="exact", trials=None, seeds=None
-) -> list[list[CorrelatorEstimate]]:
-    """Measure A, B(t), A, B(t), ... for ``count`` steps (2 for the TOC, 4
-    for the OTOC) in the Heisenberg frame, with B(t) = U^dag B U, for each
-    evolution U of the time grid ``evolutions``, and return one list of
-    estimates per time point, one estimate per part in ``parts``.  The
-    first A is informative for part 'real' and noninformative for part
-    'imag'; every later step is informative.  Sampled mode takes one tuple
-    of seeds per time point, one seed per part.
+def _sequence_grid(initial, steps, parts, evolutions, mode, trials, seeds):
+    """Evaluate the measurement sequence ``steps`` at each evolution U of
+    the time grid ``evolutions`` and return one list of estimates per time
+    point, one estimate per part.  The first ``parts`` measurements are the
+    per-part alternatives for the first measurement, and the other steps
+    follow each of them.  Sampled mode takes one tuple of seeds per time
+    point, one seed per part.
+
+    A :class:`MeasureStep` or :class:`EvolveStep` is the same at every
+    point.  An :class:`_EvolvedStep` measures B(t) = U^dag B U, the
+    Heisenberg frame of measuring B after U.  A sequence has one B: every
+    evolved step measures the B of the first one, with the first one's kind
+    and its own strength.  The step API's one-point calls
+    (:func:`nested_estimate`) pass ``evolutions`` [None], a point without
+    U(t), where an _EvolvedStep is left to :func:`_resolve_steps`, which
+    rejects it.  Their sequences are the only ones with EvolveSteps; a grid
+    of U(t) takes measurements only.
 
     Only B(t) depends on the time, and the parts differ only in their
     first measurement.  So the route is picked and every evolution
-    shape-checked once per grid, and every A measurement, the route's frame
-    and the first measurements' states (the exact first transfers, or the
-    sampled children K_a rho K_a^dag) are built and checked once per grid,
-    for all the parts.  A time point builds its B(t) measurements and
-    evaluates the steps after the first A, for every part at once: exact
-    values in one evaluation (:func:`_transfer_values`), sampled leaf
-    probabilities in one walk (:func:`_leaf_probabilities`), and each part
-    is then drawn from its own seed (:func:`_sampled_estimate`).  A value
-    depends on its time alone, not on the rest of the grid.
+    shape-checked once per grid, and the steps are resolved, the route's
+    frame built, and the first measurements' states (the exact first
+    transfers, or the sampled children K_a rho K_a^dag) built and checked
+    once per grid, for all the parts.  A time point builds its B(t)
+    measurements and evaluates the steps after the first, for every part at
+    once: exact values in one evaluation (:func:`_transfer_values`),
+    sampled leaf probabilities in one walk (:func:`_leaf_probabilities`),
+    and each part is then drawn from its own seed (:func:`_sampled_estimate`).
+    A value depends on its time alone, not on the rest of the grid.
 
     The rule: an exact grid of :class:`Propagator` objects that share one
     spectrum (E, V) takes the eigenbasis route if it is long enough to pay
     for the frame, ``_FRAME_MIN_POINTS`` points for a density matrix and
     as many per ``_PURE_FRAME_DIM`` basis states for a pure state; any
     other exact grid of propagators takes the vector route for a pure
-    state; everything else, sampled mode included, takes the density
-    route.  The routes:
+    state, and so does a sequence without evolved steps; everything else,
+    sampled mode included, takes the density route.  The routes:
 
     * eigenbasis: V is checked unitary to 1e-10 once, which stands in for
-      the check of U, as U is never formed.  B~ = V^dag B V and the later
-      A~ = V^dag A V (with A~^2) are built by :func:`heisenberg` with V in
-      place of U, and the first transfers are carried into the frame (a
-      trace is the same in every basis): V^dag E_1(rho) V for a density
-      matrix, the factor pair (V^dag L, V^dag R) for a pure state.  A time
-      point forms B~(t) = e^{iEt} B~ e^{-iEt} by one O(dim^2) phase scaling
+      the check of U, as U is never formed.  B~ = V^dag B V and the
+      measurements after the first ones, such as the later A~ = V^dag A V
+      (with A~^2), are built by :func:`heisenberg` with V in place of U,
+      and the first transfers are carried into the frame (a trace is the
+      same in every basis): V^dag E_1(rho) V for a density matrix, the
+      factor pair (V^dag L, V^dag R) for a pure state.  A time point forms
+      B~(t) = e^{iEt} B~ e^{-iEt} by one O(dim^2) phase scaling
       (:func:`heisenberg_phases`) for a density matrix; for a pure state it
       applies x -> e^{iEt} (B~ (e^{-iEt} x)), one product
       (:func:`_heisenberg_action`, which checks B~(t)^2 = 1 on V^dag psi).
@@ -865,10 +865,11 @@ def _heisenberg_protocol(
       arithmetic (:func:`~seqmeas.core.matmul`).
     * vector: a pure state psi on a shorter grid (every one-point
       :func:`toc` and :func:`otoc` call), or on propagators of several
-      spectra.  The first transfers are factor pairs of
-      E_1(psi psi^dag).  A time point applies B(t) through the propagator's
-      spectrum, four products (:func:`_heisenberg_action`, which checks
-      B(t)^2 = 1 on psi), so neither U nor B(t) is formed.
+      spectra.  The first transfers are factor pairs of E_1(psi psi^dag).
+      B's action is resolved with the other steps, and a time point applies
+      B(t) through the propagator's spectrum, four products
+      (:func:`_heisenberg_action`, which checks B(t)^2 = 1 on psi), so
+      neither U nor B(t) is formed.
     * density: a pure state is converted to its density matrix.  A time
       point checks U for unitarity (:func:`_evolution_matrix`) and builds
       B(t) by :func:`heisenberg`.
@@ -877,12 +878,6 @@ def _heisenberg_protocol(
     with B(t)^2 = 1 to 1e-10; the B(t)^2 it forms serves every B(t) step,
     and each dense B(t) measurement checks completeness.
     """
-    phis = tuple(float(p) for p in phis)
-    if len(phis) != count:
-        raise ValueError(f"this protocol takes {count} strength angles, got {len(phis)}")
-    for part in parts:
-        if part not in _FIRST_KINDS:
-            raise ValueError(f"part must be 'real' or 'imag', got {part!r}")
     evolutions = list(evolutions)
     if seeds is None:
         seeds = [None] * len(evolutions)
@@ -895,19 +890,28 @@ def _heisenberg_protocol(
         if trials is None or any(s is None or None in s for s in seeds):
             raise ValueError("sampled mode needs trials and seed")
         for point_seeds in seeds:
-            if len(point_seeds) != len(parts):
+            if len(point_seeds) != parts:
                 raise ValueError(
-                    f"sampled mode needs {len(parts)} seed(s), got {len(point_seeds)}"
+                    f"sampled mode needs {parts} seed(s), got {len(point_seeds)}"
                 )
     elif not exact:
         raise ValueError(f"unknown mode {mode!r}")
 
+    # The step API's one-point calls have no U(t) (``evolutions`` [None]):
+    # there an _EvolvedStep is left to _resolve_steps, which rejects it.
+    steps = list(steps)
+    timed = not evolutions or evolutions[0] is not None
+    slots = [k for k, s in enumerate(steps) if isinstance(s, _EvolvedStep)] if timed else []
+    evolved = [steps[k].spec for k in slots]
+    static = [s for k, s in enumerate(steps) if k not in slots] if slots else steps
     dim = 2**initial.n_qubits
-    for shape in (np.shape(getattr(u, "evecs", u)) for u in evolutions):
-        if shape != (dim, dim):
-            raise ValueError(f"evolution 'U_t' has shape {shape}, expected {(dim, dim)}")
+    if evolved:
+        for shape in (np.shape(getattr(u, "evecs", u)) for u in evolutions):
+            if shape != (dim, dim):
+                raise ValueError(f"evolution 'U_t' has shape {shape}, expected {(dim, dim)}")
     propagators = all(isinstance(u, Propagator) for u in evolutions)
-    pure = exact and isinstance(initial, PureState) and propagators
+    # A sequence without evolved steps counts as a grid of propagators.
+    pure = exact and isinstance(initial, PureState) and (propagators or not evolved)
     min_points = _FRAME_MIN_POINTS * (max(1, dim // _PURE_FRAME_DIM) if pure else 1)
     frame = (
         exact
@@ -925,28 +929,28 @@ def _heisenberg_protocol(
         evecs = evolutions[0].evecs
         if not is_unitary(evecs, CHECK_TOL):
             raise NumericalInvariantError("eigenbasis of H is not unitary to 1e-10")
-        b_frame = heisenberg(b, evecs)
-
-    # One resolve for every A measurement, and for B's on the vector route,
-    # so that measurements of one Pauli string share its signed permutation.
-    steps = [MeasureStep(MeasurementSpec(a, phis[0], _FIRST_KINDS[p])) for p in parts]
-    steps += [
-        MeasureStep(MeasurementSpec(heisenberg(a, evecs) if frame else a, p, INFORMATIVE))
-        for p in phis[2::2]
-    ]
-    if pure:
-        spec_b = MeasurementSpec(b, phis[1], INFORMATIVE)
-        b_specs = [spec_b.with_phi(p) for p in phis[1::2]]
-    if vector:
-        steps.append(MeasureStep(spec_b))
-    resolved, _ = _resolve_steps(initial, steps)
-    if vector:
+        b_frame = heisenberg(evolved[0].observable, evecs)
+        # The measurements after the first ones act in the frame.
+        for k, s in enumerate(static[parts:], parts):
+            framed = heisenberg(s.spec.observable, evecs, s.targets)
+            static[k] = MeasureStep(dataclasses.replace(s.spec, observable=framed))
+            del framed  # the spec keeps its own checked copy
+    if pure and evolved:
+        b_specs = [evolved[0].with_phi(s.phi) for s in evolved]
+        if vector:
+            # One resolve for B too, so that a Pauli B shares its signed
+            # permutation with any other measurement of it.
+            static.append(MeasureStep(evolved[0]))
+    resolved, _ = _resolve_steps(initial, static)
+    if vector and evolved:
         apply_b = resolved.pop().left
-    firsts, a_steps = resolved[: len(parts)], resolved[len(parts) :]
+    firsts, static_rest = resolved[:parts], resolved[parts:]
     if exact:
-        starts = _first_transfers(initial, firsts)
         if pure:
             psi = initial.amplitudes[:, None]
+            starts = [first.transfer_factors((psi, psi)) for first in firsts]
+        else:
+            starts = [first.transfer(initial.matrix) for first in firsts]
         if frame:
             # A trace is the same in every basis.
             v_dag = evecs.conj().T
@@ -960,26 +964,30 @@ def _heisenberg_protocol(
 
     def point(u, point_seeds):
         # Every array built here is freed when the point is done.
-        if pure:
+        rest, b_steps = list(static_rest), []
+        if pure and evolved:
             if frame:
                 apply_u, apply_b_t = _phase_action(u), functools.partial(matmul, b_frame)
             else:
                 apply_u, apply_b_t = u.apply, apply_b
             apply = _heisenberg_action(apply_b_t, apply_u, psi)
             b_steps = [_Measurement(s, apply) for s in b_specs]
-        else:
+        elif evolved:
             if frame:
                 b_t = heisenberg_phases(b_frame, u)
             else:
-                b_t = heisenberg(b, _evolution_matrix(u))
-            spec = MeasurementSpec(b_t, phis[1], INFORMATIVE)
+                b_t = heisenberg(evolved[0].observable, _evolution_matrix(u))
+            spec = MeasurementSpec(b_t, evolved[0].phi, evolved[0].kind)
             del b_t  # the spec keeps its own checked copy
-            specs = map(spec.with_phi, phis[1::2])
-            b_steps = [_dense_measurement(s) for s in specs]
-        # B(t) at the odd positions, the later A at the even ones.
-        rest = [b_steps[k // 2] if k % 2 else a_steps[k // 2 - 1] for k in range(1, count)]
+            b_steps = [_dense_measurement(spec.with_phi(s.phi)) for s in evolved]
+        for k, step in zip(slots, b_steps):
+            rest.insert(k - parts, step)
         if exact:
-            return [_exact_estimate(v, phis) for v in _transfer_values(starts, rest, dim)]
+            phis = tuple(s.phi for s in rest)
+            return [
+                CorrelatorEstimate(v, "exact", (0,) * (len(phis) + 1), (first.phi, *phis), 0.0)
+                for first, v in zip(firsts, _transfer_values(starts, rest, dim))
+            ]
         rows = _leaf_probabilities(children, rest, dim)
         return [
             _sampled_estimate([first, *rest], probs, trials, seed)
@@ -987,6 +995,35 @@ def _heisenberg_protocol(
         ]
 
     return [point(u, point_seeds) for u, point_seeds in zip(evolutions, seeds)]
+
+
+def _heisenberg_protocol(
+    initial, a, b, count, evolutions, parts, phis, mode="exact", trials=None, seeds=None
+) -> list[list[CorrelatorEstimate]]:
+    """The TOC (``count`` 2) and OTOC (``count`` 4) preset of
+    :func:`_sequence_grid`: measure A, B(t), A, B(t), ... for ``count``
+    steps, with step k at strength ``phis[k]`` and B(t) = U^dag B U for each
+    evolution U of the time grid ``evolutions``, and return one list of
+    estimates per time point, one estimate per part in ``parts``.  The
+    first A is informative for part 'real' and noninformative for part
+    'imag'; every later step is informative.  Sampled mode takes one tuple
+    of seeds per time point, one seed per part.
+    """
+    phis = tuple(float(p) for p in phis)
+    if len(phis) != count:
+        raise ValueError(f"this protocol takes {count} strength angles, got {len(phis)}")
+    for part in parts:
+        if part not in _FIRST_KINDS:
+            raise ValueError(f"part must be 'real' or 'imag', got {part!r}")
+    steps = [MeasureStep(MeasurementSpec(a, phis[0], _FIRST_KINDS[p])) for p in parts]
+    spec_b = MeasurementSpec(b, phis[1], INFORMATIVE)
+    for k, phi in enumerate(phis[1:], 1):
+        # B(t) at the odd positions, the later A at the even ones.
+        if k % 2:
+            steps.append(_EvolvedStep(spec_b.with_phi(phi)))
+        else:
+            steps.append(MeasureStep(MeasurementSpec(a, phi, INFORMATIVE)))
+    return _sequence_grid(initial, steps, len(parts), evolutions, mode, trials, seeds)
 
 
 def toc(
@@ -1009,7 +1046,8 @@ def toc(
     The sequence runs in the Heisenberg frame: A, then B(t) = U^dag B U.
     Measuring K(B) after U gives the probabilities of measuring K(B(t)) =
     U^dag K(B) U before it, and the trailing U^dag cannot change them.
-    :func:`_heisenberg_protocol` builds it and picks the route.
+    The TOC preset :func:`_heisenberg_protocol` builds it, and
+    :func:`_sequence_grid` picks the route.
     """
     ((estimate,),) = _heisenberg_protocol(
         initial, a, b, 2, [evolution], (part,), phis, mode, trials, [(seed,)]
@@ -1050,8 +1088,8 @@ def otoc(
 
     In both cases the backward step is U^dag, so the sequence runs in the
     Heisenberg frame as A, B(t), A, B(t), with the same outcome
-    distribution.  :func:`_heisenberg_protocol` builds it and picks the
-    route.
+    distribution.  The OTOC preset :func:`_heisenberg_protocol` builds it,
+    and :func:`_sequence_grid` picks the route.
     """
     if (evolution is None) == (clock is None):
         raise ValueError("provide exactly one of evolution or clock")

@@ -811,6 +811,119 @@ class TestBackwardDensityRoute:
             sequence_distribution(rho, [meas(PauliString(("X", "I")), 0.7), resolved])
 
 
+class TestSequenceBuilder:
+    """The TOC/OTOC presets and the step API share one sequence builder,
+    ``_sequence_grid``; these cover the sequences neither preset builds."""
+
+    @staticmethod
+    def _leading_evolution(rng, n):
+        """[EvolveStep, MeasureStep on targets, MeasureStep of a raw
+        involution, EvolveStep]: the first evolution folds into the first
+        measurement, where the builder splits it from the rest."""
+        k = int(rng.integers(1, n + 1))
+        targets = tuple(int(q) for q in rng.permutation(n)[:k])
+        kinds = ("informative", "noninformative")
+        return [
+            EvolveStep(random_unitary(rng, 2**n)),
+            meas(random_pauli(rng, k), float(rng.uniform(0.15, PI / 2)),
+                 kinds[int(rng.integers(2))], targets),
+            meas(random_involution(rng, n), float(rng.uniform(0.15, PI / 2)),
+                 kinds[int(rng.integers(2))]),
+            EvolveStep(random_unitary(rng, 2**n)),
+        ]
+
+    @pytest.mark.parametrize("state", ["density", "pure"])
+    def test_leading_evolution_matches_dense_references(self, state):
+        rng = np.random.default_rng([97, len(state)])
+        for _ in range(20):
+            n = int(rng.integers(1, 4))
+            steps = self._leading_evolution(rng, n)
+            if state == "density":
+                initial = rho = random_density(rng, n)
+            else:
+                initial = random_pure_state(rng, n)
+                rho = initial.density()
+            ref = dense_reference_transfer(rho, steps)
+            assert abs(nested_estimate(initial, steps).value - ref.real) <= 1e-12
+            records = sequence_distribution(initial, steps)
+            reference = dense_reference_walk(rho, steps)
+            assert len(records) == len(reference) == 4
+            for r, (outcomes, weight, prob) in zip(records, reference):
+                assert r.outcomes == outcomes
+                assert abs(r.weight - weight) <= 1e-12
+                assert abs(r.probability - prob) <= 1e-12
+
+    def test_leading_evolution_samples_a_pure_state_as_its_density(self):
+        rng = np.random.default_rng(98)
+        for seed in range(5):
+            n = int(rng.integers(1, 4))
+            steps = self._leading_evolution(rng, n)
+            psi = random_pure_state(rng, n)
+            assert sample_protocol(psi, steps, 300, seed) == sample_protocol(
+                psi.density(), steps, 300, seed
+            )
+
+    def test_evolved_step_is_not_a_sequence_step(self):
+        # The builder's B(t) step needs a time grid; the public step API
+        # takes MeasureStep and EvolveStep only.
+        spec = MeasurementSpec(PauliString(("Z", "Z")), 0.7, "informative")
+        evolved = protocols_mod._EvolvedStep(spec)
+        first = meas(PauliString(("X", "I")), 0.6)
+        for initial in (DensityMatrix.from_label("01"), PureState.from_label("01")):
+            for steps in ([evolved], [first, evolved]):
+                for mode in ("exact", "sampled"):
+                    with pytest.raises(TypeError, match="unknown sequence step"):
+                        nested_estimate(initial, steps, mode=mode, trials=10, seed=1)
+                with pytest.raises(TypeError, match="unknown sequence step"):
+                    sample_protocol(initial, steps, 10, 1)
+                with pytest.raises(TypeError, match="unknown sequence step"):
+                    sequence_distribution(initial, steps)
+
+    @pytest.mark.parametrize("route", ["vector", "eigenbasis", "density", "sampled"])
+    def test_evolved_steps_anywhere_after_the_firsts(self, route):
+        # B(t) steps at any place after the per-part first measurements,
+        # between static steps on targets, against one-point calls of the
+        # step API that apply U and U^dag around each B.
+        rng = np.random.default_rng([99, len(route)])
+        n = 3
+        h = random_hermitian(rng, 2**n)
+        grid = _grid_propagators(h, [0.2, 0.7, 1.3])
+        if route == "vector":
+            grid = grid[:2]
+        elif route == "density":
+            grid = [u.matrix for u in grid]
+        pure = route in ("vector", "eigenbasis")
+        initial = random_pure_state(rng, n) if pure else random_density(rng, n)
+        b = random_pauli(rng, n)
+        firsts = [meas(random_pauli(rng, n), 0.5, kind)
+                  for kind in ("informative", "noninformative")]
+        c = meas(random_involution(rng, 2), 0.9, "noninformative", (2, 0))
+        d = meas(random_pauli(rng, 1), 1.1, targets=(1,))
+        evolved = [protocols_mod._EvolvedStep(MeasurementSpec(b, p, "informative"))
+                   for p in (0.6, 0.8)]
+        steps = [*firsts, evolved[0], c, d, evolved[1]]
+        sampled = route == "sampled"
+        seeds = [(3 * k, 3 * k + 1) for k in range(len(grid))]
+        rows = protocols_mod._sequence_grid(
+            initial, steps, 2, grid, "sampled" if sampled else "exact",
+            200 if sampled else None, seeds if sampled else None,
+        )
+        assert len(rows) == len(grid)
+        for u, row, point_seeds in zip(grid, rows, seeds):
+            um = getattr(u, "matrix", u)
+            fwd, back = EvolveStep(um), EvolveStep(um.conj().T)
+            for first, est, seed in zip(firsts, row, point_seeds):
+                one = [first, fwd, meas(b, 0.6), back, c, d, fwd, meas(b, 0.8), back]
+                if sampled:
+                    assert est == sample_protocol(initial, one, 200, seed)
+                else:
+                    ref = dense_reference_transfer(
+                        initial.density() if pure else initial, one
+                    )
+                    assert abs(est.value - ref.real) <= 1e-12
+                    assert est.phis == (0.5, 0.6, 0.9, 1.1, 0.8)
+
+
 class TestSharedParts:
     PARTS = ("real", "imag")
 
