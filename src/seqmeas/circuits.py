@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import embed, is_unitary
+from .core import embed, is_unitary  # noqa: F401  embed: perfbench/spans.py traces it by this name
 from .measurement import _validate_phi
 from .observables import PauliString, basis_ket, entangling_gate, rotation_gate
 
@@ -90,10 +90,31 @@ class Circuit:
                     )
 
     def unitary(self) -> np.ndarray:
-        u = np.eye(2**self.n_qubits, dtype=np.complex128)
+        """The product of the gates, each applied to its target axes of the
+        running unitary, held as a ``(2,)*n + (dim,)`` tensor: the targets
+        are transposed to the front, the ``2^k x 2^k`` gate multiplies them
+        in one product, and the axes stay in that order until the next
+        gate moves them.  No embedded dim x dim gate is formed.  A gate's
+        slots are first put in register order, so each entry sums its
+        terms in the order of ``embed(gate) @ u``, and the result equals
+        that product bit for bit."""
+        n = self.n_qubits
+        dim = 2**n
+        u = np.eye(dim, dtype=np.complex128).reshape((2,) * n + (dim,))
+        held = list(range(n))  # held[i]: the qubit on axis i of u
         for g in self.gates:
-            u = embed(g.matrix(), self.n_qubits, g.targets) @ u
-        return u
+            m, targets = g.matrix(), list(g.targets)
+            k = len(targets)
+            if targets != sorted(targets):
+                slots = np.argsort(targets)
+                m = m.reshape((2,) * 2 * k).transpose([*slots, *(k + slots)])
+                m = m.reshape(2**k, 2**k)
+                targets.sort()
+            order = [held.index(q) for q in targets]
+            order += [i for i in range(n) if i not in order]
+            held = [held[i] for i in order]
+            u = (m @ u.transpose(order + [n]).reshape(2**k, -1)).reshape(u.shape)
+        return u.transpose([held.index(q) for q in range(n)] + [n]).reshape(dim, dim)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,10 @@ Conventions, fixed once and used everywhere in this package:
   its dtype, and :func:`matmul` is where real meets complex.  Registers
   are limited to 10 qubits (system plus ancillas); exactness is
   preferred over scale.
+* :func:`embed` extends an operator by the identity with one broadcast
+  product, ``op[:, None, :, None] * eye[None, :, None, :]``, and a
+  transpose of the qubit axes; its entries equal ``np.kron``'s bit for
+  bit, signed zeros included.
 
 Tolerances: preconditions are checked at ``CHECK_TOL = 1e-10``; stored
 states are re-symmetrized on construction so their invariants hold to
@@ -246,7 +250,8 @@ def embed(op: np.ndarray, n_qubits: int, targets) -> np.ndarray:
     """Extend ``op`` (acting on ``targets``, in that order) by identity.
 
     ``targets[0]`` is the most significant slot of ``op``.  A real ``op``
-    gives a ``float64`` result, any other a ``complex128`` one.
+    gives a ``float64`` result, any other a ``complex128`` one.  On the
+    whole register in slot order that is ``op`` itself.
     """
     _check_register(n_qubits)
     targets = _check_targets(n_qubits, targets)
@@ -259,7 +264,10 @@ def embed(op: np.ndarray, n_qubits: int, targets) -> np.ndarray:
     if targets == tuple(range(n_qubits)):
         return op
     rest = [q for q in range(n_qubits) if q not in targets]
-    full = np.kron(op, np.eye(2 ** len(rest), dtype=op.dtype))
+    # op (x) 1 as one broadcast product: np.kron's entries, dtype and signed
+    # zeros, without its shape bookkeeping.
+    eye = np.eye(2 ** len(rest), dtype=op.dtype)
+    full = op[:, None, :, None] * eye[None, :, None, :]
     order = list(targets) + rest
     pos = {q: i for i, q in enumerate(order)}
     perm = [pos[q] for q in range(n_qubits)]

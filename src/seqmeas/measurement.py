@@ -50,6 +50,12 @@ class DivergentModularValueError(ValueError):
         self.numerator = numerator
 
 
+def _validate_kind(kind: str) -> str:
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    return kind
+
+
 def _validate_phi(phi: float) -> float:
     phi = float(phi)
     if not 0.0 < phi <= math.pi / 2:
@@ -101,8 +107,7 @@ class MeasurementSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "phi", _validate_phi(self.phi))
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        _validate_kind(self.kind)
         # Pauli strings are valid by construction; a raw matrix is checked
         # once and kept as a read-only copy, so later changes to the
         # caller's array cannot reach the spec.  Its square, formed for the
@@ -115,15 +120,17 @@ class MeasurementSpec:
             object.__setattr__(self, "observable", m)
             object.__setattr__(self, "_square", square)
 
-    def with_phi(self, phi: float) -> "MeasurementSpec":
-        """The same measurement at strength ``phi``.  The copy shares the
-        checked observable (and a raw matrix's square) instead of forming
-        and checking them again.  It is copied through its ``__dict__``:
-        ``copy.copy`` took about three times as long, and every B(t) step of
-        a sequence is one such copy."""
+    def with_phi(self, phi: float, kind: str | None = None) -> "MeasurementSpec":
+        """The same measurement at strength ``phi``, and of ``kind`` if one
+        is given.  The copy shares the checked observable (and a raw
+        matrix's square) instead of forming and checking them again.  It is
+        copied through its ``__dict__``: ``copy.copy`` took about three
+        times as long, and every B(t) step of a sequence is one such copy."""
         spec = object.__new__(type(self))
         spec.__dict__.update(self.__dict__)
         object.__setattr__(spec, "phi", _validate_phi(phi))
+        if kind is not None:
+            object.__setattr__(spec, "kind", _validate_kind(kind))
         return spec
 
     def matrix(self) -> np.ndarray:
@@ -271,9 +278,7 @@ class DetectorConfig:
 def canonical_detector(kind: str) -> DetectorConfig:
     """The canonical detector: |x-> initial state, D = Y, and a z
     (informative) or y (noninformative) readout."""
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    basis = "z" if kind == INFORMATIVE else "y"
+    basis = "z" if _validate_kind(kind) == INFORMATIVE else "y"
     return DetectorConfig(
         initial_state=PureState(1, basis_ket("x-")),
         coupling_observable=PAULI_Y,

@@ -64,6 +64,8 @@ class PauliString:
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
         object.__setattr__(self, "factors", factors)
+        # (n_qubits, targets) -> the read-only (perm, d) of :meth:`action`.
+        object.__setattr__(self, "_actions", {})
 
     @classmethod
     def from_text(cls, text: str) -> "PauliString":
@@ -93,10 +95,13 @@ class PauliString:
         return not self.support
 
     def matrix(self) -> np.ndarray:
-        m = PAULIS[self.factors[0]]
-        for f in self.factors[1:]:
-            m = tensor(m, PAULIS[f])
-        return self.sign * m
+        """The ``complex128`` matrix, scattered from the signed permutation
+        (row i holds d[i] in column perm[i]); no Kronecker products."""
+        dim = 2**self.n_qubits
+        perm, d = self.action(self.n_qubits)
+        m = np.zeros((dim, dim), dtype=np.complex128)
+        m[np.arange(dim), perm] = d
+        return m
 
     def action(self, n_qubits: int, targets=None) -> tuple[np.ndarray, np.ndarray]:
         """Signed-permutation action on an ``n_qubits`` register.
@@ -105,14 +110,22 @@ class PauliString:
         ``targets`` (default: the whole register), ``(P X)[i] =
         d[i] X[perm[i]]`` and, P being Hermitian, ``(X P)[:, j] =
         conj(d[j]) X[:, perm[j]]``.  Built per factor in O(n 2^n) without
-        forming the matrix.  The signs ``d`` are ``float64`` for a string
-        with an even number of Y factors, and ``complex128`` otherwise.
+        forming the matrix, on the first call for a register size and
+        target tuple, and then shared: both arrays are read-only.  The
+        signs ``d`` are ``float64`` for a string with an even number of Y
+        factors, and ``complex128`` otherwise.
         """
         targets = _check_targets(n_qubits, range(n_qubits) if targets is None else targets)
         if len(targets) != self.n_qubits:
             raise ValueError(
                 f"{self.n_qubits}-qubit Pauli string got {len(targets)} target(s)"
             )
+        key = (n_qubits, targets)
+        if key not in self._actions:
+            self._actions[key] = self._build_action(n_qubits, targets)
+        return self._actions[key]
+
+    def _build_action(self, n_qubits: int, targets: tuple[int, ...]):
         index = np.arange(2**n_qubits)
         flip = 0
         y_count = self.factors.count("Y")
@@ -121,14 +134,16 @@ class PauliString:
         d = np.full(index.shape, self.sign * phase)
         for f, q in zip(self.factors, targets):
             shift = n_qubits - 1 - q
-            bit = (index >> shift) & 1
             if f in "XY":
                 flip |= 1 << shift
-            if f == "Y":  # Y[0, 1] = i, Y[1, 0] = -i: i (1 - 2 bit)
-                d *= 1 - 2 * bit
-            elif f == "Z":  # Z = diag(-1, +1)
-                d *= 2 * bit - 1
-        return index ^ flip, d
+            if f in "YZ":
+                bit = (index >> shift) & 1
+                # Y[0, 1] = i, Y[1, 0] = -i: i (1 - 2 bit); Z = diag(-1, +1)
+                d *= 1 - 2 * bit if f == "Y" else 2 * bit - 1
+        perm = index ^ flip
+        perm.flags.writeable = False
+        d.flags.writeable = False
+        return perm, d
 
     def commutes_with(self, other: "PauliString") -> bool:
         """True iff the two strings commute (they otherwise anticommute)."""

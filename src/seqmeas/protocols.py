@@ -1015,14 +1015,16 @@ def _heisenberg_protocol(
     for part in parts:
         if part not in _FIRST_KINDS:
             raise ValueError(f"part must be 'real' or 'imag', got {part!r}")
-    steps = [MeasureStep(MeasurementSpec(a, phis[0], _FIRST_KINDS[p])) for p in parts]
+    # One checked spec per observable; every step is a copy of it.
+    spec_a = MeasurementSpec(a, phis[0], INFORMATIVE)
     spec_b = MeasurementSpec(b, phis[1], INFORMATIVE)
+    steps = [MeasureStep(spec_a.with_phi(phis[0], _FIRST_KINDS[p])) for p in parts]
     for k, phi in enumerate(phis[1:], 1):
         # B(t) at the odd positions, the later A at the even ones.
         if k % 2:
             steps.append(_EvolvedStep(spec_b.with_phi(phi)))
         else:
-            steps.append(MeasureStep(MeasurementSpec(a, phi, INFORMATIVE)))
+            steps.append(MeasureStep(spec_a.with_phi(phi)))
     return _sequence_grid(initial, steps, len(parts), evolutions, mode, trials, seeds)
 
 

@@ -2,13 +2,17 @@
 
 Each suite draws its own deterministic random stream from (seed, suite
 index), evaluates one family of exact identities on random instances, and
-reports the worst residual against the suite tolerance.  A fixed seed
-yields a byte-identical report.
+reports the worst residual against the suite tolerance.  The suites are
+independent, so :func:`run_suites` runs them in parallel worker processes
+on the CPUs this process may use (in this process when it may use one).
+A fixed seed yields a byte-identical report whatever the number of CPUs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,12 +253,38 @@ _SUITES = (
 )
 
 
+def _run_suite(index: int, samples: int, seed: int) -> SuiteResult:
+    return _SUITES[index](samples, np.random.default_rng([seed, index]))
+
+
+def _usable_cpus() -> int:
+    # Platforms without an affinity mask (it is Linux-only) run in-process.
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def run_suites(samples: int = 100, seed: int = 0) -> list[SuiteResult]:
-    """Run every suite on deterministic per-suite random streams."""
-    return [
-        suite(samples, np.random.default_rng([seed, index]))
-        for index, suite in enumerate(_SUITES)
-    ]
+    """Run every suite on its own random stream, ``default_rng([seed,
+    index])``, and return the results in suite order.
+
+    The suites run in one worker process per usable CPU, up to one per
+    suite, taken in suite order; on one CPU they run in this process.
+    Each result depends on its stream alone, so the worker count cannot
+    change it.  The workers are forked: they start without importing
+    numpy again, and run the modules as this process holds them (patched
+    ones included).  An exception raised in a suite reaches the caller
+    with its own type and message.
+    """
+    run = functools.partial(_run_suite, samples=samples, seed=seed)
+    workers = min(len(_SUITES), _usable_cpus())
+    if workers < 2:
+        return [run(index) for index in range(len(_SUITES))]
+    # Imported here: a one-CPU run and the import of this module skip them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        return list(pool.map(run, range(len(_SUITES))))
 
 
 def format_report(results, samples: int, seed: int) -> str:

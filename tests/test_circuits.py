@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import random_pauli
+from helpers import random_pauli, random_unitary
 from scipy.linalg import expm
 
 from seqmeas import (
@@ -13,6 +13,7 @@ from seqmeas import (
     MeasurementSpec,
     PauliString,
     distance_up_to_phase,
+    embed,
     induced_kraus,
     kraus_pair,
     synthesize_measurement_circuit,
@@ -37,6 +38,44 @@ class TestCircuit:
     def test_custom_gate(self):
         g = Gate("custom", (0,), matrix_override=PAULI_X)
         np.testing.assert_array_equal(g.matrix(), PAULI_X)
+
+    @staticmethod
+    def _embedded_product(c):
+        u = np.eye(2**c.n_qubits, dtype=np.complex128)
+        for g in c.gates:
+            u = embed(g.matrix(), c.n_qubits, g.targets) @ u
+        return u
+
+    def test_unitary_equals_embedded_product_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        seen = set()
+        for _ in range(120):
+            n = int(rng.integers(1, 4))
+            gateset = ("cz", "zx90")[int(rng.integers(2))]
+            kind = ("informative", "noninformative")[int(rng.integers(2))]
+            phi = float(rng.uniform(0.05, math.pi / 2))
+            mc = synthesize_measurement_circuit(random_pauli(rng, n), phi, kind, gateset)
+            u = mc.circuit.unitary()
+            assert u.dtype == np.complex128
+            np.testing.assert_array_equal(u, self._embedded_product(mc.circuit))
+            seen.add(gateset)
+        assert seen == {"cz", "zx90"}
+
+    def test_custom_gates_on_reversed_targets_bit_for_bit(self):
+        # Dense gates on reversed and non-adjacent targets: each entry sums
+        # every term of the gate, so the order of the sum must match too.
+        rng = np.random.default_rng(32)
+        for _ in range(40):
+            n = int(rng.integers(3, 6))
+            gates = []
+            for k in (2, 3, 2, 1, 3):
+                targets = tuple(int(q) for q in rng.permutation(n)[:k])
+                gates.append(Gate("custom", targets, matrix_override=random_unitary(rng, 2**k)))
+            gates.append(Gate("custom", (n - 1, 0), matrix_override=random_unitary(rng, 4)))
+            c = Circuit(n, tuple(gates))
+            u = c.unitary()
+            assert u.dtype == np.complex128
+            np.testing.assert_array_equal(u, self._embedded_product(c))
 
     def test_gate_validation(self):
         with pytest.raises(ValueError):

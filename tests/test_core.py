@@ -1,5 +1,6 @@
 """Core register algebra: tensor, embedding, expectation, partial trace."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -136,6 +137,46 @@ class TestEmbedAndApply:
             assert full.dtype == np.float64
             np.testing.assert_array_equal(full, np.kron(np.kron(np.eye(2), z), np.eye(2)))
         assert embed(PAULI_Y, 3, [1]).dtype == np.complex128
+
+    def test_embed_equals_kron_bit_for_bit(self):
+        # The kron-then-transpose reference: every ordered target tuple at
+        # n <= 4, real and complex operators holding signed zeros, compared
+        # entry for entry, dtype and sign bits of both parts included.  On
+        # the whole register in slot order embed returns the operator
+        # itself, whose zeros keep their signs (a complex product by
+        # kron's identity can flip them).
+        rng = np.random.default_rng(21)
+
+        def kron_embed(op, n, targets):
+            rest = [q for q in range(n) if q not in targets]
+            full = np.kron(op, np.eye(2 ** len(rest), dtype=op.dtype))
+            pos = {q: i for i, q in enumerate([*targets, *rest])}
+            perm = [pos[q] for q in range(n)] + [n + pos[q] for q in range(n)]
+            return full.reshape([2] * (2 * n)).transpose(perm).reshape(2**n, 2**n)
+
+        def signed(dim, complex_):
+            values = np.array([0.0, -0.0, 1.5, -0.25])
+            op = rng.choice(values, size=(dim, dim))
+            if complex_:
+                op = op + 1j * rng.choice(values, size=(dim, dim))
+                op.imag[0, 0] = 0.5  # keep the operator complex
+            return op
+
+        seen = 0
+        for n in range(1, 5):
+            for k in range(1, n + 1):
+                for targets in itertools.permutations(range(n), k):
+                    for complex_ in (False, True):
+                        op = signed(2**k, complex_)
+                        got, ref = embed(op, n, targets), kron_embed(op, n, targets)
+                        assert got.dtype == ref.dtype == op.dtype
+                        np.testing.assert_array_equal(got, ref)
+                        if targets == tuple(range(n)):
+                            ref = op
+                        np.testing.assert_array_equal(np.signbit(got.real), np.signbit(ref.real))
+                        np.testing.assert_array_equal(np.signbit(got.imag), np.signbit(ref.imag))
+                        seen += 1
+        assert seen == 2 * (1 + 4 + 15 + 64)
 
     def test_embedding_matches_manual_kron(self):
         rng = np.random.default_rng(2)

@@ -452,6 +452,23 @@ class TestKrausPairType:
                         assert got[a].dtype == np.complex128
                         assert max_abs(got[a] - ref[a]) <= 1e-15
 
+    def test_with_phi_copies_strength_and_kind_without_a_check(self, monkeypatch):
+        import seqmeas.measurement as measurement_mod
+
+        z = np.diag([-1.0, 1.0])
+        spec = MeasurementSpec(z, 0.5, "informative")
+        checks = []
+        monkeypatch.setattr(measurement_mod, "_raw_observable", checks.append)
+        copy = spec.with_phi(0.9, "noninformative")
+        assert (copy.phi, copy.kind) == (0.9, "noninformative")
+        assert copy.observable is spec.observable and copy._square is spec._square
+        assert spec.with_phi(0.7).kind == "informative"
+        assert not checks
+        with pytest.raises(ValueError, match="kind"):
+            spec.with_phi(0.9, "strong")
+        with pytest.raises(ValueError, match="phi"):
+            spec.with_phi(0.0, "informative")
+
     def test_rejects_non_involutory_observable(self):
         with pytest.raises(ValueError, match="identity"):
             MeasurementSpec(np.diag([2.0, 1.0]), 0.5, "informative")

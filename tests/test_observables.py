@@ -1,5 +1,7 @@
 """Pauli strings, rotations, entanglers, and the ancilla coupling."""
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +18,7 @@ from seqmeas import (
     rotation_gate,
     tensor,
 )
-from seqmeas.observables import PAULI_Y, basis_ket
+from seqmeas.observables import PAULI_Y, PAULIS, basis_ket
 
 
 class TestPauliString:
@@ -104,6 +106,28 @@ class TestPauliString:
     def test_action_signs_are_real_for_an_even_number_of_y(self):
         for text, dtype in (("+XZI", np.float64), ("+YYI", np.float64), ("+IYZ", np.complex128)):
             assert PauliString.from_text(text).action(3)[1].dtype == dtype
+
+    def test_matrix_equals_kron_of_factors(self):
+        for n in range(1, 4):
+            for factors in itertools.product("IXYZ", repeat=n):
+                for sign in (1, -1):
+                    p = PauliString(factors, sign)
+                    ref = sign * functools.reduce(np.kron, (PAULIS[f] for f in factors))
+                    m = p.matrix()
+                    assert m.dtype == np.complex128
+                    np.testing.assert_array_equal(m, ref)
+
+    def test_action_is_built_once_and_read_only(self):
+        p = PauliString.from_text("-XYZ")
+        for n, targets in ((3, None), (5, (4, 0, 2))):
+            perm, d = p.action(n, targets)
+            again = p.action(n, targets)
+            assert again[0] is perm and again[1] is d
+            assert not perm.flags.writeable and not d.flags.writeable
+            with pytest.raises(ValueError):
+                d[0] = 0
+        # Each (register size, targets) pair has its own arrays.
+        assert p.action(5, (4, 0, 2))[0] is not p.action(5, (0, 2, 4))[0]
 
     def test_action_target_validation(self):
         p = PauliString(("X", "Z"))

@@ -1001,6 +1001,61 @@ class TestSharedParts:
         firsts = [call for calls in transfers for call in calls if call[0].phi == phis[0]]
         assert len(firsts) == (0 if route == "sampled" else len(self.PARTS))
 
+    @pytest.mark.parametrize("count", [2, 4])
+    @pytest.mark.parametrize(
+        "route", ["vector", "pure eigenbasis", "eigenbasis", "density", "sampled"]
+    )
+    def test_builds_each_action_once(self, monkeypatch, route, count):
+        # The grid of test_gathers_each_action_once: however often a string
+        # is gathered, its signed permutation is built once per register
+        # size and target tuple, and a repeat call returns the same
+        # read-only arrays.
+        builds = counting_patch(monkeypatch, PauliString, "_build_action")
+        rng = np.random.default_rng(74)
+        n = 3
+        pure = route in ("vector", "pure eigenbasis", "sampled")
+        initial = random_pure_state(rng, n) if pure else random_density(rng, n)
+        grid = _grid_propagators(random_hermitian(rng, 2**n), [0.3, 0.9, 1.4])
+        if route == "vector":
+            grid = grid[:2]
+        elif route == "density":
+            grid = [u.matrix for u in grid]
+        kwargs = {}
+        if route == "sampled":
+            kwargs = {"mode": "sampled", "trials": 50, "seeds": [(1, 2), (3, 4), (5, 6)]}
+        a, b = random_pauli(rng, n), random_pauli(rng, n)
+        phis = [0.5, 0.6, 0.7, 0.8][:count]
+        protocols_mod._heisenberg_protocol(initial, a, b, count, grid, self.PARTS, phis, **kwargs)
+        keys = [(id(p), size, targets) for p, size, targets in builds]
+        assert len(keys) == len(set(keys))
+        assert {p for p, _, _ in builds} == {a, b}
+        for p, size, targets in list(builds):
+            perm, d = p.action(size, targets)
+            again = p.action(size, targets)
+            assert again[0] is perm and again[1] is d
+            assert not (perm.flags.writeable or d.flags.writeable)
+        assert len(builds) == len(keys)
+
+    def test_checks_a_raw_a_once_per_call(self, monkeypatch):
+        # A raw-matrix A is checked (Hermiticity and the square) once per
+        # call, and each of its steps is a copy of that spec; every other
+        # check is a B(t), one per time point, or, on the eigenbasis route,
+        # the later A carried into the frame.
+        checks = counting_patch(monkeypatch, measurement_mod, "_raw_observable")
+        rng = np.random.default_rng(75)
+        n = 3
+        rho = random_density(rng, n)
+        a, b = random_pauli(rng, n).matrix(), random_pauli(rng, n)
+        grid = _grid_propagators(random_hermitian(rng, 2**n), [0.3, 0.9, 1.4])
+        phis = [0.5, 0.6, 0.7, 0.8]
+        one = protocols_mod._heisenberg_protocol(rho, a, b, 4, grid[:1], self.PARTS, phis)
+        assert len(checks) == 2
+        checks.clear()
+        rows = protocols_mod._heisenberg_protocol(rho, a, b, 4, grid, self.PARTS, phis)
+        assert len(checks) == 5
+        for got, ref in zip(rows[0], one[0]):
+            assert abs(got.value - ref.value) <= 1e-12
+
     def test_sampled_needs_one_seed_per_part(self):
         rho = DensityMatrix.maximally_mixed(1)
         z = PauliString(("Z",))
