@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import embed, is_unitary  # noqa: F401  embed: perfbench/spans.py traces it by this name
-from .measurement import _validate_phi
+from .measurement import _validate_kind, _validate_phi
 from .observables import PauliString, basis_ket, entangling_gate, rotation_gate
 
 ROTATIONS = ("rx", "ry", "rz")
@@ -204,8 +204,7 @@ def synthesize_measurement_circuit(
     if a.is_identity():
         raise ValueError("cannot synthesize a measurement of the identity")
     phi = _validate_phi(phi)
-    if kind not in ("informative", "noninformative"):
-        raise ValueError(f"unknown measurement kind {kind!r}")
+    _validate_kind(kind)
     gateset = gateset.lower()
     if gateset not in ENTANGLERS:
         raise ValueError(f"unknown gateset {gateset!r}")

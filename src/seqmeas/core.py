@@ -76,10 +76,11 @@ def identity_deviation(m: np.ndarray) -> float:
 
 
 def is_unitary(m: np.ndarray, tol: float = CHECK_TOL) -> bool:
-    """max |m^dag m - 1| <= ``tol`` for a square ``m``; a real ``m`` (such
-    as the eigenbasis of a real H) is checked in real arithmetic."""
+    """max |m^dag m - 1| <= ``tol`` for a square ``m``, and False for any
+    other shape; a real ``m`` (such as the eigenbasis of a real H) is
+    checked in real arithmetic."""
     m = _as_real_or_complex(m)
-    if m.shape[0] != m.shape[1]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     return identity_deviation(matmul(m.conj().T, m)) <= tol
 

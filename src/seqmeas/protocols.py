@@ -3,8 +3,9 @@
 Every Kraus operator has the form K_a = c0 1 + c1 B, so K_a X K_a^dag is
 w0 X + w1 X B + w2 B X + w3 B X B with per-outcome weights w.  So the
 engine needs B only by its action x -> B x on dim x k blocks: a signed row
-gather for a Pauli string P (O(dim k), no dense Kraus matrix), a product
-for a raw observable matrix, and for B(t) on the pure-state routes a map
+gather for a Pauli string P (O(dim k), no dense Kraus matrix) or a product
+for a raw observable matrix, both built by one constructor
+(:func:`_measurement`), and for B(t) on the pure-state routes a map
 through the propagator.  Every state and effect the engine maps is
 Hermitian, so XB = (BX)^dag and BXB = B (BX)^dag: BX costs one action and
 BXB one more, and one formula (:meth:`_Measurement.maps`) serves every
@@ -78,6 +79,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum
@@ -234,9 +236,9 @@ class _Measurement:
     ``weights`` the per-outcome weights of X, XB, BX, BXB and
     ``transfer_weights`` their alpha-weighted sum W = sum_a alpha_a w_a,
     the weights of the transfer map.  ``left`` is a signed row gather for a
-    Pauli string (:func:`_signed_rows`), a product for a raw observable
-    matrix (:func:`_dense_measurement`) and, on the pure-state routes, the
-    action of B(t) (:func:`_heisenberg_action`).
+    Pauli string (:func:`_signed_rows`) or a product for a raw observable
+    matrix, both built by :func:`_measurement`, and, on the pure-state
+    routes, the action of B(t) (:func:`_heisenberg_action`).
 
     ``dense`` = (B, B^2) is given for a raw observable matrix only: then
     completeness, sum_a K_a^dag K_a = sum_a w0 1 + (w1 + w2) B + w3 B^2
@@ -380,50 +382,50 @@ def _signed_rows(perm, d):
     return left
 
 
-def _dense_measurement(spec: MeasurementSpec, b=None, b_sq=None) -> _Measurement:
-    """The measurement of a raw observable matrix: B and B^2 are ``spec``'s
-    checked observable and square, or ``b`` and ``b_sq``, the two embedded
-    on the register.  B keeps the dtype its spec gave it, so the
-    products of a real B with a complex X run in real arithmetic
-    (``matmul``)."""
-    if b is None:
-        b, b_sq = spec.observable, spec._square
+def _measurement(spec: MeasurementSpec, n: int, targets) -> _Measurement:
+    """The measurement of ``spec`` on ``targets`` of an ``n``-qubit
+    register, the one constructor of a static measure step.  A Pauli string
+    acts by its signed row gather (:func:`_signed_rows`), built once per
+    register size and targets by the string itself.  A raw observable acts
+    by a product with its checked matrix, kept with the square its spec
+    formed, both embedded unless ``targets`` is the whole register in slot
+    order; B keeps the dtype its spec gave it, so the products of a real B
+    with a complex X run in real arithmetic (``matmul``)."""
+    targets = tuple(targets)
+    if isinstance(spec.observable, PauliString):
+        return _Measurement(spec, _signed_rows(*spec.observable.action(n, targets)))
+    b, b_sq = spec.observable, spec._square
+    if targets != tuple(range(n)):
+        b, b_sq = embed(b, n, targets), embed(b_sq, n, targets)
     return _Measurement(spec, functools.partial(matmul, b), (b, b_sq))
 
 
 def _resolve_steps(initial: DensityMatrix | PureState, steps):
     """Resolve the sequence to the measurements that act on the register.
 
-    A measurement becomes a :class:`_Measurement` whose ``left`` is the
-    signed row gather of a Pauli string (:func:`_signed_rows`) or, for a
-    raw observable matrix, a product with the matrix, which is kept with
-    the square its spec formed when it was checked, both embedded on the
-    targets (:func:`_dense_measurement`).  Measurements of the same Pauli
-    string on the same targets share one gather.  After an evolution it
-    measures B(t) = V^dag B V instead, with V the product of the evolutions
-    so far: :func:`heisenberg` builds B(t) into a new spec, which checks
-    it, for a raw observable's measurement.  Every measurement maps a
-    density matrix with any list of weight tuples (``maps``), which gives
-    the children K_a X K_a^dag, the transfer map and their adjoints, and
-    forms the effect E^dag(1) of the last measurement from B and B^2.
-    Evolutions after the last
-    measurement are shape-checked and dropped, as they preserve every
-    trace.  A sequence without measurements is rejected, and so is any
-    step that is neither a :class:`MeasureStep` nor an :class:`EvolveStep`,
-    such as the builder's :class:`_EvolvedStep`: :func:`_sequence_grid`
-    takes those out and resolves the rest once per grid.
+    Each measurement becomes a :class:`_Measurement` on its targets
+    (:func:`_measurement`).  After an evolution it measures B(t) = V^dag B V
+    instead, with V the product of the evolutions so far:
+    :func:`heisenberg` builds B(t) into a new spec, which checks it, for a
+    raw observable's measurement on the whole register.  Every measurement
+    maps a density matrix with any list of weight tuples (``maps``), which
+    gives the children K_a X K_a^dag, the transfer map and their adjoints,
+    and forms the effect E^dag(1) of the last measurement from B and B^2.
+    Evolutions after the last measurement are shape-checked and dropped, as
+    they preserve every trace.  A sequence without measurements is
+    rejected, and so is any step that is neither a :class:`MeasureStep` nor
+    an :class:`EvolveStep`, such as the builder's :class:`_EvolvedStep`:
+    :func:`_sequence_grid` takes those out and resolves the rest once per
+    grid.
     """
     n = initial.n_qubits
     dim = 2**n
     resolved = []
-    actions = {}
     v = None
     for step in steps:
         if isinstance(step, MeasureStep):
             spec = step.spec
-            targets = step.targets
-            if targets is None:
-                targets = tuple(range(n))
+            targets = range(n) if step.targets is None else step.targets
             if len(targets) != spec.n_qubits:
                 raise ValueError(
                     f"measurement of a {spec.n_qubits}-qubit observable "
@@ -433,17 +435,8 @@ def _resolve_steps(initial: DensityMatrix | PureState, steps):
                 spec = MeasurementSpec(
                     heisenberg(spec.observable, v, targets), spec.phi, spec.kind
                 )
-                resolved.append(_dense_measurement(spec))
-            elif isinstance(spec.observable, PauliString):
-                key = (spec.observable, targets)
-                if key not in actions:
-                    actions[key] = _signed_rows(*spec.observable.action(n, targets))
-                resolved.append(_Measurement(spec, actions[key]))
-            else:
-                b, b_sq = spec.matrix(), spec._square
-                if step.targets is not None:
-                    b, b_sq = embed(b, n, targets), embed(b_sq, n, targets)
-                resolved.append(_dense_measurement(spec, b, b_sq))
+                targets = range(n)
+            resolved.append(_measurement(spec, n, targets))
         elif isinstance(step, EvolveStep):
             if step.unitary.shape != (dim, dim):
                 raise ValueError(
@@ -455,7 +448,7 @@ def _resolve_steps(initial: DensityMatrix | PureState, steps):
             raise TypeError(f"unknown sequence step {step!r}")
     if not resolved:
         raise ValueError("sequence contains no measurements")
-    return resolved, tuple(s.phi for s in resolved)
+    return resolved
 
 
 def _effects(rest, branches, dim, z=None, index=0, stride=1):
@@ -557,7 +550,7 @@ def sequence_distribution(
     is its alpha product in forward order.
     """
     rho = initial.density() if isinstance(initial, PureState) else initial
-    resolved, _ = _resolve_steps(rho, steps)
+    resolved = _resolve_steps(rho, steps)
     first, rest = resolved[0], resolved[1:]
     (probs,) = _leaf_probabilities(first.maps(rho.matrix, first.weights), rest, rho.dim)
     outcomes = itertools.product((0, 1), repeat=len(resolved))
@@ -643,8 +636,10 @@ def trial_uniforms(seed: int, trials: int, draws: int) -> np.ndarray:
 
     Counter-based (Philox keyed by ``seed``): row k is a pure function of
     (seed, k), so per-trial streams are independent of execution order.
-    ``seed`` must lie in [0, 2^64).
+    ``seed`` must be an integer (``operator.index``; a float raises
+    ``TypeError``) in [0, 2^64).
     """
+    seed = operator.index(seed)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
@@ -679,9 +674,11 @@ def _sampled_estimate(resolved, probs, trials: int, seed: int) -> CorrelatorEsti
     deviation from the mean is at most (2 w_max)^2 and the sum of the N
     squared deviations at most N w_max^2.  Both must be finite floats, else
     :class:`NumericalInvariantError` is raised before any trial is drawn;
-    so is ``ValueError`` for ``trials`` outside [1, ``MAX_TRIALS``].
+    so is ``TypeError`` for ``trials`` that is not an integer
+    (``operator.index``) and ``ValueError`` for ``trials`` outside [1,
+    ``MAX_TRIALS``].
     """
-    trials = int(trials)
+    trials = operator.index(trials)
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must lie in [1, 2**53], got {trials}")
     m = len(resolved)
@@ -866,8 +863,8 @@ def _sequence_grid(initial, steps, parts, evolutions, mode, trials, seeds):
     * vector: a pure state psi on a shorter grid (every one-point
       :func:`toc` and :func:`otoc` call), or on propagators of several
       spectra.  The first transfers are factor pairs of E_1(psi psi^dag).
-      B's action is resolved with the other steps, and a time point applies
-      B(t) through the propagator's spectrum, four products
+      B's action is built once per grid (:func:`_measurement`), and a time
+      point applies B(t) through the propagator's spectrum, four products
       (:func:`_heisenberg_action`, which checks B(t)^2 = 1 on psi), so
       neither U nor B(t) is formed.
     * density: a pure state is converted to its density matrix.  A time
@@ -876,7 +873,8 @@ def _sequence_grid(initial, steps, parts, evolutions, mode, trials, seeds):
 
     A dense B(t) or B~(t) goes into one spec, which checks it Hermitian
     with B(t)^2 = 1 to 1e-10; the B(t)^2 it forms serves every B(t) step,
-    and each dense B(t) measurement checks completeness.
+    and each dense B(t) measurement (:func:`_measurement` on the whole
+    register) checks completeness.
     """
     evolutions = list(evolutions)
     if seeds is None:
@@ -904,7 +902,8 @@ def _sequence_grid(initial, steps, parts, evolutions, mode, trials, seeds):
     slots = [k for k, s in enumerate(steps) if isinstance(s, _EvolvedStep)] if timed else []
     evolved = [steps[k].spec for k in slots]
     static = [s for k, s in enumerate(steps) if k not in slots] if slots else steps
-    dim = 2**initial.n_qubits
+    n = initial.n_qubits
+    dim = 2**n
     if evolved:
         for shape in (np.shape(getattr(u, "evecs", u)) for u in evolutions):
             if shape != (dim, dim):
@@ -935,15 +934,13 @@ def _sequence_grid(initial, steps, parts, evolutions, mode, trials, seeds):
             framed = heisenberg(s.spec.observable, evecs, s.targets)
             static[k] = MeasureStep(dataclasses.replace(s.spec, observable=framed))
             del framed  # the spec keeps its own checked copy
+    resolved = _resolve_steps(initial, static)
     if pure and evolved:
         b_specs = [evolved[0].with_phi(s.phi) for s in evolved]
-        if vector:
-            # One resolve for B too, so that a Pauli B shares its signed
-            # permutation with any other measurement of it.
-            static.append(MeasureStep(evolved[0]))
-    resolved, _ = _resolve_steps(initial, static)
-    if vector and evolved:
-        apply_b = resolved.pop().left
+        if frame:
+            apply_b = functools.partial(matmul, b_frame)
+        else:
+            apply_b = _measurement(evolved[0], n, range(n)).left
     firsts, static_rest = resolved[:parts], resolved[parts:]
     if exact:
         if pure:
@@ -966,11 +963,7 @@ def _sequence_grid(initial, steps, parts, evolutions, mode, trials, seeds):
         # Every array built here is freed when the point is done.
         rest, b_steps = list(static_rest), []
         if pure and evolved:
-            if frame:
-                apply_u, apply_b_t = _phase_action(u), functools.partial(matmul, b_frame)
-            else:
-                apply_u, apply_b_t = u.apply, apply_b
-            apply = _heisenberg_action(apply_b_t, apply_u, psi)
+            apply = _heisenberg_action(apply_b, _phase_action(u) if frame else u.apply, psi)
             b_steps = [_Measurement(s, apply) for s in b_specs]
         elif evolved:
             if frame:
@@ -979,7 +972,7 @@ def _sequence_grid(initial, steps, parts, evolutions, mode, trials, seeds):
                 b_t = heisenberg(evolved[0].observable, _evolution_matrix(u))
             spec = MeasurementSpec(b_t, evolved[0].phi, evolved[0].kind)
             del b_t  # the spec keeps its own checked copy
-            b_steps = [_dense_measurement(spec.with_phi(s.phi)) for s in evolved]
+            b_steps = [_measurement(spec.with_phi(s.phi), n, range(n)) for s in evolved]
         for k, step in zip(slots, b_steps):
             rest.insert(k - parts, step)
         if exact:

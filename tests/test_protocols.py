@@ -753,7 +753,7 @@ class TestBackwardDensityRoute:
         rng = np.random.default_rng(70 if last == "pauli" else 71)
         for _ in range(40):
             rho, steps = random_sequence(rng, last, int(rng.integers(1, 6)))
-            resolved, _ = protocols_mod._resolve_steps(rho, steps)
+            resolved = protocols_mod._resolve_steps(rho, steps)
             ref = forward_transfer_reference(rho, resolved)
             assert abs(nested_estimate(rho, steps).value - ref.real) <= 1e-12
 
@@ -761,11 +761,11 @@ class TestBackwardDensityRoute:
         rng = np.random.default_rng(72)
         for _ in range(30):
             rho, steps = random_sequence(rng, "raw", int(rng.integers(2, 6)))
-            resolved, _ = protocols_mod._resolve_steps(rho, steps)
+            resolved = protocols_mod._resolve_steps(rho, steps)
             other_rho, other_steps = random_sequence(rng, "pauli", 1)
             while other_rho.n_qubits != rho.n_qubits:
                 other_rho, other_steps = random_sequence(rng, "pauli", 1)
-            (other,), _ = protocols_mod._resolve_steps(rho, other_steps)
+            (other,) = protocols_mod._resolve_steps(rho, other_steps)
             firsts, rest = [resolved[0], other], resolved[1:]
             starts = [first.transfer(rho.matrix) for first in firsts]
             values = protocols_mod._transfer_values(starts, rest, rho.dim)
@@ -801,7 +801,7 @@ class TestBackwardDensityRoute:
         # The public step API takes MeasureStep and EvolveStep only; the
         # engine's resolved measurements do not pass through it.
         rho = DensityMatrix.from_label("01")
-        (resolved,), _ = protocols_mod._resolve_steps(
+        (resolved,) = protocols_mod._resolve_steps(
             rho, [meas(PauliString(("Z", "Z")), 0.7)]
         )
         for mode in ("exact", "sampled"):
@@ -961,9 +961,9 @@ class TestSharedParts:
         "route", ["vector", "pure eigenbasis", "eigenbasis", "density", "sampled"]
     )
     def test_gathers_each_action_once(self, monkeypatch, route, count):
-        # Only B(t) depends on the time, so A's signed permutation and each
-        # part's first transfer are built once per grid on every route.
-        gathers = counting_patch(monkeypatch, PauliString, "action")
+        # Only B(t) depends on the time, so each part's first transfer is
+        # built once per grid on every route (the signed permutations are
+        # pinned by test_builds_each_action_once).
         transfers = [
             counting_patch(monkeypatch, protocols_mod._Measurement, name)
             for name in ("transfer", "transfer_factors")
@@ -990,14 +990,6 @@ class TestSharedParts:
         assert len(rows) == len(grid)
         assert len(phase_maps) == (len(grid) if route == "pure eigenbasis" else 0)
         assert len(phase_scalings) == (len(grid) if route == "eigenbasis" else 0)
-        a_gathers = sum(call[0] is a for call in gathers)
-        b_gathers = sum(call[0] is b for call in gathers)
-        # The eigenbasis routes carry the later A into the frame by a
-        # second gather; the density route forms B(t) = (BU)^dag U from the
-        # gather BU at every point (dynamics.heisenberg).
-        frame = route in ("eigenbasis", "pure eigenbasis")
-        assert a_gathers == (2 if frame and count == 4 else 1)
-        assert b_gathers == (len(grid) if route in ("density", "sampled") else 1)
         firsts = [call for calls in transfers for call in calls if call[0].phi == phis[0]]
         assert len(firsts) == (0 if route == "sampled" else len(self.PARTS))
 
@@ -1508,7 +1500,7 @@ class TestDenseMaps:
             b = random_involution(rng, n)
             for kind in ("informative", "noninformative"):
                 spec = MeasurementSpec(b, float(rng.uniform(0.2, PI / 2)), kind)
-                m = protocols_mod._dense_measurement(spec)
+                m = protocols_mod._measurement(spec, n, range(n))
                 lefts = counting_patch(monkeypatch, m, "left")
                 x = random_density(rng, n).matrix
                 weights = [
@@ -1541,7 +1533,7 @@ class TestDenseMaps:
             spec = MeasurementSpec(b, float(rng.uniform(0.2, PI / 2)), "informative")
             assert spec.observable.dtype == np.float64
             assert spec._square.dtype == np.float64
-            m = protocols_mod._dense_measurement(spec)
+            m = protocols_mod._measurement(spec, n, range(n))
             b_dense, b_sq = m.dense
             assert b_dense.dtype == np.float64 and b_dense.flags.c_contiguous
             assert b_sq.dtype == np.float64
@@ -1571,7 +1563,7 @@ class TestUnifiedMeasurement:
                 "signed rows": protocols_mod._Measurement(
                     spec, protocols_mod._signed_rows(*p.action(n))
                 ),
-                "dense": protocols_mod._dense_measurement(MeasurementSpec(pm, phi, kind)),
+                "dense": protocols_mod._measurement(MeasurementSpec(pm, phi, kind), n, range(n)),
                 "left": protocols_mod._Measurement(spec, lambda y: pm @ y),
             }
             x = random_hermitian(rng, dim)
@@ -1595,6 +1587,63 @@ class TestUnifiedMeasurement:
             rows = ways["signed rows"]
             assert np.array_equal(rows.left(np.identity(dim, dtype=complex)), pm)
             assert rows.dense is None and ways["dense"].dense is not None
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_raw_observable_embeds_off_the_whole_register(self, monkeypatch, n):
+        # A raw observable is embedded only when its targets are not the
+        # whole register in slot order: the default targets and range(n)
+        # give the same measurement bit for bit, with no embed, while a
+        # reversed register and a strict subset act as the embedded matrix.
+        rng = np.random.default_rng(110 + n)
+        dim = 2**n
+        x = random_hermitian(rng, dim)
+        l, r = (rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2)) for _ in "lr")
+        rho, later = random_density(rng, n), meas(random_pauli(rng, n), 0.8)
+
+        def forms(m):
+            weights = [*m.weights, m.transfer_weights]
+            return (*m.maps(x, weights), *(m.effect(w, dim) for w in weights),
+                    m.factor_trace((l, r)))
+
+        def check_estimate(step):
+            for initial in (rho, random_pure_state(rng, n)):
+                steps = [step, later]
+                ref = dense_reference_transfer(
+                    initial.density() if isinstance(initial, PureState) else initial, steps
+                )
+                assert abs(nested_estimate(initial, steps).value - ref.real) <= 1e-12
+
+        b = random_involution(rng, n)
+        spec = MeasurementSpec(b, 0.7, "noninformative")
+        embeds = counting_patch(monkeypatch, protocols_mod, "embed")
+        whole = []
+        for targets in (None, tuple(range(n))):
+            (m,) = protocols_mod._resolve_steps(rho, [MeasureStep(spec, targets)])
+            whole.append(forms(m))
+            check_estimate(MeasureStep(spec, targets))
+        assert embeds == []
+        for got, ref in zip(*whole):
+            assert np.array_equal(got, ref)
+
+        reversed_targets = tuple(range(n))[::-1]
+        k = n - 1
+        sub = MeasurementSpec(random_involution(rng, k), 1.1, "informative")
+        subset = tuple(int(q) for q in rng.permutation(n)[:k])
+        for step in (MeasureStep(spec, reversed_targets), MeasureStep(sub, subset)):
+            b_full = embed(step.spec.observable, n, step.targets)
+            assert not np.allclose(b_full, b)
+            embeds.clear()
+            (m,) = protocols_mod._resolve_steps(rho, [step])
+            assert len(embeds) == 2  # B and B^2
+            weights = [*m.weights, m.transfer_weights]
+            for w, g in zip(weights, m.maps(x, weights)):
+                assert np.max(np.abs(g - four_term_reference(x, b_full, w))) <= 1e-14
+            for w in weights:
+                ref = four_term_reference(np.eye(dim), b_full, protocols_mod._adjoint(w))
+                assert np.max(np.abs(m.effect(w, dim) - ref)) <= 1e-14
+            ref = four_term_reference(l @ r.conj().T, b_full, m.transfer_weights)
+            assert abs(m.factor_trace((l, r)) - np.trace(ref)) <= 1e-13
+            check_estimate(step)
 
 
 class TestRmsBound:

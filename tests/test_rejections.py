@@ -18,6 +18,7 @@ from seqmeas import (
     NumericalInvariantError,
     PauliString,
     PureState,
+    apply_unitary,
     calibrate_generalized_eigenvalues,
     canonical_detector,
     embed,
@@ -27,6 +28,8 @@ from seqmeas import (
     otoc_value,
     partial_trace,
     rotation_gate,
+    sample_protocol,
+    synthesize_measurement_circuit,
     weak_value,
 )
 from seqmeas.measurement import outcome_sign
@@ -58,6 +61,24 @@ def _heisenberg_protocol(**kwargs):
 CASES = {
     "EvolveStep non-unitary": (
         lambda: EvolveStep(2 * np.eye(2)), ValueError, "not unitary to 1e-10"),
+    "EvolveStep 1-D unitary": (
+        lambda: EvolveStep(np.ones(4)), ValueError, "not unitary to 1e-10"),
+    "EvolveStep 0-D unitary": (
+        lambda: EvolveStep(np.array(1.0)), ValueError, "not unitary to 1e-10"),
+    "apply_unitary 1-D unitary": (
+        lambda: apply_unitary(RHO, np.ones(4)), ValueError, "not unitary to 1e-10"),
+    "sample_protocol float trials": (
+        lambda: sample_protocol(RHO, STEPS, 10.7, 3),
+        TypeError, "cannot be interpreted as an integer"),
+    "sample_protocol float seed": (
+        lambda: sample_protocol(RHO, STEPS, 10, 3.7),
+        TypeError, "cannot be interpreted as an integer"),
+    "nested_estimate sampled float trials": (
+        lambda: nested_estimate(RHO, STEPS, mode="sampled", trials=10.7, seed=3),
+        TypeError, "cannot be interpreted as an integer"),
+    "nested_estimate sampled float seed": (
+        lambda: nested_estimate(RHO, STEPS, mode="sampled", trials=10, seed=3.7),
+        TypeError, "cannot be interpreted as an integer"),
     "nested_estimate unknown mode": (
         lambda: nested_estimate(RHO, STEPS, mode="fast"), ValueError, "unknown mode 'fast'"),
     "nested_estimate sampled without seed": (
@@ -136,6 +157,9 @@ CASES = {
     "oracle_nested mismatched lengths": (
         lambda: oracle_nested(RHO, [Z, Z], ["informative"]),
         ValueError, "observables and kinds must have equal length"),
+    "synthesize_measurement_circuit bad kind": (
+        lambda: synthesize_measurement_circuit(Z, 1.0, "weak", "cz"),
+        ValueError, "kind must be one of"),
     "oracle_nested unknown kind": (
         lambda: oracle_nested(RHO, [Z], ["weak"]), ValueError, "unknown measurement kind 'weak'"),
     "oracle_nested no observables": (
@@ -159,3 +183,12 @@ def test_rejection(case):
         call()
     assert type(info.value) is error
     assert message in str(info.value)
+
+
+def test_numpy_integer_trials_and_seed_pass():
+    # Trials and seeds go through operator.index: numpy integers are taken
+    # as their values, where a float is rejected above.
+    ref = sample_protocol(RHO, STEPS, 10, 3)
+    assert sample_protocol(RHO, STEPS, np.int64(10), np.uint64(3)) == ref
+    got = nested_estimate(RHO, STEPS, mode="sampled", trials=np.int32(10), seed=np.int64(3))
+    assert got == ref
