@@ -61,8 +61,12 @@ def _as_real_or_complex(m) -> np.ndarray:
 
 
 def is_hermitian(m: np.ndarray, tol: float = CHECK_TOL) -> bool:
+    """max |m - m^dag| <= ``tol`` for a square ``m``, and False for any
+    other shape."""
     m = np.asarray(m)
-    return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= tol
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        return False
+    return np.max(np.abs(m - m.conj().T)) <= tol
 
 
 def identity_deviation(m: np.ndarray) -> float:

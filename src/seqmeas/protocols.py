@@ -5,8 +5,8 @@ w0 X + w1 X B + w2 B X + w3 B X B with per-outcome weights w.  So the
 engine needs B only by its action x -> B x on dim x k blocks: a signed row
 gather for a Pauli string P (O(dim k), no dense Kraus matrix) or a product
 for a raw observable matrix, both built by one constructor
-(:func:`_measurement`), and for B(t) on the pure-state routes a map
-through the propagator.  Every state and effect the engine maps is
+(:func:`_measurement`), and for B(t), on every route but the density
+route, a map through the propagator.  Every state and effect the engine maps is
 Hermitian, so XB = (BX)^dag and BXB = B (BX)^dag: BX costs one action and
 BXB one more, and one formula (:meth:`_Measurement.maps`) serves every
 observable.  A term is formed once for all the weight tuples a state is
@@ -92,6 +92,7 @@ from .core import (
     NumericalInvariantError,
     PureState,
     embed,
+    identity_deviation,
     is_unitary,
     matmul,
 )
@@ -238,13 +239,17 @@ class _Measurement:
     the weights of the transfer map.  ``left`` is a signed row gather for a
     Pauli string (:func:`_signed_rows`) or a product for a raw observable
     matrix, both built by :func:`_measurement`, and, on the pure-state
-    routes, the action of B(t) (:func:`_heisenberg_action`).
+    routes and the mixed eigenbasis route, the action of B(t)
+    (:func:`_heisenberg_action`).
 
-    ``dense`` = (B, B^2) is given for a raw observable matrix only: then
-    completeness, sum_a K_a^dag K_a = sum_a w0 1 + (w1 + w2) B + w3 B^2
-    = 1, is checked to 1e-12 without assuming B^2 = 1.  Without it B^2 = 1
-    holds (a Pauli string, or a B(t) checked where its action is built),
-    and the check takes the scalar form (:func:`_check_scalar_completeness`).
+    ``dense`` = (B, B^2) is given for a raw observable matrix, and for the
+    B~(t) of the mixed eigenbasis route, which acts by its phases but
+    whose pair is formed for its checks: then completeness, sum_a K_a^dag
+    K_a = sum_a w0 1 + (w1 + w2) B + w3 B^2 = 1, is checked to 1e-12
+    without assuming B^2 = 1, and :meth:`effect` reads the pair.  Without
+    it B^2 = 1 holds (a Pauli string, or a pure route's B(t) checked where
+    its action is built), and the check takes the scalar form
+    (:func:`_check_scalar_completeness`).
     """
 
     def __init__(self, spec: MeasurementSpec, left, dense=None):
@@ -743,7 +748,7 @@ def _evolution_matrix(evolution) -> np.ndarray:
     return u
 
 
-def _heisenberg_action(apply_b, apply_u, psi):
+def _heisenberg_action(apply_b, apply_u, psi=None):
     """x -> B(t) x = U^dag (B (U x)) for dim x k blocks x, with ``apply_b``
     the map y -> B y and ``apply_u(y, adjoint)`` the map y -> U y (U^dag y
     if ``adjoint``), both in one basis of the whole register.  In the
@@ -751,22 +756,29 @@ def _heisenberg_action(apply_b, apply_u, psi):
     two products); in H's eigenbasis U is diagonal (:func:`_phase_action`)
     and ``apply_b`` is one product with B~ = V^dag B V.
 
-    B(t)^2 = 1 is checked on ``psi``, the initial vector in that basis,
-    ||B(t) (B(t) psi) - psi||_inf <= 1e-10, once per time point for every
-    part; a corrupted propagator fails here with
-    :class:`NumericalInvariantError`.
+    Given ``psi``, the initial vector in that basis, B(t)^2 = 1 is checked
+    on it, ||B(t) (B(t) psi) - psi||_inf <= 1e-10, once per time point for
+    every part; a corrupted propagator fails here with
+    :class:`NumericalInvariantError`.  Without it the caller checks B(t)^2
+    (the mixed eigenbasis route forms it densely).
     """
 
     def apply(x):
         return apply_u(apply_b(apply_u(x)), adjoint=True)
 
-    dev = float(np.max(np.abs(apply(apply(psi)) - psi)))
+    if psi is not None:
+        dev = float(np.max(np.abs(apply(apply(psi)) - psi)))
+        _check_square(dev, "on the initial state ")
+    return apply
+
+
+def _check_square(dev: float, where: str = "") -> None:
+    """Raise :class:`NumericalInvariantError` for a deviation ``dev`` of
+    B(t)^2 from the identity above 1e-10."""
     if not dev <= CHECK_TOL:
         raise NumericalInvariantError(
-            f"B(t) does not square to the identity on the initial state "
-            f"(deviation {dev:.3e})"
+            f"B(t) does not square to the identity {where}(deviation {dev:.3e})"
         )
-    return apply
 
 
 def _phase_action(u: Propagator):
@@ -783,15 +795,18 @@ def _phase_action(u: Propagator):
 _FIRST_KINDS = {"real": INFORMATIVE, "imag": NONINFORMATIVE}
 
 # The eigenbasis route pays for its frame once per grid: V checked unitary
-# and B~ formed, and for the OTOC A~ with its checked square, each one
-# dim^3 product (a real one for a real H, whose V and whose strings without
-# Y factors are real).  A time point of a density matrix then costs one
-# O(dim^2) phase scaling of B~, where the density route forms and checks U
-# and B(t) by dim^3 products, so a mixed grid earns the frame back from
-# _FRAME_MIN_POINTS points at every size.  A time point of a pure state
-# saves only O(dim^2 k) work on its dim x k blocks (one product with B~ per
-# B(t) application instead of four through the spectrum), so the points it
-# needs grow with dim: _FRAME_MIN_POINTS per _PURE_FRAME_DIM basis states.
+# and B~ formed (for a density matrix with its checked square), and for
+# the OTOC A~ with its checked square, each one dim^3 product (a real one
+# for a real H, whose V and whose strings without Y factors are real).  A
+# time point of a density matrix then forms B~(t) and its square by one
+# O(dim^2) phase scaling and applies B~(t) by its phases around one
+# product with B~, where the density route forms and checks U and B(t) by
+# dim^3 products and applies B(t) by a complex product of the same size,
+# so a mixed grid earns the frame back from _FRAME_MIN_POINTS points at
+# every size.  A time point of a pure state saves only O(dim^2 k) work on
+# its dim x k blocks (one product with B~ per B(t) application instead of
+# four through the spectrum), so the points it needs grow with dim:
+# _FRAME_MIN_POINTS per _PURE_FRAME_DIM basis states.
 # Eigenbasis over other route, medians of alternating in-process runs of
 # `_heisenberg_protocol` with both parts (2-core VM, BLAS pinned to 1
 # thread), for a label state or the maximally mixed state of the Ising
@@ -801,9 +816,11 @@ _FIRST_KINDS = {"real": INFORMATIVE, "imag": NONINFORMATIVE}
 #   1.34 / 1.38 and 0.98 / 0.93; at n = 8, TOC 1.67 / 2.68 at 3 points,
 #   0.97 / 1.33 at 8 and 0.76 / 1.02 at 12, OTOC 1.85 / 2.38, 0.99 / 1.14
 #   and 0.83 / 0.93.
-# * maximally mixed state, density route: below 1 from 3 points at n = 3
-#   to 8 for both H (TOC 0.67 to 0.79, OTOC 0.79 to 0.98); at 2 points the
-#   OTOC is 0.89 to 1.11.
+# * maximally mixed state, density route, with B~(t) applied by its
+#   phases: at 3 points, n = 3 to 8, TOC 0.52 to 0.79 for both H, OTOC 0.69
+#   to 0.93 for the Ising chain and 0.92 to 1.00 for the Y-term chain; at 2
+#   points the OTOC is 0.80 to 1.00 for the Ising chain but 1.03 to 1.25
+#   for the Y-term chain, so 2 points stay on the density route.
 _FRAME_MIN_POINTS = 3
 _PURE_FRAME_DIM = 64
 
@@ -831,9 +848,10 @@ def _sequence_grid(initial, steps, parts, evolutions, mode, trials, seeds):
     shape-checked once per grid, and the steps are resolved, the route's
     frame built, and the first measurements' states (the exact first
     transfers, or the sampled children K_a rho K_a^dag) built and checked
-    once per grid, for all the parts.  A time point builds its B(t)
-    measurements and evaluates the steps after the first, for every part at
-    once: exact values in one evaluation (:func:`_transfer_values`),
+    once per grid, for all the parts.  A time point builds one B(t)
+    measurement per strength, shared by the B(t) steps of that strength,
+    and evaluates the steps after the first, for every part at once: exact
+    values in one evaluation (:func:`_transfer_values`),
     sampled leaf probabilities in one walk (:func:`_leaf_probabilities`),
     and each part is then drawn from its own seed (:func:`_sampled_estimate`).
     A value depends on its time alone, not on the rest of the grid.
@@ -852,14 +870,20 @@ def _sequence_grid(initial, steps, parts, evolutions, mode, trials, seeds):
       (with A~^2), are built by :func:`heisenberg` with V in place of U,
       and the first transfers are carried into the frame (a trace is the
       same in every basis): V^dag E_1(rho) V for a density matrix, the
-      factor pair (V^dag L, V^dag R) for a pure state.  A time point forms
-      B~(t) = e^{iEt} B~ e^{-iEt} by one O(dim^2) phase scaling
-      (:func:`heisenberg_phases`) for a density matrix; for a pure state it
-      applies x -> e^{iEt} (B~ (e^{-iEt} x)), one product
-      (:func:`_heisenberg_action`, which checks B~(t)^2 = 1 on V^dag psi).
-      A real H has a real V, and B~ and A~ are then real too for strings
-      with an even number of Y factors: their products run in real
-      arithmetic (:func:`~seqmeas.core.matmul`).
+      factor pair (V^dag L, V^dag R) for a pure state.  A time point
+      applies B~(t) = e^{iEt} B~ e^{-iEt} by its phases, x -> e^{iEt} (B~
+      (e^{-iEt} x)), one product (:func:`_heisenberg_action`); for a pure
+      state that action checks B~(t)^2 = 1 on V^dag psi.  For a density
+      matrix B~ goes into one spec per grid, which checks it Hermitian
+      with B~^2 = 1 to 1e-10, and a time point forms B~(t) and B~(t)^2 =
+      e^{iEt} B~^2 e^{-iEt} by one O(dim^2) phase scaling of the pair
+      (:func:`heisenberg_phases`) and checks B~(t)^2 = 1 to 1e-10.  B~(t)
+      inherits B~'s Hermiticity: with p = e^{-iEt}, (B~(t) - B~(t)^dag)_jk
+      = conj(p_j) p_k (B~ - B~^dag)_jk, and the diagonal of the square
+      check pins |p_j| = 1, as V's check stands in for U's.  A real H has a
+      real V, and B~ and A~ are then real too for strings with an even
+      number of Y factors: their products run in real arithmetic
+      (:func:`~seqmeas.core.matmul`).
     * vector: a pure state psi on a shorter grid (every one-point
       :func:`toc` and :func:`otoc` call), or on propagators of several
       spectra.  The first transfers are factor pairs of E_1(psi psi^dag).
@@ -871,10 +895,12 @@ def _sequence_grid(initial, steps, parts, evolutions, mode, trials, seeds):
       point checks U for unitarity (:func:`_evolution_matrix`) and builds
       B(t) by :func:`heisenberg`.
 
-    A dense B(t) or B~(t) goes into one spec, which checks it Hermitian
-    with B(t)^2 = 1 to 1e-10; the B(t)^2 it forms serves every B(t) step,
-    and each dense B(t) measurement (:func:`_measurement` on the whole
-    register) checks completeness.
+    On the density route a point's dense B(t) goes into one spec, which
+    checks it Hermitian with B(t)^2 = 1 to 1e-10.  On the mixed eigenbasis
+    route only B~ does, once per grid, and a point checks its phase-scaled
+    square.  Either way the pair (B(t), B(t)^2) serves every B(t) step of
+    the point, and each B(t) measurement checks completeness with it to
+    1e-12 (:class:`_Measurement`).
     """
     evolutions = list(evolutions)
     if seeds is None:
@@ -921,7 +947,6 @@ def _sequence_grid(initial, steps, parts, evolutions, mode, trials, seeds):
             for u in evolutions
         )
     )
-    vector = pure and not frame
     if isinstance(initial, PureState) and not pure:
         initial = initial.density()
     if frame:
@@ -929,18 +954,24 @@ def _sequence_grid(initial, steps, parts, evolutions, mode, trials, seeds):
         if not is_unitary(evecs, CHECK_TOL):
             raise NumericalInvariantError("eigenbasis of H is not unitary to 1e-10")
         b_frame = heisenberg(evolved[0].observable, evecs)
+        if not pure:
+            # B~ is checked once; each point's B~(t) and its square are the
+            # phase scalings of this pair.
+            checked = MeasurementSpec(b_frame, evolved[0].phi, evolved[0].kind)
+            b_pair = np.stack((checked.observable, checked._square))
+            b_frame = b_pair[0]
+            del checked
+        apply_b = functools.partial(matmul, b_frame)
         # The measurements after the first ones act in the frame.
         for k, s in enumerate(static[parts:], parts):
             framed = heisenberg(s.spec.observable, evecs, s.targets)
             static[k] = MeasureStep(dataclasses.replace(s.spec, observable=framed))
             del framed  # the spec keeps its own checked copy
+    elif pure and evolved:
+        apply_b = _measurement(evolved[0], n, range(n)).left
     resolved = _resolve_steps(initial, static)
-    if pure and evolved:
-        b_specs = [evolved[0].with_phi(s.phi) for s in evolved]
-        if frame:
-            apply_b = functools.partial(matmul, b_frame)
-        else:
-            apply_b = _measurement(evolved[0], n, range(n)).left
+    # The B(t) steps of one strength share a point's measurement.
+    strengths = dict.fromkeys(s.phi for s in evolved)
     firsts, static_rest = resolved[:parts], resolved[parts:]
     if exact:
         if pure:
@@ -961,20 +992,25 @@ def _sequence_grid(initial, steps, parts, evolutions, mode, trials, seeds):
 
     def point(u, point_seeds):
         # Every array built here is freed when the point is done.
-        rest, b_steps = list(static_rest), []
+        rest, built = list(static_rest), {}
         if pure and evolved:
             apply = _heisenberg_action(apply_b, _phase_action(u) if frame else u.apply, psi)
-            b_steps = [_Measurement(s, apply) for s in b_specs]
+            built = {phi: _Measurement(evolved[0].with_phi(phi), apply) for phi in strengths}
+        elif evolved and frame:
+            b_t, b_t_sq = heisenberg_phases(b_pair, u)
+            _check_square(identity_deviation(b_t_sq))
+            apply = _heisenberg_action(apply_b, _phase_action(u))
+            built = {
+                phi: _Measurement(evolved[0].with_phi(phi), apply, (b_t, b_t_sq))
+                for phi in strengths
+            }
         elif evolved:
-            if frame:
-                b_t = heisenberg_phases(b_frame, u)
-            else:
-                b_t = heisenberg(evolved[0].observable, _evolution_matrix(u))
+            b_t = heisenberg(evolved[0].observable, _evolution_matrix(u))
             spec = MeasurementSpec(b_t, evolved[0].phi, evolved[0].kind)
             del b_t  # the spec keeps its own checked copy
-            b_steps = [_measurement(spec.with_phi(s.phi), n, range(n)) for s in evolved]
-        for k, step in zip(slots, b_steps):
-            rest.insert(k - parts, step)
+            built = {phi: _measurement(spec.with_phi(phi), n, range(n)) for phi in strengths}
+        for k, step in zip(slots, evolved):
+            rest.insert(k - parts, built[step.phi])
         if exact:
             phis = tuple(s.phi for s in rest)
             return [

@@ -988,7 +988,7 @@ class TestSharedParts:
             initial, a, b, count, grid, self.PARTS, phis, **kwargs
         )
         assert len(rows) == len(grid)
-        assert len(phase_maps) == (len(grid) if route == "pure eigenbasis" else 0)
+        assert len(phase_maps) == (len(grid) if "eigenbasis" in route else 0)
         assert len(phase_scalings) == (len(grid) if route == "eigenbasis" else 0)
         firsts = [call for calls in transfers for call in calls if call[0].phi == phis[0]]
         assert len(firsts) == (0 if route == "sampled" else len(self.PARTS))
@@ -1028,11 +1028,46 @@ class TestSharedParts:
             assert not (perm.flags.writeable or d.flags.writeable)
         assert len(builds) == len(keys)
 
+    @pytest.mark.parametrize(
+        "route", ["vector", "pure eigenbasis", "eigenbasis", "density", "sampled"]
+    )
+    def test_one_b_of_t_measurement_per_strength(self, monkeypatch, route):
+        # The two B(t) steps of an OTOC at one strength share a time
+        # point's measurement; at two strengths each has its own, and the
+        # values are the same either way.
+        inits = counting_patch(monkeypatch, protocols_mod._Measurement, "__init__")
+        rng = np.random.default_rng(77)
+        n = 3
+        pure = route in ("vector", "pure eigenbasis", "sampled")
+        initial = random_pure_state(rng, n) if pure else random_density(rng, n)
+        grid = _grid_propagators(random_hermitian(rng, 2**n), [0.3, 0.9, 1.4])
+        if route == "vector":
+            grid = grid[:2]
+        elif route == "density":
+            grid = [u.matrix for u in grid]
+        kwargs = {}
+        if route == "sampled":
+            kwargs = {"mode": "sampled", "trials": 50, "seeds": [(1, 2), (3, 4), (5, 6)]}
+        a, b = random_pauli(rng, n), random_pauli(rng, n)
+        values = []
+        for phis, strengths in (([0.5, 0.6, 0.7, 0.6], 1), ([0.5, 0.6, 0.7, 0.8], 2)):
+            inits.clear()
+            rows = protocols_mod._heisenberg_protocol(
+                initial, a, b, 4, grid, self.PARTS, phis, **kwargs
+            )
+            b_steps = [call for call in inits if call[1].phi in (phis[1], phis[3])]
+            # The vector route also builds B's own action once per grid.
+            assert len(b_steps) == strengths * len(grid) + (route == "vector")
+            values.append([est.value for row in rows for est in row])
+        if route != "sampled":
+            assert np.allclose(values[0], values[1], rtol=0, atol=1e-12)
+
     def test_checks_a_raw_a_once_per_call(self, monkeypatch):
         # A raw-matrix A is checked (Hermiticity and the square) once per
-        # call, and each of its steps is a copy of that spec; every other
-        # check is a B(t), one per time point, or, on the eigenbasis route,
-        # the later A carried into the frame.
+        # call, and each of its steps is a copy of that spec.  The one other
+        # check of a one-point call is its B(t); the 3-point grid runs in
+        # H's eigenbasis, where the later A and B~ carried into the frame
+        # are checked once per grid, and no B~(t) is checked by a spec.
         checks = counting_patch(monkeypatch, measurement_mod, "_raw_observable")
         rng = np.random.default_rng(75)
         n = 3
@@ -1044,9 +1079,29 @@ class TestSharedParts:
         assert len(checks) == 2
         checks.clear()
         rows = protocols_mod._heisenberg_protocol(rho, a, b, 4, grid, self.PARTS, phis)
-        assert len(checks) == 5
+        assert len(checks) == 3
         for got, ref in zip(rows[0], one[0]):
             assert abs(got.value - ref.value) <= 1e-12
+
+    def test_mixed_eigenbasis_checks_do_not_grow_with_the_grid(self, monkeypatch):
+        # A mixed eigenbasis grid checks its raw observables (A, the later A
+        # and B~) once per grid: six points make as many checks as three.
+        checks = counting_patch(monkeypatch, measurement_mod, "_raw_observable")
+        rng = np.random.default_rng(75)
+        n = 3
+        rho = random_density(rng, n)
+        a, b = random_pauli(rng, n).matrix(), random_pauli(rng, n)
+        h = random_hermitian(rng, 2**n)
+        phis = [0.5, 0.6, 0.7, 0.8]
+        counts = []
+        for times in ([0.3, 0.9, 1.4], [0.3, 0.9, 1.4, 2.0, 2.6, 3.1]):
+            checks.clear()
+            rows = protocols_mod._heisenberg_protocol(
+                rho, a, b, 4, _grid_propagators(h, times), self.PARTS, phis
+            )
+            assert len(rows) == len(times)
+            counts.append(len(checks))
+        assert counts == [3, 3]
 
     def test_sampled_needs_one_seed_per_part(self):
         rho = DensityMatrix.maximally_mixed(1)
@@ -1322,6 +1377,68 @@ class TestEigenbasisGrid:
         a, b = PauliString(("Z", "I")), PauliString(("I", "Z"))
         with pytest.raises(NumericalInvariantError, match="eigenbasis"):
             protocols_mod._heisenberg_protocol(rho, a, b, 4, bad, self.PARTS, [0.6] * 4)
+
+    # An H with Y terms: complex, so its eigenbasis and B~ are complex.
+    Y_TERMS = ((0.9, "+YZI"), (-0.6, "+IXX"), (0.4, "+ZIY"), (0.7, "+XII"))
+
+    @pytest.mark.parametrize("observable", ["pauli", "raw"])
+    @pytest.mark.parametrize("source", ["ising", "y term", "clock"])
+    def test_matches_density_route(self, monkeypatch, source, observable):
+        # A mixed grid in H's eigenbasis applies B~(t) by its phases around
+        # one product with B~, which is real for the Ising chain (so the
+        # product runs in real arithmetic) and complex for an H with a Y
+        # term.  Every value agrees with the density route, the same grid
+        # passed as matrices, to 1e-12, and the clock grid also with the
+        # one-point clock-ancilla OTOC.
+        scalings = counting_patch(monkeypatch, protocols_mod, "heisenberg_phases")
+        rng = np.random.default_rng([96, len(source), len(observable)])
+        n = 3
+        if source == "ising":
+            ham = build_mixed_field_ising(n)
+        else:
+            ham = Hamiltonian(n, tuple((w, PauliString.from_text(t)) for w, t in self.Y_TERMS))
+        clocks = [time_reversed_evolution(ham, t) for t in self.TIMES]
+        if source == "clock":
+            grid = [clock.system for clock in clocks]
+        else:
+            grid = _grid_propagators(ham, self.TIMES)
+        a, b = PauliString.from_text("+XZI"), PauliString.from_text("+IIZ")
+        if observable == "raw":
+            q, _ = np.linalg.qr(rng.normal(size=(2**n, 2**n)))
+            b = q.T @ b.matrix() @ q  # a real involution
+        for rho in (random_density(rng, n), DensityMatrix.maximally_mixed(n)):
+            for count in (2, 4):
+                phis = [0.4, 0.7, 1.0, 1.3][:count]
+                scalings.clear()
+                rows = protocols_mod._heisenberg_protocol(
+                    rho, a, b, count, grid, self.PARTS, phis
+                )
+                assert len(scalings) == len(grid)
+                assert np.isrealobj(scalings[0][0]) == (source == "ising")
+                dense = protocols_mod._heisenberg_protocol(
+                    rho, a, b, count, [u.matrix for u in grid], self.PARTS, phis
+                )
+                for clock, row, ref in zip(clocks, rows, dense):
+                    for part, got, want in zip(self.PARTS, row, ref):
+                        assert abs(got.value - want.value) <= 1e-12
+                        assert got.phis == want.phis == tuple(phis)
+                        if source == "clock" and count == 4:
+                            one = otoc(rho, a, b, clock=clock, part=part, phis=phis)
+                            assert abs(got.value - one.value) <= 1e-12
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_b_of_t_square_is_checked_at_every_point(self, count):
+        # A phase vector off by 1e-9 at one point breaks B~(t)^2 = 1 there:
+        # the mixed route checks the square of every B~(t) it scales.
+        grid = _grid_propagators(build_mixed_field_ising(3), self.TIMES)
+        u = grid[2]
+        u.__dict__["phases"] = u.phases * (1 + 1e-9)
+        rho = DensityMatrix.maximally_mixed(3)
+        a, b = PauliString.from_text("+ZII"), PauliString.from_text("+IIX")
+        with pytest.raises(NumericalInvariantError, match="square"):
+            protocols_mod._heisenberg_protocol(
+                rho, a, b, count, grid, self.PARTS, [0.6] * count
+            )
 
     @pytest.mark.parametrize(
         "case",

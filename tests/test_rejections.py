@@ -27,6 +27,7 @@ from seqmeas import (
     oracle_nested,
     otoc_value,
     partial_trace,
+    propagator,
     rotation_gate,
     sample_protocol,
     synthesize_measurement_circuit,
@@ -67,6 +68,10 @@ CASES = {
         lambda: EvolveStep(np.array(1.0)), ValueError, "not unitary to 1e-10"),
     "apply_unitary 1-D unitary": (
         lambda: apply_unitary(RHO, np.ones(4)), ValueError, "not unitary to 1e-10"),
+    "propagator 1-D Hamiltonian": (
+        lambda: propagator(np.ones(4), 0.5), ValueError, "not Hermitian to 1e-10"),
+    "propagator 0-D Hamiltonian": (
+        lambda: propagator(np.array(1.0), 0.5), ValueError, "not Hermitian to 1e-10"),
     "sample_protocol float trials": (
         lambda: sample_protocol(RHO, STEPS, 10.7, 3),
         TypeError, "cannot be interpreted as an integer"),
