@@ -57,10 +57,11 @@ alternatives for the first measurement, which share everything after it).
 Its measure and evolve steps are the same at every point; an evolved step
 measures B(t) = U^dag B U after the grid's U(t), the one thing that depends
 on the time.  So it builds the rest once per grid and picks one of the
-routes its docstring lists: an exact grid of propagators of one spectrum
-that is long enough to pay for the frame runs in H's eigenbasis, pure or
-mixed; an exact pure state on any other grid of propagators travels as
-vectors; the rest run on density matrices.
+routes its docstring lists, each with one builder of B(t), the only thing
+a time point builds: an exact grid of propagators of one spectrum that is
+long enough to pay for the frame runs in H's eigenbasis, pure or mixed;
+an exact pure state on any other grid of propagators travels as vectors;
+the rest run on density matrices.
 
 The TOC and OTOC protocols are its presets (:func:`_heisenberg_protocol`),
 in the Heisenberg frame: the interleaved sequence A, U, B, U^dag, A, U, B
@@ -114,9 +115,12 @@ from .measurement import (
 from .observables import PauliString
 
 MAX_ENUMERATED_MEASUREMENTS = 16
-# Past 2^53 a trial count is no longer exact as a float, and the draw of
-# trials x measurements uniforms could never be allocated anyway.
+# Past 2^53 a trial count is no longer exact as a float.
 MAX_TRIALS = 2**53
+# Sampled trials are drawn in blocks of this many rows, so a draw's memory
+# is bounded whatever the trial count; every count up to the block runs in
+# one block, as the one-shot draw did.
+_TRIAL_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -190,11 +194,13 @@ def rms_bound(phis, trials) -> float:
     """Statistical upper bound 1/sqrt(prod n_k * prod sin^2 phi_k).
 
     ``trials`` carries one count per sequence stage; the product is the
-    total data volume of the estimator.  A product that underflows to 0
-    (angles near 1e-160 and below) raises :class:`NumericalInvariantError`.
+    total data volume of the estimator.  A count that is not an integer
+    (``operator.index``) raises ``TypeError``.  A product that underflows
+    to 0 (angles near 1e-160 and below) raises
+    :class:`NumericalInvariantError`.
     """
     phis = [float(p) for p in phis]
-    counts = [int(n) for n in trials]
+    counts = [operator.index(n) for n in trials]
     if not phis or not counts:
         raise ValueError("phis and trials must be nonempty")
     if len(phis) != len(counts):
@@ -636,19 +642,25 @@ def nested_estimate(
     return estimate
 
 
-def trial_uniforms(seed: int, trials: int, draws: int) -> np.ndarray:
-    """Uniform deviates for ``trials`` independent trials.
-
-    Counter-based (Philox keyed by ``seed``): row k is a pure function of
-    (seed, k), so per-trial streams are independent of execution order.
-    ``seed`` must be an integer (``operator.index``; a float raises
-    ``TypeError``) in [0, 2^64).
-    """
+def _philox(seed: int) -> np.random.Generator:
+    """The generator of the trials of ``seed``: Philox keyed by ``seed``,
+    which must be an integer (``operator.index``; a float raises
+    ``TypeError``) in [0, 2^64)."""
     seed = operator.index(seed)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    return gen.random((trials, draws))
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+
+
+def trial_uniforms(seed: int, trials: int, draws: int) -> np.ndarray:
+    """Uniform deviates for ``trials`` independent trials, one row each.
+
+    Counter-based (:func:`_philox`): row k is a pure function of (seed, k),
+    so per-trial streams are independent of execution order, and
+    consecutive blocks of rows drawn from one generator are this array, bit
+    for bit.
+    """
+    return _philox(seed).random((trials, draws))
 
 
 def sample_protocol(
@@ -672,8 +684,10 @@ def _sampled_estimate(resolved, probs, trials: int, seed: int) -> CorrelatorEsti
     takes outcome 1 iff ``u[k, j] < P(prefix, 1) / P(prefix)``, where a
     prefix probability sums the leaves below it (exact, as later steps
     preserve the trace); every conditional probability must be finite and
-    lie in [0, 1] to 1e-12.  ``empirical_stderr`` is the sample standard
-    error of the mean.
+    lie in [0, 1] to 1e-12.  The rows are drawn ``_TRIAL_BLOCK`` at a time
+    from one generator, and each block adds its count of trials per leaf
+    to a running count, so memory does not grow with ``trials``.
+    ``empirical_stderr`` is the sample standard error of the mean.
 
     Every weight is +-w_max with w_max = prod 1/sin phi_k, so a squared
     deviation from the mean is at most (2 w_max)^2 and the sum of the N
@@ -701,22 +715,25 @@ def _sampled_estimate(resolved, probs, trials: int, seed: int) -> CorrelatorEsti
     tree = [probs]
     for _ in range(m):
         tree.insert(0, tree[0].reshape(-1, 2).sum(axis=1))
-    uniforms = trial_uniforms(seed, trials, m)
-    leaf = np.zeros(trials, dtype=np.intp)
-    for j in range(m):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p1 = tree[j + 1][2 * leaf + 1] / tree[j][leaf]
-        if not np.all(np.isfinite(p1) & (p1 >= -1e-12) & (p1 <= 1 + 1e-12)):
-            raise NumericalInvariantError(
-                f"conditional outcome probability at measurement {j} outside [0, 1]"
-            )
-        leaf = 2 * leaf + (uniforms[:, j] < p1)
+    gen = _philox(seed)
+    counts = np.zeros(2**m, dtype=np.int64)
+    for start in range(0, trials, _TRIAL_BLOCK):
+        uniforms = gen.random((min(_TRIAL_BLOCK, trials - start), m))
+        leaf = np.zeros(len(uniforms), dtype=np.intp)
+        for j in range(m):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                p1 = tree[j + 1][2 * leaf + 1] / tree[j][leaf]
+            if not np.all(np.isfinite(p1) & (p1 >= -1e-12) & (p1 <= 1 + 1e-12)):
+                raise NumericalInvariantError(
+                    f"conditional outcome probability at measurement {j} outside [0, 1]"
+                )
+            leaf = 2 * leaf + (uniforms[:, j] < p1)
+        counts += np.bincount(leaf, minlength=2**m)
 
     # The trials that end in one leaf share its weight w, so the sums run
     # over the leaves: each is exact (count * w as a Fraction) and rounded
     # once, as math.fsum over the trials rounds it, bit for bit.
-    counts = np.bincount(leaf, minlength=2**m).tolist()
-    tally = [(c, w) for c, w in zip(counts, _alpha_products(resolved)) if c]
+    tally = [(c, w) for c, w in zip(counts.tolist(), _alpha_products(resolved)) if c]
     mean = float(sum(c * Fraction(w) for c, w in tally)) / trials
     if trials > 1:
         var = float(sum(c * Fraction((w - mean) ** 2) for c, w in tally)) / (trials - 1)
@@ -821,6 +838,12 @@ _FIRST_KINDS = {"real": INFORMATIVE, "imag": NONINFORMATIVE}
 #   to 0.93 for the Ising chain and 0.92 to 1.00 for the Y-term chain; at 2
 #   points the OTOC is 0.80 to 1.00 for the Ising chain but 1.03 to 1.25
 #   for the Y-term chain, so 2 points stay on the density route.
+# Sampled grids stay on the density route at any length: the frame would
+# carry two children K_a rho K_a^dag per part where exact mode carries one
+# first transfer.  Sampled maximally mixed OTOC of the Ising chain, both
+# parts, 2000 trials, eigenbasis over density route (15 alternating
+# in-process runs of `run_experiment`, same VM and pinning): x1.03 at 3
+# points for n = 7 and x1.12 at n = 8, x0.89 at 40 points for n = 7.
 _FRAME_MIN_POINTS = 3
 _PURE_FRAME_DIM = 64
 
@@ -836,25 +859,29 @@ def _sequence_grid(initial, steps, parts, evolutions, mode, trials, seeds):
     A :class:`MeasureStep` or :class:`EvolveStep` is the same at every
     point.  An :class:`_EvolvedStep` measures B(t) = U^dag B U, the
     Heisenberg frame of measuring B after U.  A sequence has one B: every
-    evolved step measures the B of the first one, with the first one's kind
-    and its own strength.  The step API's one-point calls
+    evolved step must measure the first one's observable (an equal Pauli
+    string or an equal matrix) with the first one's kind, at its own
+    strength, else ``ValueError`` is raised.  The step API's one-point calls
     (:func:`nested_estimate`) pass ``evolutions`` [None], a point without
     U(t), where an _EvolvedStep is left to :func:`_resolve_steps`, which
     rejects it.  Their sequences are the only ones with EvolveSteps; a grid
     of U(t) takes measurements only.
 
     Only B(t) depends on the time, and the parts differ only in their
-    first measurement.  So the route is picked and every evolution
-    shape-checked once per grid, and the steps are resolved, the route's
-    frame built, and the first measurements' states (the exact first
-    transfers, or the sampled children K_a rho K_a^dag) built and checked
-    once per grid, for all the parts.  A time point builds one B(t)
-    measurement per strength, shared by the B(t) steps of that strength,
-    and evaluates the steps after the first, for every part at once: exact
-    values in one evaluation (:func:`_transfer_values`),
-    sampled leaf probabilities in one walk (:func:`_leaf_probabilities`),
-    and each part is then drawn from its own seed (:func:`_sampled_estimate`).
-    A value depends on its time alone, not on the rest of the grid.
+    first measurement.  So the route is decided once per grid, and with it
+    the one builder u -> (left, dense) of B(t) (see :class:`_Measurement`),
+    every evolution is shape-checked, and the steps are resolved, the
+    route's frame built, and the first states (the exact first transfers,
+    or the sampled children K_a rho K_a^dag) built and checked once per
+    grid, for all the parts, as are the strengths' specs and the exact
+    estimates' angles.  A time point only builds B(t) from the builder,
+    one measurement per strength, shared by the B(t) steps of that
+    strength, puts them in their steps' places and evaluates the steps
+    after the first, for every part at once: exact values in one
+    evaluation (:func:`_transfer_values`), sampled leaf probabilities in
+    one walk (:func:`_leaf_probabilities`), and each part is then drawn
+    from its own seed (:func:`_sampled_estimate`).  A value depends on its
+    time alone, not on the rest of the grid.
 
     The rule: an exact grid of :class:`Propagator` objects that share one
     spectrum (E, V) takes the eigenbasis route if it is long enough to pay
@@ -931,6 +958,10 @@ def _sequence_grid(initial, steps, parts, evolutions, mode, trials, seeds):
     n = initial.n_qubits
     dim = 2**n
     if evolved:
+        # A sequence has one B (np.array_equal compares Pauli strings by ==).
+        b = evolved[0]
+        if any(s.kind != b.kind or not np.array_equal(s.observable, b.observable) for s in evolved):
+            raise ValueError("every evolved step must measure the first one's B, of its kind")
         for shape in (np.shape(getattr(u, "evecs", u)) for u in evolutions):
             if shape != (dim, dim):
                 raise ValueError(f"evolution 'U_t' has shape {shape}, expected {(dim, dim)}")
@@ -938,29 +969,31 @@ def _sequence_grid(initial, steps, parts, evolutions, mode, trials, seeds):
     # A sequence without evolved steps counts as a grid of propagators.
     pure = exact and isinstance(initial, PureState) and (propagators or not evolved)
     min_points = _FRAME_MIN_POINTS * (max(1, dim // _PURE_FRAME_DIM) if pure else 1)
-    frame = (
-        exact
-        and len(evolutions) >= min_points
-        and propagators
-        and all(
-            u.evals is evolutions[0].evals and u.evecs is evolutions[0].evecs
-            for u in evolutions
-        )
-    )
+    # The (evals, evecs) arrays of the grid's propagators, by identity.
+    spectra = {(id(u.evals), id(u.evecs)) for u in evolutions} if propagators else ()
+    frame = exact and len(evolutions) >= min_points and len(spectra) == 1
     if isinstance(initial, PureState) and not pure:
         initial = initial.density()
+
+    # The route's builder u -> (left, dense) of B(t), one per grid.
     if frame:
         evecs = evolutions[0].evecs
         if not is_unitary(evecs, CHECK_TOL):
             raise NumericalInvariantError("eigenbasis of H is not unitary to 1e-10")
-        b_frame = heisenberg(evolved[0].observable, evecs)
+        b_frame = heisenberg(b.observable, evecs)
         if not pure:
             # B~ is checked once; each point's B~(t) and its square are the
             # phase scalings of this pair.
-            checked = MeasurementSpec(b_frame, evolved[0].phi, evolved[0].kind)
+            checked = MeasurementSpec(b_frame, b.phi, b.kind)
             b_pair = np.stack((checked.observable, checked._square))
             b_frame = b_pair[0]
             del checked
+
+            def b_of_t(u):
+                pair = heisenberg_phases(b_pair, u)
+                _check_square(identity_deviation(pair[1]))
+                return _heisenberg_action(apply_b, _phase_action(u)), tuple(pair)
+
         apply_b = functools.partial(matmul, b_frame)
         # The measurements after the first ones act in the frame.
         for k, s in enumerate(static[parts:], parts):
@@ -968,58 +1001,58 @@ def _sequence_grid(initial, steps, parts, evolutions, mode, trials, seeds):
             static[k] = MeasureStep(dataclasses.replace(s.spec, observable=framed))
             del framed  # the spec keeps its own checked copy
     elif pure and evolved:
-        apply_b = _measurement(evolved[0], n, range(n)).left
+        apply_b = _measurement(b, n, range(n)).left
+    elif evolved:
+
+        def b_of_t(u):
+            spec = MeasurementSpec(heisenberg(b.observable, _evolution_matrix(u)), b.phi, b.kind)
+            return functools.partial(matmul, spec.observable), (spec.observable, spec._square)
+
+    if pure:
+        # psi, the initial vector in the route's basis, is set below.
+        def b_of_t(u):
+            return _heisenberg_action(apply_b, _phase_action(u) if frame else u.apply, psi), None
+
     resolved = _resolve_steps(initial, static)
-    # The B(t) steps of one strength share a point's measurement.
-    strengths = dict.fromkeys(s.phi for s in evolved)
-    firsts, static_rest = resolved[:parts], resolved[parts:]
-    if exact:
-        if pure:
-            psi = initial.amplitudes[:, None]
-            starts = [first.transfer_factors((psi, psi)) for first in firsts]
-        else:
-            starts = [first.transfer(initial.matrix) for first in firsts]
-        if frame:
-            # A trace is the same in every basis.
-            v_dag = evecs.conj().T
-            if pure:
-                starts = [(matmul(v_dag, l), matmul(v_dag, r)) for l, r in starts]
-                psi = matmul(v_dag, psi)
-            else:
-                starts = [matmul(matmul(v_dag, x), evecs) for x in starts]
+    firsts, rest = resolved[:parts], resolved[parts:]
+    # The B(t) steps keep their specs in ``rest`` until a point puts its
+    # measurements there, one per strength (the steps measure one B).
+    for k, spec in zip(slots, evolved):
+        rest.insert(k - parts, spec)
+    strengths = {spec.phi: spec for spec in evolved}
+    # The first states: exact first transfers (factor pairs for a pure
+    # state), or the sampled children K_a rho K_a^dag.
+    if pure:
+        psi = initial.amplitudes[:, None]
+        starts = [first.transfer_factors((psi, psi)) for first in firsts]
+    elif exact:
+        starts = [first.transfer(initial.matrix) for first in firsts]
     else:
-        children = [x for s in firsts for x in s.maps(initial.matrix, s.weights)]
+        starts = [x for first in firsts for x in first.maps(initial.matrix, first.weights)]
+    if frame:
+        # A trace is the same in every basis.
+        v_dag = evecs.conj().T
+        if pure:
+            starts = [(matmul(v_dag, l), matmul(v_dag, r)) for l, r in starts]
+            psi = matmul(v_dag, psi)
+        else:
+            starts = [matmul(matmul(v_dag, x), evecs) for x in starts]
+    zeros = (0,) * (len(rest) + 1)
+    phis = [(first.phi, *(s.phi for s in rest)) for first in firsts]
 
     def point(u, point_seeds):
         # Every array built here is freed when the point is done.
-        rest, built = list(static_rest), {}
-        if pure and evolved:
-            apply = _heisenberg_action(apply_b, _phase_action(u) if frame else u.apply, psi)
-            built = {phi: _Measurement(evolved[0].with_phi(phi), apply) for phi in strengths}
-        elif evolved and frame:
-            b_t, b_t_sq = heisenberg_phases(b_pair, u)
-            _check_square(identity_deviation(b_t_sq))
-            apply = _heisenberg_action(apply_b, _phase_action(u))
-            built = {
-                phi: _Measurement(evolved[0].with_phi(phi), apply, (b_t, b_t_sq))
-                for phi in strengths
-            }
-        elif evolved:
-            b_t = heisenberg(evolved[0].observable, _evolution_matrix(u))
-            spec = MeasurementSpec(b_t, evolved[0].phi, evolved[0].kind)
-            del b_t  # the spec keeps its own checked copy
-            built = {phi: _measurement(spec.with_phi(phi), n, range(n)) for phi in strengths}
-        for k, step in zip(slots, evolved):
-            rest.insert(k - parts, built[step.phi])
+        built = {}
+        if evolved:
+            left, dense = b_of_t(u)
+            built = {phi: _Measurement(spec, left, dense) for phi, spec in strengths.items()}
+        measured = [s if isinstance(s, _Measurement) else built[s.phi] for s in rest]
         if exact:
-            phis = tuple(s.phi for s in rest)
-            return [
-                CorrelatorEstimate(v, "exact", (0,) * (len(phis) + 1), (first.phi, *phis), 0.0)
-                for first, v in zip(firsts, _transfer_values(starts, rest, dim))
-            ]
-        rows = _leaf_probabilities(children, rest, dim)
+            values = _transfer_values(starts, measured, dim)
+            return [CorrelatorEstimate(v, "exact", zeros, p, 0.0) for v, p in zip(values, phis)]
+        rows = _leaf_probabilities(starts, measured, dim)
         return [
-            _sampled_estimate([first, *rest], probs, trials, seed)
+            _sampled_estimate([first, *measured], probs, trials, seed)
             for first, probs, seed in zip(firsts, rows, point_seeds)
         ]
 

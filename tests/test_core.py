@@ -12,6 +12,7 @@ from seqmeas import (
     NumericalInvariantError,
     PureState,
     apply_unitary,
+    distance_up_to_phase,
     embed,
     expectation,
     partial_trace,
@@ -65,6 +66,15 @@ class TestIdentityDeviation:
                     before = x.copy()
                     assert identity_deviation(x) == np.max(np.abs(x - np.eye(dim)))
                     assert np.array_equal(x, before)
+
+
+class TestDistanceUpToPhase:
+    def test_global_phase_is_free(self):
+        assert distance_up_to_phase(1j * PAULI_Z, PAULI_Z) <= 1e-15
+
+    def test_zero_overlap_takes_the_plain_distance(self):
+        # Tr(X^dag Z) = 0 fixes no phase, and every phase gives ||Z - X|| = 2.
+        assert distance_up_to_phase(PAULI_Z, PAULI_X) == 2.0
 
 
 class TestIsUnitary:

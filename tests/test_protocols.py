@@ -1186,6 +1186,54 @@ class TestGridChecks:
             )
         assert all(calls == [] for calls in per_point)
 
+    @pytest.mark.parametrize(
+        "route", ["vector", "pure eigenbasis", "eigenbasis", "density", "sampled"]
+    )
+    def test_evolved_steps_measure_one_b(self, route):
+        # A grid sequence has one B: an evolved step of another observable
+        # or kind is refused, where it used to be measured as the first
+        # one's B.  An equal Pauli string or an equal matrix is that B.
+        n = 3
+        pure = route in ("vector", "pure eigenbasis")
+        initial = PureState.from_label("010") if pure else DensityMatrix.maximally_mixed(n)
+        grid = _grid_propagators(build_mixed_field_ising(n), [0.3, 0.6, 0.9])
+        if route == "vector":
+            grid = grid[:2]
+        elif route == "density":
+            grid = [u.matrix for u in grid]
+        kwargs = {"mode": "exact", "trials": None, "seeds": None}
+        if route == "sampled":
+            kwargs = {"mode": "sampled", "trials": 50, "seeds": [(1,)] * len(grid)}
+        a, b, c = (PauliString.from_text(t) for t in ("+ZII", "+IIZ", "+IXI"))
+
+        def evolved(observable, phi, kind="informative"):
+            return protocols_mod._EvolvedStep(MeasurementSpec(observable, phi, kind))
+
+        def grid_values(steps):
+            rows = protocols_mod._sequence_grid(initial, steps, 1, grid, **kwargs)
+            return [est.value for row in rows for est in row]
+
+        for later in (
+            evolved(c, 0.8),
+            evolved(b, 0.8, "noninformative"),
+            evolved(c.matrix(), 0.8),
+            evolved(-b.matrix(), 0.8),
+        ):
+            with pytest.raises(ValueError, match="first one's B"):
+                grid_values([meas(a, 0.5), evolved(b, 0.6), later])
+        phis = [0.5, 0.6, 0.7, 0.8]
+        rows = protocols_mod._heisenberg_protocol(
+            initial, a, b, 4, grid, ("real",), phis, **kwargs
+        )
+        ref = [est.value for row in rows for est in row]
+        for b1, b2 in ((b, PauliString.from_text("+IIZ")), (b.matrix(), b.matrix().copy())):
+            steps = [meas(a, 0.5), evolved(b1, 0.6), meas(a, 0.7), evolved(b2, 0.8)]
+            got = grid_values(steps)
+            if isinstance(b1, PauliString):
+                assert got == ref
+            else:
+                assert np.allclose(got, ref, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("route", ["vector", "eigenbasis", "density"])
     def test_malformed_propagator_never_reaches_a_value(self, route):
         # A one-element spectrum would broadcast its phase over the register:
@@ -1821,6 +1869,50 @@ class TestSampling:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_blocks_equal_the_one_shot_draw(self, monkeypatch):
+        # The trials are drawn in blocks of rows from one generator: a run
+        # of several blocks draws the outcome strings of the one-shot draw
+        # of trial_uniforms, and any block size gives the same estimate.
+        rng = np.random.default_rng(14)
+        rho = random_density(rng, 2)
+        steps = [meas(random_pauli(rng, 2), 0.9, "noninformative"),
+                 meas(random_pauli(rng, 2), 1.2)]
+        records = sequence_distribution(rho, steps)
+        tree = [np.array([r.probability for r in records])]
+        for _ in steps:
+            tree.insert(0, tree[0].reshape(-1, 2).sum(axis=1))
+        trials, seed = 2 * protocols_mod._TRIAL_BLOCK + 123, 9
+        uniforms = protocols_mod.trial_uniforms(seed, trials, len(steps))
+        leaf = np.zeros(trials, dtype=np.intp)
+        for j in range(len(steps)):
+            leaf = 2 * leaf + (uniforms[:, j] < tree[j + 1][2 * leaf + 1] / tree[j][leaf])
+        products = [records[k].weight for k in leaf.tolist()]
+        mean = math.fsum(products) / trials
+        var = math.fsum((w - mean) ** 2 for w in products) / (trials - 1)
+        est = sample_protocol(rho, steps, trials, seed)
+        assert est.value == mean
+        assert est.empirical_stderr == math.sqrt(var / trials)
+        one_block = sample_protocol(rho, steps, 1000, seed)
+        for block in (7, 4096):
+            monkeypatch.setattr(protocols_mod, "_TRIAL_BLOCK", block)
+            assert sample_protocol(rho, steps, 1000, seed) == one_block
+
+    def test_memory_does_not_grow_with_the_trials(self):
+        # Four million trials of a two-step TOC draw their uniforms block by
+        # block, so the peak stays far below the 61 MiB of a one-shot draw.
+        rho = DensityMatrix.maximally_mixed(2)
+        a, b = PauliString(("Z", "I")), PauliString(("I", "X"))
+        u = propagator(build_mixed_field_ising(2), 0.7)
+        toc(rho, a, b, u, phis=(0.9, 0.7), mode="sampled", trials=100, seed=0)
+        tracemalloc.start()
+        try:
+            est = toc(rho, a, b, u, phis=(0.9, 0.7), mode="sampled", trials=4 * 10**6, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.trials == (4 * 10**6,) * 2
+        assert peak < 16 * 2**20
 
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(11)

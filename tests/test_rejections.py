@@ -174,6 +174,12 @@ CASES = {
     "PureState fractional qubits": (
         lambda: PureState(2.5, np.ones(4) / 2),
         ValueError, "n_qubits must be a positive integer, got 2.5"),
+    "rms_bound fractional trial count": (
+        lambda: protocols_mod.rms_bound([1.0], [2.7]),
+        TypeError, "cannot be interpreted as an integer"),
+    "rms_bound string trial count": (
+        lambda: protocols_mod.rms_bound([1.0], ["3"]),
+        TypeError, "cannot be interpreted as an integer"),
     "_leaf_probabilities sum below 1": (
         lambda: protocols_mod._leaf_probabilities(
             [np.diag([0.2, 0.2]), np.diag([0.25, 0.25])], [], 2),
