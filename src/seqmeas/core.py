@@ -69,12 +69,13 @@ def is_hermitian(m: np.ndarray, tol: float = CHECK_TOL) -> bool:
     return np.max(np.abs(m - m.conj().T)) <= tol
 
 
-def identity_deviation(m: np.ndarray) -> float:
+def identity_deviation(m: np.ndarray, out: np.ndarray | None = None) -> float:
     """max |m - 1| over the entries of a square matrix, equal bit for bit
     to ``np.max(np.abs(m - np.eye(dim)))`` but without the identity or
     the difference: |m| elementwise with the diagonal replaced by
-    |m_ii - 1|.  ``m`` is not changed."""
-    dev = np.abs(m)
+    |m_ii - 1|, written into ``out`` (a real array of m's shape) if given.
+    ``m`` is not changed."""
+    dev = np.abs(m, out=out)
     np.fill_diagonal(dev, np.abs(m.diagonal() - 1))
     return float(np.max(dev))
 
@@ -89,9 +90,10 @@ def is_unitary(m: np.ndarray, tol: float = CHECK_TOL) -> bool:
     return identity_deviation(matmul(m.conj().T, m)) <= tol
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``a @ b`` for 2-D ``float64`` or ``complex128`` arrays, with a real
-    factor kept real.  A real
+    factor kept real, written into ``out`` (a C-contiguous array of the
+    product's shape and dtype) if given.  A real
     matrix times a complex one runs as one real product on the complex
     factor's interleaved (re, im) entries, where numpy would cast the real
     one to complex first.  Against a complex product of the same shape it
@@ -99,10 +101,17 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (one BLAS thread)."""
     kinds = a.dtype.kind + b.dtype.kind
     if kinds == "fc":
-        return (a @ np.ascontiguousarray(b).view(np.float64)).view(np.complex128)
+        real_out = None if out is None else out.view(np.float64)
+        b = np.ascontiguousarray(b).view(np.float64)
+        return np.matmul(a, b, out=real_out).view(np.complex128)
     if kinds == "cf":
-        return matmul(b.T, a.T).T
-    return a @ b
+        # The product is formed transposed, so it is copied into ``out``.
+        product = matmul(b.T, a.T).T
+        if out is None:
+            return product
+        np.copyto(out, product)
+        return out
+    return np.matmul(a, b, out=out)
 
 
 def distance_up_to_phase(u: np.ndarray, v: np.ndarray) -> float:

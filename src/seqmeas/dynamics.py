@@ -205,14 +205,17 @@ def heisenberg(obs, u, targets=None) -> np.ndarray:
     return matmul(matmul(um.conj().T, embed(obs, n, targets)), um)
 
 
-def heisenberg_phases(b_frame: np.ndarray, u: Propagator) -> np.ndarray:
+def heisenberg_phases(
+    b_frame: np.ndarray, u: Propagator, out: np.ndarray | None = None
+) -> np.ndarray:
     """B(t) = U^dag B U in the eigenbasis V of H, from B in that basis,
     ``b_frame`` = V^dag B V, and the propagator U = V e^{-iEt} V^dag of H:
     V^dag B(t) V = e^{iEt} (V^dag B V) e^{-iEt}, the elementwise scaling of
-    entry (j, k) by e^{iE_j t} e^{-iE_k t}.  One O(dim^2) pass; neither U
+    entry (j, k) by e^{iE_j t} e^{-iE_k t}, written into ``out`` (a complex
+    array of ``b_frame``'s shape) if given.  One O(dim^2) pass; neither U
     nor a product is formed."""
     phases = u.phases
-    bt = phases.conj()[:, None] * b_frame
+    bt = np.multiply(phases.conj()[:, None], b_frame, out=out)
     bt *= phases
     return bt
 

@@ -23,7 +23,11 @@ Both modes evaluate a density matrix from the back, in one walk
 over.  It builds effects Z = E_2^dag ... E_m^dag(1), one four-term update
 per measurement (E^dag is E with the XB and BX weights swapped; the last
 one is formed from B and B^2 alone), and a value is Tr(E_1(rho) Z),
-summed elementwise by the walk's one reader (:func:`_traces`).
+read as vdot(Z, E_1(rho)) of the Hermitian Z by the walk's one reader
+(:func:`_traces`).  The walk writes every dim x dim array into one
+workspace per grid (:class:`_Workspace`): its buffers belong to the grid,
+one per walk depth and branch and one per scratch role, made at the
+grid's first time point, and every later point overwrites them.
 
 Exact mode is the verification reference.  By linearity, the weighted
 average over outcome strings is Tr(E_m ... E_1(rho)) with the transfer
@@ -235,18 +239,71 @@ def _adjoint(w):
     return w[0], w[2], w[1], w[3]
 
 
+class _Workspace(dict):
+    """The arrays one grid's time points write into, by name: ``ws[key]``
+    is a dim x dim complex buffer, and :meth:`take` hands out one of
+    another shape or dtype.  A buffer is made on its first request and
+    handed out again on every later one, so it belongs to the grid, and
+    each time point overwrites what the last one left there.  A point
+    writes every buffer before it reads it, so it sees no other point's
+    data, and a grid holds one set of buffers however many points it
+    has."""
+
+    def __init__(self, dim: int):
+        super().__init__()
+        self.dim = dim
+
+    def __missing__(self, key) -> np.ndarray:
+        buffer = self[key] = np.empty((self.dim, self.dim), np.complex128)
+        return buffer
+
+    def take(self, key, shape, dtype) -> np.ndarray:
+        """The buffer named ``key``, an array of ``shape`` and ``dtype``."""
+        buffer = self.get(key)
+        if buffer is None:
+            buffer = self[key] = np.empty(shape, dtype)
+        return buffer
+
+    def identity(self) -> np.ndarray:
+        """The complex dim x dim identity, made on first use and never
+        written."""
+        eye = self.get("1")
+        if eye is None:
+            eye = self["1"] = np.identity(self.dim, dtype=np.complex128)
+            eye.flags.writeable = False
+        return eye
+
+
+def _weighted_sum(terms, weights, out, term) -> bool:
+    """sum_j w_j T_j into ``out`` over the ``terms`` whose weight is not
+    exactly 0.0, starting from the first of them, with ``term`` holding
+    each later w_j T_j; False, with ``out`` untouched, if there is none."""
+    started = False
+    for wj, t in zip(weights, terms):
+        if wj == 0.0:
+            continue
+        if started:
+            out += np.multiply(t, wj, out=term)
+        else:
+            np.multiply(t, wj, out=out)
+            started = True
+    return started
+
+
 class _Measurement:
     """The two Kraus operators K_a = c0 1 + c1 B of one measure step, with B
-    known by its action alone: ``left`` maps a dim x k block x to B x.
+    known by its action alone: ``left(x, out=None)`` maps a dim x k block x
+    to B x, written into ``out`` if given.
 
     ``alphas`` holds the generalized eigenvalues of the two outcomes,
     ``weights`` the per-outcome weights of X, XB, BX, BXB and
     ``transfer_weights`` their alpha-weighted sum W = sum_a alpha_a w_a,
     the weights of the transfer map.  ``left`` is a signed row gather for a
     Pauli string (:func:`_signed_rows`) or a product for a raw observable
-    matrix, both built by :func:`_measurement`, and, on the pure-state
-    routes and the mixed eigenbasis route, the action of B(t)
-    (:func:`_heisenberg_action`).
+    matrix, both built by :func:`_measurement`, and the action of B(t) on
+    the pure-state routes (:func:`_heisenberg_action`) and on the mixed
+    eigenbasis route (its phases around one product with B~, built by
+    :func:`_sequence_grid`).
 
     ``dense`` = (B, B^2) is given for a raw observable matrix, and for the
     B~(t) of the mixed eigenbasis route, which acts by its phases but
@@ -255,10 +312,12 @@ class _Measurement:
     without assuming B^2 = 1, and :meth:`effect` reads the pair.  Without
     it B^2 = 1 holds (a Pauli string, or a pure route's B(t) checked where
     its action is built), and the check takes the scalar form
-    (:func:`_check_scalar_completeness`).
+    (:func:`_check_scalar_completeness`).  The dense check writes its
+    residual into ``workspace`` (a time point's B(t) measurement gets its
+    grid's), or into fresh arrays without one.
     """
 
-    def __init__(self, spec: MeasurementSpec, left, dense=None):
+    def __init__(self, spec: MeasurementSpec, left, dense=None, workspace=None):
         self.phi = spec.phi
         self.weights = _kraus_weights(spec)
         self.alphas = (generalized_eigenvalue(spec.phi, 0), generalized_eigenvalue(spec.phi, 1))
@@ -272,11 +331,13 @@ class _Measurement:
             _check_scalar_completeness(self.weights)
         else:
             b, b_sq = dense
+            ws = _Workspace(len(b)) if workspace is None else workspace
             w0, w1, w2, w3 = (sum(w[k] for w in self.weights) for k in range(4))
-            residual = (w1 + w2) * b
-            residual += w3 * b_sq
+            residual = ws["residual"]
+            if not _weighted_sum((b, b_sq), (w1 + w2, w3), residual, ws["term"]):
+                residual.fill(0.0)
             residual.flat[:: len(b) + 1] += w0 - 1.0
-            dev = float(np.max(np.abs(residual)))
+            dev = float(np.max(np.abs(residual, out=ws.take("|residual|", b.shape, np.float64))))
             if not dev <= 1e-12:
                 raise NumericalInvariantError(
                     f"Kraus operators violate completeness by {dev:.3e}"
@@ -285,8 +346,8 @@ class _Measurement:
 
     @staticmethod
     def _combine(terms, w):
-        """w0 X + w1 XB + w2 BX + w3 BXB from ``terms`` = (X, XB, BX, BXB),
-        matrices or their traces; a term whose weight is exactly 0.0 is
+        """w0 X + w1 XB + w2 BX + w3 BXB from the traces ``terms`` = (Tr X,
+        Tr XB, Tr BX, Tr BXB); a term whose weight is exactly 0.0 is
         skipped."""
         total = None
         for wj, term in zip(w, terms):
@@ -297,7 +358,7 @@ class _Measurement:
                     total += wj * term
         return 0.0 * terms[0] if total is None else total
 
-    def maps(self, x, weights):
+    def maps(self, x, weights, workspace=None, depth=0):
         """w0 X + w1 XB + w2 BX + w3 BXB for each weight tuple w in
         ``weights``.  Every X the engine maps is Hermitian, and so is every
         map of it (each K_a X K_a^dag preserves Hermiticity, and so do their
@@ -305,39 +366,65 @@ class _Measurement:
         and XB = (BX)^dag: w1 XB + w2 BX = M + M^dag with M = w2 BX, and
         BXB = B (BX)^dag.  B acts by ``left`` alone, once for the XB, BX
         pair and once more for BXB, each term formed once for all the tuples
-        and only if some tuple needs it.  The per-outcome ``weights`` give
-        the children K_a X K_a^dag; the adjoint of a map is the map with its
-        XB and BX weights swapped (:func:`_adjoint`).  A tuple without that
-        symmetry raises :class:`NumericalInvariantError`."""
+        and only if some tuple needs it, and a sum starts from its first
+        nonzero-weight term.  The per-outcome ``weights`` give the children
+        K_a X K_a^dag; the adjoint of a map is the map with its XB and BX
+        weights swapped (:func:`_adjoint`).  A tuple without that symmetry
+        raises :class:`NumericalInvariantError`.
+
+        The maps are the ``workspace`` buffers (``depth``, j), one per
+        tuple, and the products and terms go to its scratch buffers: they
+        belong to the grid, and the next map at that depth, of this point
+        or a later one, overwrites them.  Without a workspace all of them
+        are fresh arrays."""
         for w in weights:
             if w[1] != w[2].conjugate():
                 raise NumericalInvariantError(
                     f"weights {w} do not map a Hermitian X to a Hermitian one"
                 )
+        ws = _Workspace(len(x)) if workspace is None else workspace
         need = [any(w[j] != 0.0 for w in weights) for j in range(4)]
-        bx = self.left(x) if any(need[1:]) else None
-        bxb = self.left(bx.conj().T) if need[3] else None
+        bx = self.left(x, out=ws["BX"]) if any(need[1:]) else None
+        bxb = self.left(np.conjugate(bx.T, out=ws["(BX)^dag"]), out=ws["BXB"]) if need[3] else None
+        term = ws["term"]
         mapped = []
-        for w in weights:
-            total = self._combine((x, None, None, bxb), (w[0], 0.0, 0.0, w[3]))
+        for j, w in enumerate(weights):
+            out = ws[depth, j]
+            started = _weighted_sum((x, bxb), (w[0], w[3]), out, term)
             if w[2] != 0.0:
-                m = w[2] * bx
-                total += m
-                total += np.conjugate(m, out=m).T
-            mapped.append(total)
+                m = np.multiply(bx, w[2], out=term)
+                if started:
+                    out += m
+                    out += np.conjugate(m, out=m).T
+                else:
+                    # M^dag as a contiguous transposed copy starts the sum;
+                    # added to a started sum, such a copy was slower than
+                    # the strided add above (x1.07 at dim 128, x1.56 at
+                    # dim 256, one core).
+                    np.conjugate(m.T, out=out)
+                    out += m
+            elif not started:
+                out.fill(0.0)
+            mapped.append(out)
         return mapped
 
-    def transfer(self, x):
-        """E(X) = sum_a alpha_a K_a X K_a^dag."""
-        return self.maps(x, (self.transfer_weights,))[0]
+    def transfer(self, x, workspace=None, depth=0):
+        """E(X) = sum_a alpha_a K_a X K_a^dag, as :meth:`maps` forms it."""
+        return self.maps(x, (self.transfer_weights,), workspace, depth)[0]
 
-    def effect(self, w, dim):
+    def effect(self, w, workspace, key=(0, 0)):
         """E_w^dag(1) = w0 1 + (w1 + w2) B + w3 B^2 for the map with weights
         ``w``, formed from B and B^2 (``dense``) without a product, or from
-        B = B 1 (``left``) and B^2 = 1."""
-        eye = np.identity(dim, dtype=np.complex128)
-        b, b_sq = self.dense or (self.left(eye), eye)
-        return self._combine((eye, b, b, b_sq), _adjoint(w))
+        B = B 1 (``left``) and B^2 = 1, into the ``workspace`` buffer
+        ``key``, a buffer of the grid that the next effect written there
+        overwrites."""
+        eye = workspace.identity()
+        b, b_sq = self.dense or (self.left(eye, out=workspace["B 1"]), eye)
+        out = workspace[key]
+        weights = (w[0], w[1] + w[2], w[3])
+        if not _weighted_sum((eye, b, b_sq), weights, out, workspace["term"]):
+            out.fill(0.0)
+        return out
 
     # A pure initial state travels as a factor pair (L, R), dim x k blocks
     # with X = L R^dag.  B is Hermitian, so the four terms are factor pairs
@@ -384,11 +471,13 @@ def _check_scalar_completeness(weights) -> None:
 def _signed_rows(perm, d):
     """x -> P x for the Pauli string P with the signed permutation ``(perm,
     d)`` of :meth:`~seqmeas.observables.PauliString.action`: (P x)[i] =
-    d[i] x[perm[i]], O(dim k) for a dim x k block and no dense P."""
+    d[i] x[perm[i]], O(dim k) for a dim x k block and no dense P, written
+    into ``out`` if given."""
     d = d[:, None]
 
-    def left(x):
-        return d * x[perm]
+    def left(x, out=None):
+        rows = x.take(perm, axis=0, out=out, mode="clip")
+        return np.multiply(d, rows, out=rows)
 
     return left
 
@@ -462,7 +551,7 @@ def _resolve_steps(initial: DensityMatrix | PureState, steps):
     return resolved
 
 
-def _effects(rest, branches, dim, z=None, index=0, stride=1):
+def _effects(rest, branches, workspace, z=None, index=0, stride=1):
     """Yield ``(index, Z)`` for every outcome string s of the resolved
     measurements ``rest``, with Z = E_{s_2}^dag ... E_{s_m}^dag(1) its
     effect; ``branches[k]`` holds the weight tuples that step k branches
@@ -470,43 +559,45 @@ def _effects(rest, branches, dim, z=None, index=0, stride=1):
 
     The walk runs depth first from the back: the last step's Z is its
     ``effect``, and each earlier step maps the Z after it with the adjoint
-    weights, all branches of a node from one set of terms, so only the
-    branches of one node per step are alive; a node drops its Z once it is
-    mapped and hands each branch on without keeping it.  An empty ``rest``
-    has the effect 1.  The recursion goes through this module-level
-    function, so a walk holds no reference cycle.
+    weights, all branches of a node from one set of terms.  Step k writes
+    its branches into the ``workspace`` buffers (k + 1, a): only the
+    branches of one node per step are alive, and the next node of that
+    step overwrites them once the walk below is done with them.  So a walk
+    holds one buffer per step and branch, and so does its grid, whose
+    points overwrite them.  An empty ``rest`` has the effect 1.  The
+    recursion goes through this module-level function, so a walk holds no
+    reference cycle.
     """
     if not rest:
-        yield index, np.identity(dim) if z is None else z
+        yield index, workspace.identity() if z is None else z
         return
-    step, weights = rest[-1], branches[-1]
+    step, weights, depth = rest[-1], branches[-1], len(rest)
     if z is None:
-        zs = [step.effect(w, dim) for w in weights]
+        zs = [step.effect(w, workspace, (depth, a)) for a, w in enumerate(weights)]
     else:
-        zs = step.maps(z, [_adjoint(w) for w in weights])
-        del z
+        zs = step.maps(z, [_adjoint(w) for w in weights], workspace, depth)
     count = len(zs)
-    for a in range(count):
+    for a, z in enumerate(zs):
         yield from _effects(
-            rest[:-1], branches[:-1], dim, zs.pop(0), index + a * stride, stride * count
+            rest[:-1], branches[:-1], workspace, z, index + a * stride, stride * count
         )
 
 
-def _traces(xs, rest, branches, dim) -> np.ndarray:
-    """Tr(X Z), summed elementwise, for every X in ``xs`` and every effect
-    Z of the walk of :func:`_effects` over ``rest`` and ``branches``: a
-    complex array with one row per X and one column per outcome string.
-    This is the walk's only reader; it drops each Z and the transposed copy
-    it reads it through before the walk forms the next one."""
+def _traces(xs, rest, branches, workspace) -> np.ndarray:
+    """Tr(X Z) for every X in ``xs`` and every effect Z of the walk of
+    :func:`_effects` over ``rest`` and ``branches``: a complex array with
+    one row per X and one column per outcome string.  Z is Hermitian, so
+    Tr(X Z) = sum_jk X_jk Z_kj = vdot(Z, X), one pass without a copy.  This
+    is the walk's only reader; it reads each Z before the walk writes the
+    next one into the ``workspace`` buffers they share, buffers of the
+    grid that each time point overwrites."""
     traces = np.empty((len(xs), math.prod(map(len, branches))), dtype=np.complex128)
-    for index, z in _effects(rest, branches, dim):
-        z_t = z.T.ravel()
-        traces[:, index] = [np.sum(z_t * x.ravel()) for x in xs]
-        del z, z_t
+    for index, z in _effects(rest, branches, workspace):
+        traces[:, index] = [np.vdot(z, x) for x in xs]
     return traces
 
 
-def _leaf_probabilities(children, rest, dim) -> np.ndarray:
+def _leaf_probabilities(children, rest, workspace) -> np.ndarray:
     """The sequential-Born probabilities P(a_1..a_m) of every outcome
     string, in lexicographic order, one row for each first measurement
     whose children K_a rho K_a^dag (a = 0, 1) are consecutive in
@@ -519,13 +610,14 @@ def _leaf_probabilities(children, rest, dim) -> np.ndarray:
     [0, 1] to 1e-12 and each row must sum to 1 within 1e-10, else
     :class:`NumericalInvariantError` is raised; more than
     ``MAX_ENUMERATED_MEASUREMENTS`` measurements raise ``ValueError``.
+    The walk writes into ``workspace`` (:class:`_Workspace`).
     """
     if len(rest) >= MAX_ENUMERATED_MEASUREMENTS:
         raise ValueError(
             f"{len(rest) + 1} measurement steps exceed the enumeration limit of "
             f"{MAX_ENUMERATED_MEASUREMENTS}"
         )
-    traces = _traces(children, rest, [s.weights for s in rest], dim)
+    traces = _traces(children, rest, [s.weights for s in rest], workspace)
     rows = traces.real.reshape(len(children) // 2, -1)
     for row in rows:
         for prob in row.tolist():
@@ -563,12 +655,14 @@ def sequence_distribution(
     rho = initial.density() if isinstance(initial, PureState) else initial
     resolved = _resolve_steps(rho, steps)
     first, rest = resolved[0], resolved[1:]
-    (probs,) = _leaf_probabilities(first.maps(rho.matrix, first.weights), rest, rho.dim)
+    workspace = _Workspace(rho.dim)
+    children = first.maps(rho.matrix, first.weights, workspace, first)
+    (probs,) = _leaf_probabilities(children, rest, workspace)
     outcomes = itertools.product((0, 1), repeat=len(resolved))
     return list(map(OutcomeRecord, outcomes, _alpha_products(resolved), probs.tolist()))
 
 
-def _transfer_values(starts, rest, dim):
+def _transfer_values(starts, rest, workspace):
     """The exact weighted averages Tr(E_m ... E_2(X)), one for each first
     transfer X = E_1(rho) in ``starts`` (a dim x dim matrix, or for a pure
     state the factor pair of E_1(psi psi^dag); :func:`_sequence_grid`
@@ -578,8 +672,8 @@ def _transfer_values(starts, rest, dim):
 
     A dim x dim X is evaluated from the back: the walk of :func:`_effects`,
     branching over the transfer weights alone, forms the one effect Z =
-    E_2^dag ... E_m^dag(1), shared by every X, whose value is Tr(X Z),
-    summed elementwise (:func:`_traces`, as for sampled leaves).  A
+    E_2^dag ... E_m^dag(1) in ``workspace``, shared by every X, whose value
+    is Tr(X Z) (:func:`_traces`, as for sampled leaves).  A
     factor pair X = L R^dag travels forward: a measurement concatenates the
     factors of its nonzero-weight terms, so no dim x dim state is formed,
     and the last one gives Tr E(X).
@@ -592,7 +686,7 @@ def _transfer_values(starts, rest, dim):
             trace = rest[-1].factor_trace(pair) if rest else np.vdot(pair[1], pair[0])
             values.append(complex(trace))
     else:
-        traces = _traces(starts, rest, [(s.transfer_weights,) for s in rest], dim)
+        traces = _traces(starts, rest, [(s.transfer_weights,) for s in rest], workspace)
         values = traces[:, 0].tolist()
     return _checked_values(values)
 
@@ -765,27 +859,26 @@ def _evolution_matrix(evolution) -> np.ndarray:
     return u
 
 
-def _heisenberg_action(apply_b, apply_u, psi=None):
-    """x -> B(t) x = U^dag (B (U x)) for dim x k blocks x, with ``apply_b``
-    the map y -> B y and ``apply_u(y, adjoint)`` the map y -> U y (U^dag y
-    if ``adjoint``), both in one basis of the whole register.  In the
-    computational basis U acts through its spectrum (:meth:`Propagator.apply`,
-    two products); in H's eigenbasis U is diagonal (:func:`_phase_action`)
-    and ``apply_b`` is one product with B~ = V^dag B V.
+def _heisenberg_action(apply_b, apply_u, psi):
+    """x -> B(t) x = U^dag (B (U x)) for the dim x k blocks x of a pure
+    state, with ``apply_b`` the map y -> B y and ``apply_u(y, adjoint)``
+    the map y -> U y (U^dag y if ``adjoint``), both in one basis of the
+    whole register.  In the computational basis U acts through its
+    spectrum (:meth:`Propagator.apply`, two products); in H's eigenbasis U
+    is diagonal (:func:`_phase_action`) and ``apply_b`` is one product with
+    B~ = V^dag B V.
 
-    Given ``psi``, the initial vector in that basis, B(t)^2 = 1 is checked
-    on it, ||B(t) (B(t) psi) - psi||_inf <= 1e-10, once per time point for
-    every part; a corrupted propagator fails here with
-    :class:`NumericalInvariantError`.  Without it the caller checks B(t)^2
-    (the mixed eigenbasis route forms it densely).
+    B(t)^2 = 1 is checked on ``psi``, the initial vector in that basis,
+    ||B(t) (B(t) psi) - psi||_inf <= 1e-10, once per time point for every
+    part; a corrupted propagator fails here with
+    :class:`NumericalInvariantError`.
     """
 
     def apply(x):
         return apply_u(apply_b(apply_u(x)), adjoint=True)
 
-    if psi is not None:
-        dev = float(np.max(np.abs(apply(apply(psi)) - psi)))
-        _check_square(dev, "on the initial state ")
+    dev = float(np.max(np.abs(apply(apply(psi)) - psi)))
+    _check_square(dev, "on the initial state ")
     return apply
 
 
@@ -800,11 +893,12 @@ def _check_square(dev: float, where: str = "") -> None:
 
 def _phase_action(u: Propagator):
     """y -> U y, or U^dag y if ``adjoint``, in the eigenbasis of H, where U
-    is the diagonal e^{-iEt}: an O(dim k) scaling of the rows of y."""
+    is the diagonal e^{-iEt}: an O(dim k) scaling of the rows of y, written
+    into ``out`` if given."""
     phases = u.phases[:, None]
 
-    def apply(y, adjoint=False):
-        return (phases.conj() if adjoint else phases) * y
+    def apply(y, adjoint=False, out=None):
+        return np.multiply(phases.conj() if adjoint else phases, y, out=out)
 
     return apply
 
@@ -898,19 +992,20 @@ def _sequence_grid(initial, steps, parts, evolutions, mode, trials, seeds):
       and the first transfers are carried into the frame (a trace is the
       same in every basis): V^dag E_1(rho) V for a density matrix, the
       factor pair (V^dag L, V^dag R) for a pure state.  A time point
-      applies B~(t) = e^{iEt} B~ e^{-iEt} by its phases, x -> e^{iEt} (B~
-      (e^{-iEt} x)), one product (:func:`_heisenberg_action`); for a pure
-      state that action checks B~(t)^2 = 1 on V^dag psi.  For a density
-      matrix B~ goes into one spec per grid, which checks it Hermitian
-      with B~^2 = 1 to 1e-10, and a time point forms B~(t) and B~(t)^2 =
-      e^{iEt} B~^2 e^{-iEt} by one O(dim^2) phase scaling of the pair
-      (:func:`heisenberg_phases`) and checks B~(t)^2 = 1 to 1e-10.  B~(t)
-      inherits B~'s Hermiticity: with p = e^{-iEt}, (B~(t) - B~(t)^dag)_jk
-      = conj(p_j) p_k (B~ - B~^dag)_jk, and the diagonal of the square
-      check pins |p_j| = 1, as V's check stands in for U's.  A real H has a
-      real V, and B~ and A~ are then real too for strings with an even
-      number of Y factors: their products run in real arithmetic
-      (:func:`~seqmeas.core.matmul`).
+      applies B~(t) = e^{iEt} B~ e^{-iEt} by its phases
+      (:func:`_phase_action`), x -> e^{iEt} (B~ (e^{-iEt} x)), one
+      product; for a pure state through :func:`_heisenberg_action`, which
+      checks B~(t)^2 = 1 on V^dag psi.  For a density matrix B~ goes into
+      one spec per grid, which checks it Hermitian with B~^2 = 1 to
+      1e-10, and a time point forms B~(t) and B~(t)^2 = e^{iEt} B~^2
+      e^{-iEt} by one O(dim^2) phase scaling of the pair into the grid's
+      workspace (:func:`heisenberg_phases`) and checks B~(t)^2 = 1 to
+      1e-10.  B~(t) inherits B~'s Hermiticity: with p = e^{-iEt}, (B~(t) -
+      B~(t)^dag)_jk = conj(p_j) p_k (B~ - B~^dag)_jk, and the diagonal of
+      the square check pins |p_j| = 1, as V's check stands in for U's.  A
+      real H has a real V, and B~ and A~ are then real too for strings
+      with an even number of Y factors: their products run in real
+      arithmetic (:func:`~seqmeas.core.matmul`).
     * vector: a pure state psi on a shorter grid (every one-point
       :func:`toc` and :func:`otoc` call), or on propagators of several
       spectra.  The first transfers are factor pairs of E_1(psi psi^dag).
@@ -928,6 +1023,13 @@ def _sequence_grid(initial, steps, parts, evolutions, mode, trials, seeds):
     square.  Either way the pair (B(t), B(t)^2) serves every B(t) step of
     the point, and each B(t) measurement checks completeness with it to
     1e-12 (:class:`_Measurement`).
+
+    Every dense route writes its time points' dim x dim arrays into one
+    workspace per grid (:class:`_Workspace`): the walk's effects and
+    products, the completeness residuals, the mixed eigenbasis route's
+    B~(t) pair and its products, and, under keys of their own, the first
+    states.  The buffers belong to the grid; each point overwrites the
+    last one's, and reads nothing it did not write.
     """
     evolutions = list(evolutions)
     if seeds is None:
@@ -975,26 +1077,39 @@ def _sequence_grid(initial, steps, parts, evolutions, mode, trials, seeds):
     if isinstance(initial, PureState) and not pure:
         initial = initial.density()
 
-    # The route's builder u -> (left, dense) of B(t), one per grid.
+    # The buffers every time point writes into (see _Workspace), and the
+    # route's builder u -> (left, dense) of B(t), one per grid.
+    workspace = _Workspace(dim)
     if frame:
         evecs = evolutions[0].evecs
         if not is_unitary(evecs, CHECK_TOL):
             raise NumericalInvariantError("eigenbasis of H is not unitary to 1e-10")
         b_frame = heisenberg(b.observable, evecs)
-        if not pure:
+        if pure:
+            apply_b = functools.partial(matmul, b_frame)
+        else:
             # B~ is checked once; each point's B~(t) and its square are the
-            # phase scalings of this pair.
+            # phase scalings of this pair, into the workspace.
             checked = MeasurementSpec(b_frame, b.phi, b.kind)
             b_pair = np.stack((checked.observable, checked._square))
             b_frame = b_pair[0]
             del checked
 
             def b_of_t(u):
-                pair = heisenberg_phases(b_pair, u)
-                _check_square(identity_deviation(pair[1]))
-                return _heisenberg_action(apply_b, _phase_action(u)), tuple(pair)
+                pair = workspace.take("B~(t), B~(t)^2", b_pair.shape, np.complex128)
+                heisenberg_phases(b_pair, u, pair)
+                square_abs = workspace.take("|residual|", (dim, dim), np.float64)
+                _check_square(identity_deviation(pair[1], square_abs))
+                phase = _phase_action(u)
 
-        apply_b = functools.partial(matmul, b_frame)
+                def left(x, out=None):
+                    # B~(t) x = e^{iEt} (B~ (e^{-iEt} x)), one product with B~,
+                    # with e^{-iEt} x held in ``out`` until the product reads it.
+                    ux = phase(x, out=out)
+                    return phase(matmul(b_frame, ux, workspace["B U x"]), True, out)
+
+                return left, tuple(pair)
+
         # The measurements after the first ones act in the frame.
         for k, s in enumerate(static[parts:], parts):
             framed = heisenberg(s.spec.observable, evecs, s.targets)
@@ -1021,14 +1136,19 @@ def _sequence_grid(initial, steps, parts, evolutions, mode, trials, seeds):
         rest.insert(k - parts, spec)
     strengths = {spec.phi: spec for spec in evolved}
     # The first states: exact first transfers (factor pairs for a pure
-    # state), or the sampled children K_a rho K_a^dag.
+    # state), or the sampled children K_a rho K_a^dag, in the workspace
+    # under each first measurement's own keys, which no time point writes.
     if pure:
         psi = initial.amplitudes[:, None]
         starts = [first.transfer_factors((psi, psi)) for first in firsts]
     elif exact:
-        starts = [first.transfer(initial.matrix) for first in firsts]
+        starts = [first.transfer(initial.matrix, workspace, first) for first in firsts]
     else:
-        starts = [x for first in firsts for x in first.maps(initial.matrix, first.weights)]
+        starts = [
+            x
+            for first in firsts
+            for x in first.maps(initial.matrix, first.weights, workspace, first)
+        ]
     if frame:
         # A trace is the same in every basis.
         v_dag = evecs.conj().T
@@ -1036,21 +1156,26 @@ def _sequence_grid(initial, steps, parts, evolutions, mode, trials, seeds):
             starts = [(matmul(v_dag, l), matmul(v_dag, r)) for l, r in starts]
             psi = matmul(v_dag, psi)
         else:
-            starts = [matmul(matmul(v_dag, x), evecs) for x in starts]
+            starts = [matmul(matmul(v_dag, x), evecs, x) for x in starts]
     zeros = (0,) * (len(rest) + 1)
     phis = [(first.phi, *(s.phi for s in rest)) for first in firsts]
 
     def point(u, point_seeds):
-        # Every array built here is freed when the point is done.
+        # The walk, its completeness checks and the mixed eigenbasis route's
+        # B~(t) write into the grid's workspace, over the last point's
+        # arrays; every other array built here is freed when the point is
+        # done.
         built = {}
         if evolved:
             left, dense = b_of_t(u)
-            built = {phi: _Measurement(spec, left, dense) for phi, spec in strengths.items()}
+            built = {
+                phi: _Measurement(spec, left, dense, workspace) for phi, spec in strengths.items()
+            }
         measured = [s if isinstance(s, _Measurement) else built[s.phi] for s in rest]
         if exact:
-            values = _transfer_values(starts, measured, dim)
+            values = _transfer_values(starts, measured, workspace)
             return [CorrelatorEstimate(v, "exact", zeros, p, 0.0) for v, p in zip(values, phis)]
-        rows = _leaf_probabilities(starts, measured, dim)
+        rows = _leaf_probabilities(starts, measured, workspace)
         return [
             _sampled_estimate([first, *measured], probs, trials, seed)
             for first, probs, seed in zip(firsts, rows, point_seeds)

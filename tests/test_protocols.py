@@ -768,7 +768,8 @@ class TestBackwardDensityRoute:
             (other,) = protocols_mod._resolve_steps(rho, other_steps)
             firsts, rest = [resolved[0], other], resolved[1:]
             starts = [first.transfer(rho.matrix) for first in firsts]
-            values = protocols_mod._transfer_values(starts, rest, rho.dim)
+            workspace = protocols_mod._Workspace(rho.dim)
+            values = protocols_mod._transfer_values(starts, rest, workspace)
             for first, value in zip(firsts, values):
                 ref = forward_transfer_reference(rho, [first, *rest])
                 assert abs(value - ref.real) <= 1e-12
@@ -1148,7 +1149,7 @@ class TestSharedWalk:
         maps = counting_patch(monkeypatch, protocols_mod._Measurement, "maps")
         both = run(self.PARTS, self.SEEDS)
         # A walk calls itself with its node's effect; the top-level call
-        # takes the measurements, their branches and the dimension only.
+        # takes the measurements, their branches and the workspace only.
         assert sum(len(call) == 3 for call in walks) == len(grid)
         first_maps = [call for call in maps if call[0].phi == phis[0]]
         assert len(first_maps) == len(self.PARTS)
@@ -1156,6 +1157,68 @@ class TestSharedWalk:
         imag = run(("imag",), [(s,) for _, s in self.SEEDS])
         assert [row[0] for row in both] == [row[0] for row in real]
         assert [row[1] for row in both] == [row[0] for row in imag]
+
+
+class TestGridWorkspace:
+    """Every dense route writes a time point's arrays into one workspace per
+    grid (``protocols._Workspace``), over the last point's."""
+
+    PARTS = ("real", "imag")
+    TIMES = [0.3, 0.9, 1.4]
+    SEEDS = [(1, 2), (3, 4), (5, 6)]
+
+    @pytest.mark.parametrize("count", [2, 4])
+    @pytest.mark.parametrize("route", ["eigenbasis", "density", "sampled"])
+    def test_value_does_not_depend_on_the_points_before(self, monkeypatch, route, count):
+        # A point reads only what it wrote: each time's estimates are the
+        # same bits whether its grid runs forward, reversed or with that
+        # time repeated.
+        phase_calls = counting_patch(monkeypatch, protocols_mod, "heisenberg_phases")
+        rng = np.random.default_rng([121, count, len(route)])
+        n = 3
+        rho = random_density(rng, n)
+        grid = _grid_propagators(random_hermitian(rng, 2**n), self.TIMES)
+        if route == "density":
+            grid = [u.matrix for u in grid]
+        a, b = random_pauli(rng, n), random_pauli(rng, n)
+        phis = [0.5, 0.6, 0.7, 0.8][:count]
+
+        def bits(order):
+            kwargs = {}
+            if route == "sampled":
+                kwargs = {"mode": "sampled", "trials": 300,
+                          "seeds": [self.SEEDS[k] for k in order]}
+            rows = protocols_mod._heisenberg_protocol(
+                rho, a, b, count, [grid[k] for k in order], self.PARTS, phis, **kwargs
+            )
+            return [[(e.value.hex(), e.empirical_stderr.hex()) for e in row] for row in rows]
+
+        forward = bits([0, 1, 2])
+        assert bits([2, 1, 0]) == forward[::-1]
+        assert bits([1, 1, 1]) == [forward[1]] * 3
+        assert len(phase_calls) == (9 if route == "eigenbasis" else 0)
+
+    @pytest.mark.parametrize("route", ["eigenbasis", "density"])
+    def test_walk_buffers_are_built_once_per_grid(self, monkeypatch, route):
+        # Six points of a mixed eigenbasis grid build as many buffers as
+        # three, and two points of a density grid as many as one.
+        builds = counting_patch(monkeypatch, protocols_mod._Workspace, "__missing__")
+        rng = np.random.default_rng(122)
+        n = 3
+        rho = random_density(rng, n)
+        h = random_hermitian(rng, 2**n)
+        a, b = random_pauli(rng, n), random_pauli(rng, n)
+        lengths = (3, 6) if route == "eigenbasis" else (1, 2)
+        counts = []
+        for length in lengths:
+            builds.clear()
+            grid = _grid_propagators(h, [0.4 * (k + 1) for k in range(length)])
+            rows = protocols_mod._heisenberg_protocol(
+                rho, a, b, 4, grid, self.PARTS, [0.5, 0.6, 0.7, 0.8]
+            )
+            assert len(rows) == length
+            counts.append(len(builds))
+        assert counts[0] == counts[1] > 0
 
 
 class TestGridChecks:
@@ -1729,7 +1792,9 @@ class TestUnifiedMeasurement:
                     spec, protocols_mod._signed_rows(*p.action(n))
                 ),
                 "dense": protocols_mod._measurement(MeasurementSpec(pm, phi, kind), n, range(n)),
-                "left": protocols_mod._Measurement(spec, lambda y: pm @ y),
+                "left": protocols_mod._Measurement(
+                    spec, lambda y, out=None: np.matmul(pm, y, out=out)
+                ),
             }
             x = random_hermitian(rng, dim)
             l, r = (rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2)) for _ in "lr")
@@ -1743,7 +1808,8 @@ class TestUnifiedMeasurement:
                     assert np.max(np.abs(g - four_term_reference(x, pm, w))) <= 1e-14, name
                 for w in weights:
                     ref = four_term_reference(np.eye(dim), pm, protocols_mod._adjoint(w))
-                    assert np.max(np.abs(m.effect(w, dim) - ref)) <= 1e-14, name
+                    effect = m.effect(w, protocols_mod._Workspace(dim))
+                    assert np.max(np.abs(effect - ref)) <= 1e-14, name
                 ref = four_term_reference(l @ r.conj().T, pm, m.transfer_weights)
                 tl, tr = m.transfer_factors((l, r))
                 assert np.max(np.abs(tl @ tr.conj().T - ref)) <= 1e-14, name
@@ -1767,8 +1833,8 @@ class TestUnifiedMeasurement:
 
         def forms(m):
             weights = [*m.weights, m.transfer_weights]
-            return (*m.maps(x, weights), *(m.effect(w, dim) for w in weights),
-                    m.factor_trace((l, r)))
+            effects = [m.effect(w, protocols_mod._Workspace(dim)) for w in weights]
+            return (*m.maps(x, weights), *effects, m.factor_trace((l, r)))
 
         def check_estimate(step):
             for initial in (rho, random_pure_state(rng, n)):
@@ -1805,7 +1871,7 @@ class TestUnifiedMeasurement:
                 assert np.max(np.abs(g - four_term_reference(x, b_full, w))) <= 1e-14
             for w in weights:
                 ref = four_term_reference(np.eye(dim), b_full, protocols_mod._adjoint(w))
-                assert np.max(np.abs(m.effect(w, dim) - ref)) <= 1e-14
+                assert np.max(np.abs(m.effect(w, protocols_mod._Workspace(dim)) - ref)) <= 1e-14
             ref = four_term_reference(l @ r.conj().T, b_full, m.transfer_weights)
             assert abs(m.factor_trace((l, r)) - np.trace(ref)) <= 1e-13
             check_estimate(step)

@@ -182,7 +182,7 @@ CASES = {
         TypeError, "cannot be interpreted as an integer"),
     "_leaf_probabilities sum below 1": (
         lambda: protocols_mod._leaf_probabilities(
-            [np.diag([0.2, 0.2]), np.diag([0.25, 0.25])], [], 2),
+            [np.diag([0.2, 0.2]), np.diag([0.25, 0.25])], [], protocols_mod._Workspace(2)),
         NumericalInvariantError, "sequence probabilities sum to 0.9"),
 }
 
