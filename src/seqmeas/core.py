@@ -69,13 +69,12 @@ def is_hermitian(m: np.ndarray, tol: float = CHECK_TOL) -> bool:
     return np.max(np.abs(m - m.conj().T)) <= tol
 
 
-def identity_deviation(m: np.ndarray, out: np.ndarray | None = None) -> float:
+def identity_deviation(m: np.ndarray) -> float:
     """max |m - 1| over the entries of a square matrix, equal bit for bit
     to ``np.max(np.abs(m - np.eye(dim)))`` but without the identity or
     the difference: |m| elementwise with the diagonal replaced by
-    |m_ii - 1|, written into ``out`` (a real array of m's shape) if given.
-    ``m`` is not changed."""
-    dev = np.abs(m, out=out)
+    |m_ii - 1|.  ``m`` is not changed."""
+    dev = np.abs(m)
     np.fill_diagonal(dev, np.abs(m.diagonal() - 1))
     return float(np.max(dev))
 

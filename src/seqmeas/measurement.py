@@ -65,12 +65,13 @@ def _validate_phi(phi: float) -> float:
     return phi
 
 
-def _raw_observable(obs) -> tuple[np.ndarray, np.ndarray]:
-    """A raw observable matrix and its square, checked 2^n x 2^n with
-    n >= 1, Hermitian and with A^2 = 1 to 1e-10.  Both are ``float64``
-    for a real matrix (such as a Pauli string without Y factors, or a
-    real observable carried into the eigenbasis of a real H), which is
-    checked and squared in real arithmetic, and ``complex128`` otherwise
+def _raw_observable(obs) -> tuple[np.ndarray, np.ndarray, float]:
+    """A raw observable matrix, its square and the square's deviation
+    max |A^2 - 1|, checked 2^n x 2^n with n >= 1, Hermitian and with
+    A^2 = 1 to 1e-10.  The matrices are ``float64`` for a real matrix
+    (such as a Pauli string without Y factors, or a real observable
+    carried into the eigenbasis of a real H), which is checked and squared
+    in real arithmetic, and ``complex128`` otherwise
     (:func:`~seqmeas.core._as_real_or_complex`)."""
     m = _as_real_or_complex(obs)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -81,9 +82,10 @@ def _raw_observable(obs) -> tuple[np.ndarray, np.ndarray]:
     if not is_hermitian(m):
         raise ValueError("observable is not Hermitian to 1e-10")
     square = m @ m
-    if identity_deviation(square) > CHECK_TOL:
+    square_dev = identity_deviation(square)
+    if square_dev > CHECK_TOL:
         raise ValueError("observable does not square to the identity to 1e-10")
-    return m, square
+    return m, square, square_dev
 
 
 def _observable_matrix(obs) -> np.ndarray:
@@ -98,7 +100,10 @@ class MeasurementSpec:
 
     ``observable`` is normally a PauliString; a raw Hermitian matrix with
     A^2 = 1 (e.g. a Heisenberg-evolved Pauli) is accepted too, and stored
-    as ``float64`` if it is real, else as ``complex128``.
+    as ``float64`` if it is real, else as ``complex128``.  For the engine
+    a raw matrix's spec keeps the square its check formed, ``_square``,
+    which an effect reads, and that check's deviation max |A^2 - 1|,
+    ``_square_dev``, which bounds the completeness of its Kraus pair.
     """
 
     observable: PauliString | np.ndarray
@@ -110,15 +115,16 @@ class MeasurementSpec:
         _validate_kind(self.kind)
         # Pauli strings are valid by construction; a raw matrix is checked
         # once and kept as a read-only copy, so later changes to the
-        # caller's array cannot reach the spec.  Its square, formed for the
-        # check, is kept for the exact engine's completeness check.
+        # caller's array cannot reach the spec.  Its square and the square's
+        # deviation, formed for the check, are kept for the engine.
         if not isinstance(self.observable, PauliString):
-            m, square = _raw_observable(self.observable)
+            m, square, square_dev = _raw_observable(self.observable)
             m = np.array(m)
             m.flags.writeable = False
             square.flags.writeable = False
             object.__setattr__(self, "observable", m)
             object.__setattr__(self, "_square", square)
+            object.__setattr__(self, "_square_dev", square_dev)
 
     def with_phi(self, phi: float, kind: str | None = None) -> "MeasurementSpec":
         """The same measurement at strength ``phi``, and of ``kind`` if one

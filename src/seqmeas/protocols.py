@@ -97,7 +97,6 @@ from .core import (
     NumericalInvariantError,
     PureState,
     embed,
-    identity_deviation,
     is_unitary,
     matmul,
 )
@@ -241,13 +240,11 @@ def _adjoint(w):
 
 class _Workspace(dict):
     """The arrays one grid's time points write into, by name: ``ws[key]``
-    is a dim x dim complex buffer, and :meth:`take` hands out one of
-    another shape or dtype.  A buffer is made on its first request and
-    handed out again on every later one, so it belongs to the grid, and
-    each time point overwrites what the last one left there.  A point
-    writes every buffer before it reads it, so it sees no other point's
-    data, and a grid holds one set of buffers however many points it
-    has."""
+    is a dim x dim complex buffer, made on its first request and handed
+    out again on every later one, so it belongs to the grid, and each time
+    point overwrites what the last one left there.  A point writes every
+    buffer before it reads it, so it sees no other point's data, and a
+    grid holds one set of buffers however many points it has."""
 
     def __init__(self, dim: int):
         super().__init__()
@@ -255,13 +252,6 @@ class _Workspace(dict):
 
     def __missing__(self, key) -> np.ndarray:
         buffer = self[key] = np.empty((self.dim, self.dim), np.complex128)
-        return buffer
-
-    def take(self, key, shape, dtype) -> np.ndarray:
-        """The buffer named ``key``, an array of ``shape`` and ``dtype``."""
-        buffer = self.get(key)
-        if buffer is None:
-            buffer = self[key] = np.empty(shape, dtype)
         return buffer
 
     def identity(self) -> np.ndarray:
@@ -305,19 +295,21 @@ class _Measurement:
     eigenbasis route (its phases around one product with B~, built by
     :func:`_sequence_grid`).
 
-    ``dense`` = (B, B^2) is given for a raw observable matrix, and for the
-    B~(t) of the mixed eigenbasis route, which acts by its phases but
-    whose pair is formed for its checks: then completeness, sum_a K_a^dag
-    K_a = sum_a w0 1 + (w1 + w2) B + w3 B^2 = 1, is checked to 1e-12
-    without assuming B^2 = 1, and :meth:`effect` reads the pair.  Without
-    it B^2 = 1 holds (a Pauli string, or a pure route's B(t) checked where
-    its action is built), and the check takes the scalar form
-    (:func:`_check_scalar_completeness`).  The dense check writes its
-    residual into ``workspace`` (a time point's B(t) measurement gets its
-    grid's), or into fresh arrays without one.
+    ``dense`` = (B, B^2) feeds :meth:`effect` alone.  It is given for a raw
+    observable matrix, with the square its spec formed, and for the B~(t)
+    of the mixed eigenbasis route as (B~(t), 1): that route is exact, and
+    the transfer weights have W3 = 0, so its effect never reads the
+    square.  Without it the effect forms B = B 1 by ``left`` and takes
+    B^2 = 1, as for a Pauli string or a pure route's B(t).
+
+    Completeness, sum_a K_a^dag K_a = 1 to 1e-12, is checked in one scalar
+    form for every measurement (:func:`_check_completeness`), from the
+    weights and ``square_dev``, the deviation max |B^2 - 1| that B's
+    square was checked with: 0 for a Pauli string and for a pure route's
+    B(t), the spec's for a raw matrix, and a time point's bound for B~(t).
     """
 
-    def __init__(self, spec: MeasurementSpec, left, dense=None, workspace=None):
+    def __init__(self, spec: MeasurementSpec, left, dense=None, square_dev=0.0):
         self.phi = spec.phi
         self.weights = _kraus_weights(spec)
         self.alphas = (generalized_eigenvalue(spec.phi, 0), generalized_eigenvalue(spec.phi, 1))
@@ -327,21 +319,7 @@ class _Measurement:
         self.transfer_weights = tuple(
             sum((a0 * x0, a1 * x1)) for x0, x1 in zip(*self.weights)
         )
-        if dense is None:
-            _check_scalar_completeness(self.weights)
-        else:
-            b, b_sq = dense
-            ws = _Workspace(len(b)) if workspace is None else workspace
-            w0, w1, w2, w3 = (sum(w[k] for w in self.weights) for k in range(4))
-            residual = ws["residual"]
-            if not _weighted_sum((b, b_sq), (w1 + w2, w3), residual, ws["term"]):
-                residual.fill(0.0)
-            residual.flat[:: len(b) + 1] += w0 - 1.0
-            dev = float(np.max(np.abs(residual, out=ws.take("|residual|", b.shape, np.float64))))
-            if not dev <= 1e-12:
-                raise NumericalInvariantError(
-                    f"Kraus operators violate completeness by {dev:.3e}"
-                )
+        _check_completeness(self.weights, square_dev)
         self.left, self.dense = left, dense
 
     @staticmethod
@@ -456,16 +434,27 @@ class _Measurement:
         return self._combine((np.vdot(r, l), tr_bx, tr_bx, tr_bxb), w)
 
 
-def _check_scalar_completeness(weights) -> None:
-    """sum_a K_a^dag K_a = 1 for an observable with B^2 = 1, in scalar
-    form: sum_a |c0|^2 + |c1|^2 = 1 and sum_a Re(conj(c0) c1) = 0."""
-    norm = fsum(w[0] + w[3] for w in weights)
-    cross = fsum(w[1].real for w in weights)
-    if not (abs(norm - 1.0) <= 1e-12 and abs(cross) <= 1e-12):
+def _check_completeness(weights, square_dev: float) -> float:
+    """An upper bound on max |sum_a K_a^dag K_a - 1| over the entries,
+    for the per-outcome ``weights`` of K_a = c0 1 + c1 B (see
+    :func:`_kraus_weights`) and a Hermitian B with max |B^2 - 1| =
+    ``square_dev`` = d.  The bound must be at most 1e-12, else
+    :class:`NumericalInvariantError` is raised; it is returned.
+
+    sum_a K_a^dag K_a - 1 = (n - 1) 1 + x B + w3 (B^2 - 1) with n =
+    sum_a (w0 + w3), x = sum_a (w1 + w2) and w3 = sum_a |c1|^2.  B is
+    Hermitian, so |B_jk| <= sqrt((B B^dag)_jj) = sqrt((B^2)_jj) <=
+    sqrt(1 + d) < 2, and every entry is at most |n - 1| + 2 |x| + w3 d.
+    x is 0 in exact arithmetic but not always in floating point."""
+    n = fsum(w[0] + w[3] for w in weights)
+    x = sum(w[1] + w[2] for w in weights)
+    w3 = fsum(w[3] for w in weights)
+    bound = abs(n - 1.0) + 2.0 * abs(x) + w3 * square_dev
+    if not bound <= 1e-12:
         raise NumericalInvariantError(
-            f"Kraus coefficients violate completeness (norm {norm!r}, "
-            f"cross term {cross!r})"
+            f"Kraus operators violate completeness by up to {bound!r}"
         )
+    return bound
 
 
 def _signed_rows(perm, d):
@@ -489,15 +478,16 @@ def _measurement(spec: MeasurementSpec, n: int, targets) -> _Measurement:
     register size and targets by the string itself.  A raw observable acts
     by a product with its checked matrix, kept with the square its spec
     formed, both embedded unless ``targets`` is the whole register in slot
-    order; B keeps the dtype its spec gave it, so the products of a real B
-    with a complex X run in real arithmetic (``matmul``)."""
+    order (which keeps the square's deviation, the spec's); B keeps the
+    dtype its spec gave it, so the products of a real B with a complex X
+    run in real arithmetic (``matmul``)."""
     targets = tuple(targets)
     if isinstance(spec.observable, PauliString):
         return _Measurement(spec, _signed_rows(*spec.observable.action(n, targets)))
     b, b_sq = spec.observable, spec._square
     if targets != tuple(range(n)):
         b, b_sq = embed(b, n, targets), embed(b_sq, n, targets)
-    return _Measurement(spec, functools.partial(matmul, b), (b, b_sq))
+    return _Measurement(spec, functools.partial(matmul, b), (b, b_sq), spec._square_dev)
 
 
 def _resolve_steps(initial: DensityMatrix | PureState, steps):
@@ -909,12 +899,11 @@ _FIRST_KINDS = {"real": INFORMATIVE, "imag": NONINFORMATIVE}
 # and B~ formed (for a density matrix with its checked square), and for
 # the OTOC A~ with its checked square, each one dim^3 product (a real one
 # for a real H, whose V and whose strings without Y factors are real).  A
-# time point of a density matrix then forms B~(t) and its square by one
-# O(dim^2) phase scaling and applies B~(t) by its phases around one
-# product with B~, where the density route forms and checks U and B(t) by
-# dim^3 products and applies B(t) by a complex product of the same size,
-# so a mixed grid earns the frame back from _FRAME_MIN_POINTS points at
-# every size.  A time point of a pure state saves only O(dim^2 k) work on
+# time point of a density matrix then forms B~(t) by one O(dim^2) phase
+# scaling and applies B~(t) by its phases around one product with B~,
+# where the density route forms and checks U and B(t) by dim^3 products
+# and applies B(t) by a complex product of the same size, so a mixed grid
+# earns the frame back from _FRAME_MIN_POINTS points at every size.  A time point of a pure state saves only O(dim^2 k) work on
 # its dim x k blocks (one product with B~ per B(t) application instead of
 # four through the spectrum), so the points it needs grow with dim:
 # _FRAME_MIN_POINTS per _PURE_FRAME_DIM basis states.
@@ -963,12 +952,12 @@ def _sequence_grid(initial, steps, parts, evolutions, mode, trials, seeds):
 
     Only B(t) depends on the time, and the parts differ only in their
     first measurement.  So the route is decided once per grid, and with it
-    the one builder u -> (left, dense) of B(t) (see :class:`_Measurement`),
-    every evolution is shape-checked, and the steps are resolved, the
-    route's frame built, and the first states (the exact first transfers,
-    or the sampled children K_a rho K_a^dag) built and checked once per
-    grid, for all the parts, as are the strengths' specs and the exact
-    estimates' angles.  A time point only builds B(t) from the builder,
+    the one builder u -> (left, dense, square_dev) of B(t) (see
+    :class:`_Measurement`), every evolution is shape-checked, and the
+    steps are resolved, the route's frame built, and the first states (the
+    exact first transfers, or the sampled children K_a rho K_a^dag) built
+    and checked once per grid, for all the parts, as are the strengths'
+    specs and the exact estimates' angles.  A time point only builds B(t) from the builder,
     one measurement per strength, shared by the B(t) steps of that
     strength, puts them in their steps' places and evaluates the steps
     after the first, for every part at once: exact values in one
@@ -996,16 +985,20 @@ def _sequence_grid(initial, steps, parts, evolutions, mode, trials, seeds):
       (:func:`_phase_action`), x -> e^{iEt} (B~ (e^{-iEt} x)), one
       product; for a pure state through :func:`_heisenberg_action`, which
       checks B~(t)^2 = 1 on V^dag psi.  For a density matrix B~ goes into
-      one spec per grid, which checks it Hermitian with B~^2 = 1 to
-      1e-10, and a time point forms B~(t) and B~(t)^2 = e^{iEt} B~^2
-      e^{-iEt} by one O(dim^2) phase scaling of the pair into the grid's
-      workspace (:func:`heisenberg_phases`) and checks B~(t)^2 = 1 to
-      1e-10.  B~(t) inherits B~'s Hermiticity: with p = e^{-iEt}, (B~(t) -
-      B~(t)^dag)_jk = conj(p_j) p_k (B~ - B~^dag)_jk, and the diagonal of
-      the square check pins |p_j| = 1, as V's check stands in for U's.  A
-      real H has a real V, and B~ and A~ are then real too for strings
-      with an even number of Y factors: their products run in real
-      arithmetic (:func:`~seqmeas.core.matmul`).
+      one spec per grid, which checks it Hermitian with B~^2 = 1 to 1e-10
+      and keeps that square's deviation d~.  A time point bounds B~(t)'s
+      square from d~ and its phases alone, an O(dim) pass: with mu =
+      max_j ||p_j|^2 - 1|, B~(t)^2 deviates from 1 by at most
+      (1 + mu)^2 (1 + d~) - 1, which must be at most 1e-10 and is the
+      deviation its completeness check takes.  It then forms B~(t) alone,
+      by one O(dim^2) phase scaling of B~ into the grid's workspace
+      (:func:`heisenberg_phases`), for the last step's effect.  B~(t)
+      inherits B~'s Hermiticity: with p = e^{-iEt}, (B~(t) -
+      B~(t)^dag)_jk = conj(p_j) p_k (B~ - B~^dag)_jk, and the square
+      bound pins |p_j| = 1, as V's check stands in for U's.  A real H has
+      a real V, and B~ and A~ are then real too for strings with an even
+      number of Y factors: their products run in real arithmetic
+      (:func:`~seqmeas.core.matmul`).
     * vector: a pure state psi on a shorter grid (every one-point
       :func:`toc` and :func:`otoc` call), or on propagators of several
       spectra.  The first transfers are factor pairs of E_1(psi psi^dag).
@@ -1018,18 +1011,19 @@ def _sequence_grid(initial, steps, parts, evolutions, mode, trials, seeds):
       B(t) by :func:`heisenberg`.
 
     On the density route a point's dense B(t) goes into one spec, which
-    checks it Hermitian with B(t)^2 = 1 to 1e-10.  On the mixed eigenbasis
-    route only B~ does, once per grid, and a point checks its phase-scaled
-    square.  Either way the pair (B(t), B(t)^2) serves every B(t) step of
-    the point, and each B(t) measurement checks completeness with it to
-    1e-12 (:class:`_Measurement`).
+    checks it Hermitian with B(t)^2 = 1 to 1e-10 and keeps that square
+    and its deviation.  On the mixed eigenbasis route only B~ does, once
+    per grid, and a point bounds B~(t)^2 from its phases.  On every route
+    the point's B(t) serves every B(t) step of the point, and each B(t)
+    measurement checks completeness to 1e-12 from the deviation its
+    square was checked with (:func:`_check_completeness`), in scalar form.
 
     Every dense route writes its time points' dim x dim arrays into one
     workspace per grid (:class:`_Workspace`): the walk's effects and
-    products, the completeness residuals, the mixed eigenbasis route's
-    B~(t) pair and its products, and, under keys of their own, the first
-    states.  The buffers belong to the grid; each point overwrites the
-    last one's, and reads nothing it did not write.
+    products, the mixed eigenbasis route's B~(t) and its products, and,
+    under keys of their own, the first states.  The buffers belong to the
+    grid; each point overwrites the last one's, and reads nothing it did
+    not write.
     """
     evolutions = list(evolutions)
     if seeds is None:
@@ -1088,18 +1082,20 @@ def _sequence_grid(initial, steps, parts, evolutions, mode, trials, seeds):
         if pure:
             apply_b = functools.partial(matmul, b_frame)
         else:
-            # B~ is checked once; each point's B~(t) and its square are the
-            # phase scalings of this pair, into the workspace.
+            # B~ is checked once, and its square's deviation d~ kept; each
+            # point's B~(t) is its phase scaling, into the workspace.
             checked = MeasurementSpec(b_frame, b.phi, b.kind)
-            b_pair = np.stack((checked.observable, checked._square))
-            b_frame = b_pair[0]
-            del checked
+            b_frame, frame_dev = checked.observable, checked._square_dev
+            del checked  # its square is not needed
 
             def b_of_t(u):
-                pair = workspace.take("B~(t), B~(t)^2", b_pair.shape, np.complex128)
-                heisenberg_phases(b_pair, u, pair)
-                square_abs = workspace.take("|residual|", (dim, dim), np.float64)
-                _check_square(identity_deviation(pair[1], square_abs))
+                # With p = e^{-iEt}, (B~(t)^2)_jk = conj(p_j) p_k sum_l
+                # |p_l|^2 B~_jl B~_lk, so with mu = max_j ||p_j|^2 - 1| it
+                # deviates from 1 by at most (1 + mu)^2 (1 + d~) - 1.
+                phases = u.phases
+                mu = float(np.max(np.abs(phases.real**2 + phases.imag**2 - 1.0)))
+                square_dev = frame_dev + mu * (2.0 + mu) * (1.0 + frame_dev)
+                _check_square(square_dev)
                 phase = _phase_action(u)
 
                 def left(x, out=None):
@@ -1108,7 +1104,8 @@ def _sequence_grid(initial, steps, parts, evolutions, mode, trials, seeds):
                     ux = phase(x, out=out)
                     return phase(matmul(b_frame, ux, workspace["B U x"]), True, out)
 
-                return left, tuple(pair)
+                b_t = heisenberg_phases(b_frame, u, workspace["B~(t)"])
+                return left, (b_t, workspace.identity()), square_dev
 
         # The measurements after the first ones act in the frame.
         for k, s in enumerate(static[parts:], parts):
@@ -1121,12 +1118,14 @@ def _sequence_grid(initial, steps, parts, evolutions, mode, trials, seeds):
 
         def b_of_t(u):
             spec = MeasurementSpec(heisenberg(b.observable, _evolution_matrix(u)), b.phi, b.kind)
-            return functools.partial(matmul, spec.observable), (spec.observable, spec._square)
+            b_t = spec.observable
+            return functools.partial(matmul, b_t), (b_t, spec._square), spec._square_dev
 
     if pure:
         # psi, the initial vector in the route's basis, is set below.
         def b_of_t(u):
-            return _heisenberg_action(apply_b, _phase_action(u) if frame else u.apply, psi), None
+            apply_u = _phase_action(u) if frame else u.apply
+            return _heisenberg_action(apply_b, apply_u, psi), None, 0.0
 
     resolved = _resolve_steps(initial, static)
     firsts, rest = resolved[:parts], resolved[parts:]
@@ -1161,15 +1160,14 @@ def _sequence_grid(initial, steps, parts, evolutions, mode, trials, seeds):
     phis = [(first.phi, *(s.phi for s in rest)) for first in firsts]
 
     def point(u, point_seeds):
-        # The walk, its completeness checks and the mixed eigenbasis route's
-        # B~(t) write into the grid's workspace, over the last point's
-        # arrays; every other array built here is freed when the point is
-        # done.
+        # The walk and the mixed eigenbasis route's B~(t) write into the
+        # grid's workspace, over the last point's arrays; every other array
+        # built here is freed when the point is done.
         built = {}
         if evolved:
-            left, dense = b_of_t(u)
+            left, dense, square_dev = b_of_t(u)
             built = {
-                phi: _Measurement(spec, left, dense, workspace) for phi, spec in strengths.items()
+                phi: _Measurement(spec, left, dense, square_dev) for phi, spec in strengths.items()
             }
         measured = [s if isinstance(s, _Measurement) else built[s.phi] for s in rest]
         if exact:

@@ -1,6 +1,7 @@
 """Sequence engine, TOC/OTOC protocols, sampling, statistical bounds."""
 
 import gc
+import itertools
 import math
 import re
 import tracemalloc
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from helpers import random_density, random_hermitian, random_pauli, random_unitary
 
+import seqmeas.core as core_mod
 import seqmeas.measurement as measurement_mod
 import seqmeas.protocols as protocols_mod
 from seqmeas import (
@@ -26,6 +28,7 @@ from seqmeas import (
     config_from_dict,
     embed,
     generalized_eigenvalue,
+    kraus_coefficients,
     kraus_pair,
     nested_estimate,
     oracle_otoc,
@@ -40,6 +43,7 @@ from seqmeas import (
     time_reversed_evolution,
     toc,
 )
+from seqmeas.core import identity_deviation
 from seqmeas.observables import basis_ket
 from seqmeas.verify import _ancilla_flip_otoc
 
@@ -1551,6 +1555,55 @@ class TestEigenbasisGrid:
                 rho, a, b, count, grid, self.PARTS, [0.6] * count
             )
 
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_b_of_t_completeness_is_bounded_at_every_point(self, count):
+        # A phase vector off by 2e-11 at one point bounds B~(t)^2 - 1 by
+        # about 8e-11, within the square check, but at phi = pi/2 (w3 =
+        # 1/2) the completeness bound then exceeds 1e-12; at phi = 1e-3
+        # (w3 = 2.5e-7) it does not.
+        grid = _grid_propagators(build_mixed_field_ising(3), self.TIMES)
+        u = grid[2]
+        u.__dict__["phases"] = u.phases * (1 + 2e-11)
+        rho = DensityMatrix.maximally_mixed(3)
+        a, b = PauliString.from_text("+ZII"), PauliString.from_text("+IIX")
+        with pytest.raises(NumericalInvariantError, match="completeness"):
+            protocols_mod._heisenberg_protocol(
+                rho, a, b, count, grid, self.PARTS, [PI / 2] * count
+            )
+        weak = [PI / 2, 1e-3, PI / 2, 1e-3][:count]
+        rows = protocols_mod._heisenberg_protocol(rho, a, b, count, grid, self.PARTS, weak)
+        assert len(rows) == len(grid)
+
+    def test_point_scales_b_once_and_forms_no_square(self, monkeypatch):
+        # A mixed point forms B~(t) by one phase scaling of the dim x dim B~
+        # and bounds its square from the phases alone: every
+        # identity_deviation call belongs to the grid's checks (V, B~, A~),
+        # so six points make as many as three.  Every module that binds
+        # the name is counted.
+        n, dim = 3, 8
+        ham = build_mixed_field_ising(n)
+        rho = DensityMatrix.maximally_mixed(n)
+        a, b = PauliString.from_text("+ZII"), PauliString.from_text("+IIX")
+        grids = [_grid_propagators(ham, [0.3 * (k + 1) for k in range(m)]) for m in (3, 6)]
+        scalings = counting_patch(monkeypatch, protocols_mod, "heisenberg_phases")
+        deviations = [
+            counting_patch(monkeypatch, module, "identity_deviation")
+            for module in (core_mod, measurement_mod, protocols_mod)
+            if hasattr(module, "identity_deviation")
+        ]
+        counts = []
+        for grid in grids:
+            scalings.clear()
+            for calls in deviations:
+                calls.clear()
+            rows = protocols_mod._heisenberg_protocol(
+                rho, a, b, 4, grid, self.PARTS, [0.5, 0.6, 0.7, 0.8]
+            )
+            assert len(rows) == len(scalings) == len(grid)
+            assert all(np.shape(args[0]) == (dim, dim) for args in scalings)
+            counts.append(sum(map(len, deviations)))
+        assert counts[0] == counts[1] > 0
+
     @pytest.mark.parametrize(
         "case",
         ["two points", "sampled", "pure", "pure, mixed grid", "raw matrices", "two spectra"],
@@ -1875,6 +1928,80 @@ class TestUnifiedMeasurement:
             ref = four_term_reference(l @ r.conj().T, b_full, m.transfer_weights)
             assert abs(m.factor_trace((l, r)) - np.trace(ref)) <= 1e-13
             check_estimate(step)
+
+
+def dense_completeness_residual(spec):
+    """max |sum_a K_a^dag K_a - 1| of the dense Kraus pair of ``spec``,
+    formed as :func:`kraus_pair` forms and checks it."""
+    a = spec.matrix()
+    eye = np.eye(len(a))
+    ks = [np.asarray(c0 * eye + c1 * a, dtype=complex) for c0, c1 in kraus_coefficients(spec)]
+    return identity_deviation(sum(k.conj().T @ k for k in ks))
+
+
+class TestCompletenessBound:
+    """Every measurement checks completeness by one scalar bound
+    (``protocols._check_completeness``) from the deviation its observable's
+    square was checked with."""
+
+    EPSILONS = (0.0, 1e-14, 1e-12, 2e-11, 5e-11)
+
+    def completeness_cases(self, rng):
+        """Raw observables V^dag D V with D = diag(+-(1 + e_j)), whose
+        squares miss 1 by up to eps, with the register and targets they
+        are measured on (some embedded on a sub-register), both kinds and
+        phi log-uniform in [1e-4, pi/2]."""
+        for _, k, real in itertools.product(range(12), (1, 2, 3), (True, False)):
+            dim = 2**k
+            v = np.linalg.qr(rng.normal(size=(dim, dim)))[0] if real else random_unitary(rng, dim)
+            n, targets = k, tuple(range(k))
+            if real and k < 3:
+                n = k + 1
+                targets = tuple(int(q) for q in rng.permutation(n)[:k])
+            signs = np.repeat([-1.0, 1.0], dim // 2)
+            for epsilon in self.EPSILONS:
+                if rng.integers(2):
+                    off = np.full(dim, epsilon / 2)
+                else:
+                    off = epsilon / 2 * rng.integers(0, 2, dim)
+                b = v.conj().T @ np.diag(signs * (1 + off)) @ v
+                b = (b + b.conj().T) / 2
+                for kind in ("informative", "noninformative"):
+                    phi = math.exp(rng.uniform(math.log(1e-4), math.log(PI / 2)))
+                    yield MeasurementSpec(b, phi, kind), n, targets
+
+    def test_bound_covers_the_dense_residual(self):
+        # Each case is measured through the engine's constructor and
+        # compared with the residual of its dense Kraus pair, which rounds
+        # too, within dim * 2^-52 of the exact one.
+        rng = np.random.default_rng(131)
+        eps = np.finfo(float).eps
+        rejected = accepted_off_square = 0
+        crosses = []
+        for spec, n, targets in self.completeness_cases(rng):
+            residual = dense_completeness_residual(spec)
+            if residual <= 1e-12:
+                kraus_pair(spec)
+            else:
+                with pytest.raises(ValueError, match="completeness"):
+                    kraus_pair(spec)
+            try:
+                m = protocols_mod._measurement(spec, n, targets)
+            except NumericalInvariantError as err:
+                bound = float(str(err).rsplit(" ", 1)[1])
+                assert bound > 1e-12
+                rejected += 1
+            else:
+                bound = protocols_mod._check_completeness(m.weights, spec._square_dev)
+                assert bound <= 1e-12
+                accepted_off_square += spec._square_dev > 1e-12
+                if spec.kind == "noninformative":
+                    crosses.append(abs(sum(w[1] + w[2] for w in m.weights)))
+            assert residual <= bound + 2**n * eps
+            assert residual <= 1e-12 or bound > 1e-12
+        assert rejected > 0 and accepted_off_square > 0
+        # The x B term is 0 in exact arithmetic, but not in floating point.
+        assert max(crosses) > 0.0
 
 
 class TestRmsBound:
