@@ -244,7 +244,14 @@ class DensityMatrix:
         return 2**self.n_qubits
 
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
+        """The least eigenvalue: ``eigvalsh``'s, or for a diagonal matrix
+        (such as the maximally mixed state) its least diagonal entry, which
+        is exact."""
+        m = self.matrix
+        diagonal = np.diagonal(m)
+        if np.count_nonzero(m) == np.count_nonzero(diagonal):
+            return float(diagonal.real.min())
+        return float(np.linalg.eigvalsh(m)[0])
 
     def check_positive(self, floor: float = EIGENVALUE_FLOOR) -> None:
         lo = self.min_eigenvalue()

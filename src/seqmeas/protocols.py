@@ -52,8 +52,8 @@ Each trial then draws one string, measurement by measurement with the
 conditional Born probabilities.  Randomness is counter-based (Philox
 keyed by the seed; trial k consumes row k of the uniform block), so
 results do not depend on execution order, and the mean and variance
-are summed exactly over the leaves and rounded once, for bit-stable
-results.
+are summed exactly over the distinct leaf weights and rounded once, for
+bit-stable results.
 
 One builder, :func:`_sequence_grid`, evaluates every sequence.  It takes
 a whole time grid, the sequence's steps and the number of parts (the
@@ -814,13 +814,16 @@ def _sampled_estimate(resolved, probs, trials: int, seed: int) -> CorrelatorEsti
             leaf = 2 * leaf + (uniforms[:, j] < p1)
         counts += np.bincount(leaf, minlength=2**m)
 
-    # The trials that end in one leaf share its weight w, so the sums run
-    # over the leaves: each is exact (count * w as a Fraction) and rounded
-    # once, as math.fsum over the trials rounds it, bit for bit.
-    tally = [(c, w) for c, w in zip(counts.tolist(), _alpha_products(resolved)) if c]
-    mean = float(sum(c * Fraction(w) for c, w in tally)) / trials
+    # The trials that share a weight w (every leaf's is +-w_max) share its
+    # term, so the sums run over the distinct weights: each term is exact
+    # (count * w as a Fraction) and the sum is rounded once, as math.fsum
+    # over the trials rounds it, bit for bit.
+    tally = {}
+    for c, w in zip(counts.tolist(), _alpha_products(resolved)):
+        tally[w] = tally.get(w, 0) + c
+    mean = float(sum(c * Fraction(w) for w, c in tally.items())) / trials
     if trials > 1:
-        var = float(sum(c * Fraction((w - mean) ** 2) for c, w in tally)) / (trials - 1)
+        var = float(sum(c * Fraction((w - mean) ** 2) for w, c in tally.items())) / (trials - 1)
         stderr = math.sqrt(var / trials)
     else:
         stderr = 0.0
@@ -896,16 +899,18 @@ def _phase_action(u: Propagator):
 _FIRST_KINDS = {"real": INFORMATIVE, "imag": NONINFORMATIVE}
 
 # The eigenbasis route pays for its frame once per grid: V checked unitary
-# and B~ formed (for a density matrix with its checked square), and for
-# the OTOC A~ with its checked square, each one dim^3 product (a real one
-# for a real H, whose V and whose strings without Y factors are real).  A
-# time point of a density matrix then forms B~(t) by one O(dim^2) phase
-# scaling and applies B~(t) by its phases around one product with B~,
-# where the density route forms and checks U and B(t) by dim^3 products
-# and applies B(t) by a complex product of the same size, so a mixed grid
-# earns the frame back from _FRAME_MIN_POINTS points at every size.  A time point of a pure state saves only O(dim^2 k) work on
-# its dim x k blocks (one product with B~ per B(t) application instead of
-# four through the spectrum), so the points it needs grow with dim:
+# (unless propagator() checked it with H's spectrum) and B~ formed (for a
+# density matrix with its checked square), and for the OTOC A~ with its
+# checked square, each one dim^3 product (a real one for a real H, whose V
+# and whose strings without Y factors are real).  A time point of a
+# density matrix then forms B~(t) by one O(dim^2) phase scaling and
+# applies B~(t) by its phases around one product with B~, where the
+# density route forms and checks U and B(t) by dim^3 products and applies
+# B(t) by a complex product of the same size, so a mixed grid earns the
+# frame back from _FRAME_MIN_POINTS points at every size.  A time point
+# of a pure state saves only O(dim^2 k) work on its dim x k blocks (one
+# product with B~ per B(t) application instead of four through the
+# spectrum), so the points it needs grow with dim:
 # _FRAME_MIN_POINTS per _PURE_FRAME_DIM basis states.
 # Eigenbasis over other route, medians of alternating in-process runs of
 # `_heisenberg_protocol` with both parts (2-core VM, BLAS pinned to 1
@@ -974,11 +979,13 @@ def _sequence_grid(initial, steps, parts, evolutions, mode, trials, seeds):
     state, and so does a sequence without evolved steps; everything else,
     sampled mode included, takes the density route.  The routes:
 
-    * eigenbasis: V is checked unitary to 1e-10 once, which stands in for
-      the check of U, as U is never formed.  B~ = V^dag B V and the
-      measurements after the first ones, such as the later A~ = V^dag A V
-      (with A~^2), are built by :func:`heisenberg` with V in place of U,
-      and the first transfers are carried into the frame (a trace is the
+    * eigenbasis: V is checked unitary to 1e-10 once per run, which
+      stands in for the check of U, as U is never formed: with H's
+      spectrum for the propagators :func:`~seqmeas.dynamics.propagator`
+      marks ``checked``, else here.  B~ = V^dag B V and the measurements
+      after the first ones, such as the later A~ = V^dag A V (with
+      A~^2), are built by :func:`heisenberg` with V in place of U, and
+      the first transfers are carried into the frame (a trace is the
       same in every basis): V^dag E_1(rho) V for a density matrix, the
       factor pair (V^dag L, V^dag R) for a pure state.  A time point
       applies B~(t) = e^{iEt} B~ e^{-iEt} by its phases
@@ -1076,7 +1083,9 @@ def _sequence_grid(initial, steps, parts, evolutions, mode, trials, seeds):
     workspace = _Workspace(dim)
     if frame:
         evecs = evolutions[0].evecs
-        if not is_unitary(evecs, CHECK_TOL):
+        # The grid shares one (E, V), which propagator() has checked if it
+        # built any of the grid's propagators.
+        if not any(u.checked for u in evolutions) and not is_unitary(evecs, CHECK_TOL):
             raise NumericalInvariantError("eigenbasis of H is not unitary to 1e-10")
         b_frame = heisenberg(b.observable, evecs)
         if pure:

@@ -377,6 +377,54 @@ class TestStateValidation:
         with pytest.raises(NumericalInvariantError, match="eigenvalue"):
             dm.check_positive()
 
+    @staticmethod
+    def _spy_eigvalsh(monkeypatch):
+        calls = []
+        original = np.linalg.eigvalsh
+
+        def spy(m):
+            calls.append(m)
+            return original(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "diagonal",
+        [
+            [0.25] * 4,
+            [1.0, 0.0, 0.0, 0.0],
+            [0.5, 0.25, 0.125, 0.125],
+            [0.4, 0.6 + 1e-9, -1e-9, 0.0],
+            [0.3, 0.7 + 1e-11, 0.0, -1e-11],
+            [1.5, -0.5, 0.0, 0.0],
+        ],
+    )
+    def test_diagonal_positivity_reads_the_diagonal(self, monkeypatch, diagonal):
+        # A diagonal state's eigenvalues are its diagonal, exactly: the
+        # check passes or fails as eigh's eigenvalues make it, without them.
+        dm = DensityMatrix(2, np.diag(diagonal).astype(complex))
+        reference = float(np.linalg.eigvalsh(dm.matrix)[0])
+        calls = self._spy_eigvalsh(monkeypatch)
+        assert dm.min_eigenvalue() == reference
+        if reference < -1e-10:
+            with pytest.raises(NumericalInvariantError, match="below floor"):
+                dm.check_positive()
+        else:
+            dm.check_positive()
+        assert calls == []
+
+    def test_non_diagonal_positivity_takes_eigvalsh(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        rho = random_density(rng, 2)
+        calls = self._spy_eigvalsh(monkeypatch)
+        rho.check_positive()
+        assert len(calls) == 1 and calls[0] is rho.matrix
+        bad = DensityMatrix(1, np.array([[0.5, 0.6], [0.6, 0.5]], dtype=complex))
+        with pytest.raises(NumericalInvariantError, match="below floor"):
+            bad.check_positive()
+        assert len(calls) == 2
+
     def test_matrices_are_frozen(self):
         rho = DensityMatrix.from_label("0")
         with pytest.raises(ValueError):

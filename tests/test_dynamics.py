@@ -8,6 +8,7 @@ from helpers import max_abs, random_density, random_hermitian, random_pauli, ran
 from scipy.linalg import expm
 
 import seqmeas.dynamics as dynamics_mod
+import seqmeas.protocols as protocols_mod
 from seqmeas import (
     ClockPropagator,
     DensityMatrix,
@@ -15,6 +16,7 @@ from seqmeas import (
     NumericalInvariantError,
     PauliString,
     Propagator,
+    PureState,
     build_mixed_field_ising,
     embed,
     heisenberg,
@@ -24,7 +26,7 @@ from seqmeas import (
     propagator,
     time_reversed_evolution,
 )
-from seqmeas.core import matmul
+from seqmeas.core import identity_deviation, matmul
 from seqmeas.observables import PAULI_Z
 
 KRON_FACTORS = {
@@ -87,6 +89,124 @@ class TestMixedFieldIsing:
     def test_term_width_validation(self):
         with pytest.raises(ValueError):
             Hamiltonian(2, ((1.0, PauliString(("Z",))),))
+
+
+def mirror_y_chain(n):
+    """The Ising chain with Y terms placed mirror-symmetrically: a complex H
+    unchanged when the qubit order is reversed.  Its Y coefficients are
+    dyadic, so its matrix equals its bit-reversed permutation exactly."""
+    terms = list(build_mixed_field_ising(n).terms)
+    for i in range(n - 1):
+        for pair in ("YZ", "ZY"):
+            factors = ["I"] * n
+            factors[i : i + 2] = pair
+            terms.append((0.25, PauliString(tuple(factors))))
+    for site in (0, n - 1):
+        factors = ["I"] * n
+        factors[site] = "Y"
+        terms.append((0.375, PauliString(tuple(factors))))
+    return Hamiltonian(n, tuple(terms))
+
+
+def sector_shapes(n):
+    """The eigh shapes of the parity sectors of n qubits: the even sector
+    holds the 2^ceil(n/2) palindromic states and one state per mirror pair,
+    the odd sector one per pair."""
+    palindromes = 2 ** ((n + 1) // 2)
+    pairs = (2**n - palindromes) // 2
+    return [(palindromes + pairs,) * 2, (pairs,) * 2]
+
+
+class TestParitySectors:
+    BUILDS = {"ising": build_mixed_field_ising, "y-terms": mirror_y_chain}
+
+    @staticmethod
+    def _spy_eigh(monkeypatch, scale=1.0):
+        """Record the shape of every matrix eigh gets, and scale the
+        eigenbases it returns by ``scale``."""
+        shapes = []
+        original = np.linalg.eigh
+
+        def spy(m):
+            shapes.append(m.shape)
+            evals, evecs = original(m)
+            return evals, scale * evecs
+
+        monkeypatch.setattr(dynamics_mod.np.linalg, "eigh", spy)
+        return shapes
+
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_sector_spectrum_matches_one_eigh(self, monkeypatch, n, build):
+        ham = self.BUILDS[build](n)
+        m = ham.matrix()
+        ref = np.linalg.eigh(m)[0]
+        shapes = self._spy_eigh(monkeypatch)
+        evals, evecs = ham.spectrum
+        assert shapes == sector_shapes(n)
+        assert evecs.dtype == (np.float64 if build == "ising" else np.complex128)
+        assert np.all(np.diff(evals) >= 0)
+        assert max_abs(evals - ref) <= 1e-12
+        assert identity_deviation(evecs.conj().T @ evecs) <= 1e-12
+        assert max_abs((evecs * evals) @ evecs.conj().T - m) <= 1e-12
+        # A raw matrix takes the same path.
+        shapes.clear()
+        u = propagator(m, 0.7)
+        assert shapes == sector_shapes(n)
+        assert np.array_equal(u.evals, evals)
+
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_grid_values_match_one_eigh(self, monkeypatch, n, build):
+        times = [0.0, 0.6, 1.5]
+        a = PauliString.from_text("+Z" + "I" * (n - 1))
+        b = PauliString.from_text("+" + "I" * (n - 2) + "XZ")
+        states = [PureState.from_label("01" * (n // 2) + "0" * (n % 2)), DensityMatrix.maximally_mixed(n)]
+        shapes = self._spy_eigh(monkeypatch)
+
+        def values():
+            ham = self.BUILDS[build](n)
+            grid = [propagator(ham, t) for t in times]
+            return [
+                est.value
+                for initial in states
+                for count in (2, 4)
+                for row in protocols_mod._heisenberg_protocol(
+                    initial, a, b, count, grid, ("real", "imag"), [0.7] * count
+                )
+                for est in row
+            ]
+
+        sectors = values()
+        monkeypatch.setattr(dynamics_mod, "_SECTOR_DIM", 2 ** (n + 1))
+        single = values()
+        assert shapes == sector_shapes(n) + [(2**n, 2**n)]
+        assert len(sectors) == 2 * 2 * len(times) * 2
+        assert max_abs(np.subtract(sectors, single)) <= 1e-12
+
+    def test_other_hamiltonians_take_one_eigh(self, monkeypatch):
+        # Below _SECTOR_DIM, for an H that a reversal of the qubit order
+        # changes (here by a field on one end) and for a matrix whose
+        # dimension is no power of 2, eigh runs once on the full matrix.
+        assert dynamics_mod._SECTOR_DIM == 128
+        rng = np.random.default_rng(30)
+        matrices = [build(n) for build in self.BUILDS.values() for n in range(2, 7)]
+        for n in (7, 8):
+            chain = build_mixed_field_ising(n)
+            end_field = (0.125, PauliString.from_text("+Z" + "I" * (n - 1)))
+            matrices.append(Hamiltonian(n, chain.terms + (end_field,)))
+        matrices.append(random_hermitian(rng, 130))
+        shapes = self._spy_eigh(monkeypatch)
+        for h in matrices:
+            shapes.clear()
+            u = propagator(h, 0.3)
+            assert shapes == [u.evecs.shape]
+
+    def test_corrupted_block_eigenbasis_is_rejected(self, monkeypatch):
+        shapes = self._spy_eigh(monkeypatch, scale=1.001)
+        with pytest.raises(NumericalInvariantError, match="eigenbasis of H is not unitary"):
+            build_mixed_field_ising(7).spectrum
+        assert shapes == sector_shapes(7)[:1]
 
 
 class TestPropagator:

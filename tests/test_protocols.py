@@ -11,6 +11,8 @@ import pytest
 from helpers import random_density, random_hermitian, random_pauli, random_unitary
 
 import seqmeas.core as core_mod
+import seqmeas.dynamics as dynamics_mod
+import seqmeas.experiment as experiment_mod
 import seqmeas.measurement as measurement_mod
 import seqmeas.protocols as protocols_mod
 from seqmeas import (
@@ -1332,13 +1334,22 @@ class TestGridChecks:
 class TestOneBuildPerTimePoint:
     TIMES = [0.0, 0.4, 0.8]
 
+    @staticmethod
+    def _spy_run(monkeypatch):
+        """The propagator() calls of a run and its is_unitary calls in
+        dynamics and protocols, in one list."""
+        propagator_calls = counting_patch(monkeypatch, experiment_mod, "propagator")
+        unitary_calls = counting_patch(monkeypatch, dynamics_mod, "is_unitary")
+        monkeypatch.setattr(protocols_mod, "is_unitary", dynamics_mod.is_unitary)
+        return propagator_calls, unitary_calls
+
     def test_mixed_state_otoc(self, monkeypatch):
-        # A mixed-state grid runs in H's eigenbasis: V is checked once and A
-        # and B are carried into it once per run (heisenberg with V in place
-        # of U); a time point only scales B's phases, with no U to check and
-        # no B(t) product.
+        # A mixed-state grid runs in H's eigenbasis: V is checked once per
+        # run, with H's spectrum, and A and B are carried into it once per
+        # run (heisenberg with V in place of U); a time point only scales
+        # B's phases, with no U to check and no B(t) product.
         heisenberg_calls = counting_patch(monkeypatch, protocols_mod, "heisenberg")
-        unitary_calls = counting_patch(monkeypatch, protocols_mod, "is_unitary")
+        propagator_calls, unitary_calls = self._spy_run(monkeypatch)
         phase_calls = counting_patch(monkeypatch, protocols_mod, "heisenberg_phases")
         cfg = config_from_dict(
             {
@@ -1353,21 +1364,21 @@ class TestOneBuildPerTimePoint:
         )
         rows = run_experiment(cfg)
         assert all(r.re_value is not None and r.im_value is not None for r in rows)
-        assert len(unitary_calls) == 1
-        evecs = unitary_calls[0][0]
+        evecs = propagator_calls[0][0].spectrum[1]
+        assert len(unitary_calls) == 1 and unitary_calls[0][0] is evecs
         assert len(heisenberg_calls) == 2
         assert all(call[1] is evecs for call in heisenberg_calls)
         assert len(phase_calls) == len(self.TIMES)
 
     def test_label_state_toc(self, monkeypatch):
         # A label-state grid runs in H's eigenbasis too: V is checked once
-        # and B is carried into it once per run; a time point applies B~(t)
-        # by a phase scaling around one product with B~, and checks its
-        # square on the initial vector.
+        # per run, with H's spectrum, and B is carried into it once per run;
+        # a time point applies B~(t) by a phase scaling around one product
+        # with B~, and checks its square on the initial vector.
         calls = counting_patch(monkeypatch, protocols_mod, "_heisenberg_action")
         phase_maps = counting_patch(monkeypatch, protocols_mod, "_phase_action")
         heisenberg_calls = counting_patch(monkeypatch, protocols_mod, "heisenberg")
-        unitary_calls = counting_patch(monkeypatch, protocols_mod, "is_unitary")
+        propagator_calls, unitary_calls = self._spy_run(monkeypatch)
         cfg = config_from_dict(
             {
                 "system_size": 3,
@@ -1382,9 +1393,26 @@ class TestOneBuildPerTimePoint:
         rows = run_experiment(cfg)
         assert all(r.re_value is not None and r.im_value is not None for r in rows)
         assert len(calls) == len(phase_maps) == len(self.TIMES)
-        assert len(unitary_calls) == 1
+        evecs = propagator_calls[0][0].spectrum[1]
+        assert len(unitary_calls) == 1 and unitary_calls[0][0] is evecs
         assert len(heisenberg_calls) == 1
-        assert heisenberg_calls[0][1] is unitary_calls[0][0]
+        assert heisenberg_calls[0][1] is evecs
+
+    def test_only_propagators_of_a_checked_spectrum_skip_the_check(self, monkeypatch):
+        # propagator() marks what it builds, as its spectrum was checked
+        # there; a grid of Propagators built from the same arrays is not
+        # marked, and its eigenbasis route checks V itself.
+        ham = build_mixed_field_ising(3)
+        marked = [propagator(ham, t) for t in self.TIMES]
+        raw = [Propagator(u.evals, u.evecs, u.duration) for u in marked]
+        assert all(u.checked for u in marked) and not any(u.checked for u in raw)
+        unitary_calls = counting_patch(monkeypatch, protocols_mod, "is_unitary")
+        rho = DensityMatrix.maximally_mixed(3)
+        a, b = PauliString.from_text("+ZII"), PauliString.from_text("+IIX")
+        for grid, checks in ((marked, 0), (raw, 1)):
+            unitary_calls.clear()
+            protocols_mod._heisenberg_protocol(rho, a, b, 4, grid, ("real",), [0.6] * 4)
+            assert len(unitary_calls) == checks
 
 
 def _grid_propagators(h, times):

@@ -206,7 +206,7 @@ class TestChecks:
     def test_label_run_forms_no_propagator_matrix(self, monkeypatch, protocol):
         # Two points take the vector route, three H's eigenbasis; neither
         # forms U.  The spectrum checks V unitary, and the eigenbasis route
-        # checks it once more for its grid.
+        # takes that check for its grid's propagators.
         def forbidden(self):
             raise AssertionError("propagator matrix formed")
 
@@ -220,7 +220,7 @@ class TestChecks:
         monkeypatch.setattr(Propagator, "matrix", property(forbidden))
         monkeypatch.setattr(dynamics_mod, "is_unitary", counting)
         monkeypatch.setattr(protocols_mod, "is_unitary", counting)
-        for times, checks in (([0.0, 0.5], 1), ([0.0, 0.5, 1.0], 2)):
+        for times, checks in (([0.0, 0.5], 1), ([0.0, 0.5, 1.0], 1)):
             cfg = config_from_dict(
                 {
                     "system_size": 4,
